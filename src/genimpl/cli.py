@@ -21,6 +21,7 @@ import sys
 
 from . import classes, properties
 from .connectives import BinaryConnective
+from .generators import check_unit
 from .implications import ImplicationCandidate, residual_numeric
 from .reports import SampleSpec
 from .specs import (
@@ -105,7 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_point(args) -> None:
+    # checked here, once per command: the operators' own __call__ sits
+    # inside the law-check loops and stays unchecked
+    check_unit(args.x, "x")
+    check_unit(args.y, "y")
+
+
 def cmd_eval(args) -> int:
+    _check_point(args)
     op = parse_binary(load_spec(args.spec))
     v = op(args.x, args.y)
     if args.json:
@@ -116,6 +125,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_residual(args) -> int:
+    _check_point(args)
     c = parse_connective(load_spec(args.spec))
     v = residual_numeric(c, args.x, args.y)
     if args.json:

@@ -16,10 +16,10 @@ from typing import Callable
 from .generators import (
     DECREASING,
     INCREASING,
-    DirectionError,
     Generator,
     clamp01,
     pseudo_inverse,
+    require_direction,
     root,
 )
 
@@ -79,17 +79,19 @@ _BASIC_TNORMS = {
 }
 
 
-def basic_tnorm(kind: str, x: float, y: float) -> float:
+def _basic_fn(kind: str):
     try:
-        fn = _BASIC_TNORMS[kind]
+        return _BASIC_TNORMS[kind]
     except KeyError:
         raise ValueError(f"unknown basic t-norm {kind!r}") from None
-    return fn(x, y)
+
+
+def basic_tnorm(kind: str, x: float, y: float) -> float:
+    return _basic_fn(kind)(x, y)
 
 
 def basic(kind: str) -> BinaryConnective:
-    fn = _BASIC_TNORMS[kind]
-    return BinaryConnective(fn, f"T_{kind}", provenance="basic")
+    return BinaryConnective(_basic_fn(kind), f"T_{kind}", provenance="basic")
 
 
 # --------------------------------------------------------------------------
@@ -99,19 +101,18 @@ def basic(kind: str) -> BinaryConnective:
 
 def generated_tnorm(f: Generator, x: float, y: float) -> float:
     """f^(-1)(f(x) + f(y)) for a decreasing generator f."""
-    if f.direction != DECREASING:
-        raise DirectionError("t-norm generator must be decreasing")
+    require_direction(f, DECREASING, "t-norm")
     return pseudo_inverse(f, f.fn(x) + f.fn(y))
 
 
 def generated_tconorm(g: Generator, x: float, y: float) -> float:
     """g^(-1)(g(x) + g(y)) for an increasing generator g."""
-    if g.direction != INCREASING:
-        raise DirectionError("t-conorm generator must be increasing")
+    require_direction(g, INCREASING, "t-conorm")
     return pseudo_inverse(g, g.fn(x) + g.fn(y))
 
 
 def generated_tnorm_connective(f: Generator) -> BinaryConnective:
+    require_direction(f, DECREASING, "t-norm")
     return BinaryConnective(
         lambda x, y: generated_tnorm(f, x, y),
         f"T[{f.label}]",
@@ -120,6 +121,7 @@ def generated_tnorm_connective(f: Generator) -> BinaryConnective:
 
 
 def generated_tconorm_connective(g: Generator) -> BinaryConnective:
+    require_direction(g, INCREASING, "t-conorm")
     return BinaryConnective(
         lambda x, y: generated_tconorm(g, x, y),
         f"S[{g.label}]",

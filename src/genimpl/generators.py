@@ -41,7 +41,13 @@ class DirectionError(TypeError):
     """Generator of the wrong monotonicity direction for the operation."""
 
 
-def _check_unit(x: float, name: str = "x") -> None:
+def require_direction(g: Generator, direction: str, role: str) -> None:
+    if g.direction != direction:
+        raise DirectionError(f"{role} generator must be {direction}")
+
+
+def check_unit(x: float, name: str = "x") -> None:
+    """Reject an argument outside [0,1], NaN included."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"{name}={x!r} outside [0,1]")
 
@@ -87,16 +93,22 @@ class Generator:
 
 
 def eval_generator(g: Generator, x: float) -> float:
-    _check_unit(x)
+    check_unit(x)
     return g.fn(x)
 
 
 def pseudo_inverse(g: Generator, y: float) -> float:
-    """Sup-based pseudo-inverse of the generator, total on [0,+inf]."""
+    """Sup-based pseudo-inverse of the generator, total on [0,+inf].
+
+    A closed-form inverse answers at the precision of ``y``: an mpf stays
+    an mpf, so an extended-precision chain through a generated connective
+    is not rounded to a double after its inner step.
+    """
     if y != y or y < 0.0:
         raise DomainError(f"y={y!r} outside [0,+inf]")
     if g.inverse is not None:
-        return clamp01(float(g.inverse(y)))
+        v = g.inverse(y)
+        return clamp01(v if isinstance(y, mpmath.mpf) else float(v))
     if g.direction == DECREASING:
         return _bisect_decreasing(g.fn, y)
     return _bisect_increasing(g.fn, y)

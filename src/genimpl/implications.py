@@ -18,10 +18,10 @@ from .bijections import Bijection
 from .connectives import BinaryConnective, Negation
 from .generators import (
     INCREASING,
-    DirectionError,
     Generator,
     clamp01,
     pseudo_inverse,
+    require_direction,
     root,
 )
 
@@ -151,8 +151,7 @@ def mean_residual_candidate() -> ImplicationCandidate:
 
 
 def _require_increasing(g: Generator) -> None:
-    if g.direction != INCREASING:
-        raise DirectionError("implication generator must be increasing")
+    require_direction(g, INCREASING, "implication")
 
 
 def ig_implication(g: Generator, x: float, y: float) -> float:
@@ -160,7 +159,7 @@ def ig_implication(g: Generator, x: float, y: float) -> float:
     _require_increasing(g)
     with mpmath.workdps(CHAIN_DPS):
         s = g.fn(1 - mpmath.mpf(x)) + g.fn(mpmath.mpf(y))
-        return pseudo_inverse(g, s)
+        return _at_precision_of(x, y, pseudo_inverse(g, s))
 
 
 def ign_implication(g: Generator, n: Negation, x: float, y: float) -> float:
@@ -169,7 +168,14 @@ def ign_implication(g: Generator, n: Negation, x: float, y: float) -> float:
     with mpmath.workdps(CHAIN_DPS):
         z = min(max(n.fn(mpmath.mpf(x)), 0), 1)
         s = g.fn(z) + g.fn(mpmath.mpf(y))
-        return pseudo_inverse(g, s)
+        return _at_precision_of(x, y, pseudo_inverse(g, s))
+
+
+def _at_precision_of(x, y, v):
+    """v rounded once to a double, unless the caller's chain is already mpf."""
+    if isinstance(x, mpmath.mpf) or isinstance(y, mpmath.mpf):
+        return v
+    return float(v)
 
 
 def ig_candidate(g: Generator) -> ImplicationCandidate:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 HOLDS = "holds-on-samples"
@@ -64,12 +64,8 @@ class SampleSpec:
         return out
 
     def as_dict(self) -> dict:
-        return {
-            "grid_n": self.grid_n,
-            "random_count": self.random_count,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
+        """Every field, so ``SampleSpec(**spec.as_dict())`` replays the plan."""
+        return asdict(self)
 
 
 @dataclass

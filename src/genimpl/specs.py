@@ -15,6 +15,7 @@ or loaded from a file.  Examples::
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from pathlib import Path
@@ -51,6 +52,25 @@ def _kind(d: dict) -> str:
         raise SpecError("spec must be a JSON object with a 'kind' field") from None
 
 
+def _spec_errors(parse):
+    """Report what a malformed spec raises while it is built as a SpecError:
+    a missing field, a bad value, a generator of the wrong direction."""
+
+    @functools.wraps(parse)
+    def checked(d):
+        try:
+            return parse(d)
+        except SpecError:
+            raise
+        except KeyError as e:
+            raise SpecError(f"{_kind(d)!r} spec needs a {e.args[0]!r} field") from None
+        except (ValueError, TypeError, OSError) as e:
+            raise SpecError(f"{_kind(d)!r} spec: {e}") from None
+
+    return checked
+
+
+@_spec_errors
 def parse_generator(d: dict) -> generators.Generator:
     kind = _kind(d)
     if kind == "yager_f":
@@ -66,6 +86,7 @@ def parse_generator(d: dict) -> generators.Generator:
     raise SpecError(f"unknown generator kind {kind!r}")
 
 
+@_spec_errors
 def parse_negation(d: dict) -> Negation:
     kind = _kind(d)
     if kind == "standard":
@@ -82,6 +103,7 @@ def parse_negation(d: dict) -> Negation:
     raise SpecError(f"unknown negation kind {kind!r}")
 
 
+@_spec_errors
 def parse_bijection(d: dict) -> bijections.Bijection:
     kind = _kind(d)
     if kind == "identity":
@@ -97,6 +119,7 @@ def _parse_p(v) -> float:
     return float(v)
 
 
+@_spec_errors
 def parse_connective(d: dict) -> BinaryConnective:
     kind = _kind(d)
     if kind == "basic":
@@ -118,6 +141,7 @@ def parse_connective(d: dict) -> BinaryConnective:
     raise SpecError(f"unknown connective kind {kind!r}")
 
 
+@_spec_errors
 def parse_implication(d: dict) -> ImplicationCandidate:
     kind = _kind(d)
     if kind == "yager_residual":

@@ -45,6 +45,31 @@ class TestEval:
         assert "error" in err
 
 
+    @pytest.mark.parametrize("spec, message", [
+        ('{"kind": "basic", "name": "nope"}', "unknown basic t-norm 'nope'"),
+        ('{"kind": "yager_residual"}', "needs a 'p' field"),
+        ('{"kind": "ig", "g": {"kind": "yager_f", "p": 2}}',
+         "generator must be increasing"),
+    ])
+    def test_malformed_spec_exits_2_with_one_line(self, capsys, spec, message):
+        code, out, err = run(capsys, "eval", spec, "0.5", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("x, y", [
+        ("2", "0.3"), ("nan", "0.3"), ("0.3", "-0.1"), ("0.3", "inf"),
+    ])
+    def test_point_outside_unit_square_exits_2(self, capsys, x, y):
+        code, out, err = run(
+            capsys, "eval", '{"kind": "basic", "name": "product"}', x, y
+        )
+        assert code == 2
+        assert out == ""
+        assert "outside [0,1]" in err
+
+
 class TestResidual:
     def test_product_residual(self, capsys):
         code, out, _ = run(
@@ -53,6 +78,15 @@ class TestResidual:
         )
         assert code == 0
         assert float(out) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("x, y", [("0.8", "1.5"), ("nan", "0.4")])
+    def test_point_outside_unit_square_exits_2(self, capsys, x, y):
+        code, out, err = run(
+            capsys, "residual", '{"kind": "basic", "name": "product"}', x, y
+        )
+        assert code == 2
+        assert out == ""
+        assert "outside [0,1]" in err
 
 
 class TestVerify:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from genimpl.connectives import (
@@ -26,6 +28,7 @@ from genimpl.properties import (
     probe_continuity,
     refine_jump,
 )
+from genimpl.reports import SampleSpec
 
 
 class TestImplicationAxioms:
@@ -186,3 +189,14 @@ class TestNegationAxioms:
         bad = Negation(lambda x: x, "id")
         report = check_negation_axioms(bad, small_spec)
         assert not report.holds
+
+
+class TestReportReplay:
+    def test_ep_report_rebuilds_its_plan(self):
+        plan = SampleSpec(grid_n=11, random_count=20, seed=7,
+                          triple_grid_n=5, triple_random_count=30)
+        report = check_property(lukasiewicz_candidate(), "EP", plan)
+        assert SampleSpec(**report.sample_spec) == plan
+        replayed = SampleSpec(**json.loads(report.to_json())["sample_spec"])
+        again = check_property(lukasiewicz_candidate(), "EP", replayed)
+        assert again.as_dict() == report.as_dict()
