@@ -6,6 +6,7 @@ conjugacy identities need exact inverses, not numeric inversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,8 +24,8 @@ def identity_bijection() -> Bijection:
 
 def power_bijection(a: float) -> Bijection:
     """phi(x) = x^a for a > 0; inverse x^(1/a)."""
-    if not a > 0:
-        raise ValueError("exponent must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError("exponent must be finite and positive")
     return Bijection(
         lambda x: x ** a, lambda x: x ** (1.0 / a), f"power(a={a:g})"
     )

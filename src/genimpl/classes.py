@@ -170,9 +170,7 @@ def build_intersection_member(phi: Bijection) -> ImplicationCandidate:
             phi.inverse(min(1.0 - phi.forward(x) + phi.forward(y), 1.0))
         )
 
-    return ImplicationCandidate(
-        fn, f"I_phi[{phi.label}]", provenance=f"conjugate-LK({phi.label})"
-    )
+    return ImplicationCandidate(fn, f"I_phi[{phi.label}]")
 
 
 def check_self_dual_phi(

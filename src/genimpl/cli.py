@@ -3,7 +3,7 @@
 Subcommands::
 
     eval SPEC X Y            evaluate a connective or implication
-    residual SPEC X Y        numeric residual of a connective
+    residual SPEC X Y        numeric residual of an operator
     verify SPEC PROP [...]   check properties, JSON reports, exit 1 on failure
     surface SPEC -o FILE     write an n x n surface grid as CSV
     compare SPEC SPEC        max |F - G| over the sample set
@@ -20,20 +20,12 @@ import json
 import sys
 
 from . import classes, properties
-from .connectives import BinaryConnective
 from .generators import check_unit
-from .implications import ImplicationCandidate, residual_numeric
+from .implications import residual_numeric
 from .reports import SampleSpec
-from .specs import (
-    SpecError,
-    load_spec,
-    parse_binary,
-    parse_connective,
-    parse_implication,
-    parse_negation,
-)
+from .specs import OPERATORS, SpecError, load_spec, parse_binary, parse_negation
 
-_PROPS = ("NP", "EP", "IP", "OP", "CP")
+SPEC_HELP = "operator spec, inline JSON or a JSON file; kinds: " + ", ".join(OPERATORS)
 
 
 def _sample_spec(args) -> SampleSpec:
@@ -43,11 +35,16 @@ def _sample_spec(args) -> SampleSpec:
     return SampleSpec(**kw)
 
 
+def _json_flag(sub):
+    sub.add_argument("--json", action="store_true", help="JSON output")
+
+
 def _common(sub):
+    """The sample-plan flags, for the subcommands that run a check."""
     sub.add_argument("--grid", type=int, default=101, help="grid resolution")
     sub.add_argument("--seed", type=int, default=42, help="random sample seed")
     sub.add_argument("--tol", type=float, default=None, help="tolerance")
-    sub.add_argument("--json", action="store_true", help="JSON output")
+    _json_flag(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,19 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("eval", help="evaluate an operator at a point")
-    p.add_argument("spec")
+    p.add_argument("spec", help=SPEC_HELP)
     p.add_argument("x", type=float)
     p.add_argument("y", type=float)
-    _common(p)
+    _json_flag(p)
 
-    p = subs.add_parser("residual", help="numeric residual of a connective")
-    p.add_argument("spec")
+    p = subs.add_parser("residual", help="numeric residual of an operator")
+    p.add_argument("spec", help=SPEC_HELP)
     p.add_argument("x", type=float)
     p.add_argument("y", type=float)
-    _common(p)
+    _json_flag(p)
 
     p = subs.add_parser("verify", help="check properties of an operator")
-    p.add_argument("spec")
+    p.add_argument("spec", help=SPEC_HELP)
     p.add_argument(
         "properties",
         nargs="+",
@@ -79,18 +76,17 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
 
     p = subs.add_parser("surface", help="export a surface grid as CSV")
-    p.add_argument("spec")
+    p.add_argument("spec", help=SPEC_HELP)
     p.add_argument("-n", type=int, default=101, help="surface resolution")
     p.add_argument("-o", "--output", required=True)
-    _common(p)
 
     p = subs.add_parser("compare", help="max |F - G| over the samples")
-    p.add_argument("spec1")
-    p.add_argument("spec2")
+    p.add_argument("spec1", help=SPEC_HELP)
+    p.add_argument("spec2", help=SPEC_HELP)
     _common(p)
 
     p = subs.add_parser("classify", help="class-membership probes")
-    p.add_argument("spec")
+    p.add_argument("spec", help=SPEC_HELP)
     p.add_argument(
         "--classes",
         default="sn,r,lk",
@@ -99,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
 
     p = subs.add_parser("counterexample", help="search for a law violation")
-    p.add_argument("spec")
+    p.add_argument("spec", help=SPEC_HELP)
     p.add_argument("law", choices=["associativity", "EP"])
     _common(p)
 
@@ -126,7 +122,7 @@ def cmd_eval(args) -> int:
 
 def cmd_residual(args) -> int:
     _check_point(args)
-    c = parse_connective(load_spec(args.spec))
+    c = parse_binary(load_spec(args.spec))
     v = residual_numeric(c, args.x, args.y)
     if args.json:
         print(json.dumps({"label": f"R[{c.label}]", "value": v}))
@@ -136,33 +132,20 @@ def cmd_residual(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    d = load_spec(args.spec)
-    op = parse_binary(d)
+    op = parse_binary(load_spec(args.spec))
     s = _sample_spec(args)
     reports = []
     for token in args.properties:
         if token == "axioms":
-            if not isinstance(op, ImplicationCandidate):
-                op = ImplicationCandidate(op.fn, op.label)
             reports.append(properties.check_implication_axioms(op, s))
         elif token == "tnorm":
-            if not isinstance(op, BinaryConnective):
-                op = BinaryConnective(op.fn, op.label)
             reports.append(properties.check_tnorm_axioms(op, s))
-        elif token in _PROPS or token.startswith("CP:"):
-            neg = None
-            prop = token
-            if token.startswith("CP:"):
-                prop = "CP"
-                neg = parse_negation(load_spec(token[3:]))
-            if prop == "CP" and neg is None:
+        elif token in properties.IMPLICATION_PROPERTIES or token.startswith("CP:"):
+            prop, _, neg_spec = token.partition(":")
+            if prop == "CP" and not neg_spec:
                 raise SpecError("CP needs a negation: CP:'{...}'")
-            cand = (
-                op
-                if isinstance(op, ImplicationCandidate)
-                else ImplicationCandidate(op.fn, op.label)
-            )
-            reports.append(properties.check_property(cand, prop, s, neg))
+            neg = parse_negation(load_spec(neg_spec)) if neg_spec else None
+            reports.append(properties.check_property(op, prop, s, neg))
         else:
             print(f"unknown property {token!r}", file=sys.stderr)
             return 2
@@ -201,7 +184,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    i = parse_implication(load_spec(args.spec))
+    i = parse_binary(load_spec(args.spec))
     s = _sample_spec(args)
     probes = {
         "sn": classes.sn_probe,
@@ -220,21 +203,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    d = load_spec(args.spec)
+    op = parse_binary(load_spec(args.spec))
     s = _sample_spec(args)
     if args.law == "associativity":
-        c = parse_binary(d)
-        if isinstance(c, ImplicationCandidate):
-            c = BinaryConnective(c.fn, c.label)
-        report = properties.find_associativity_counterexample(c, s)
+        report = properties.find_associativity_counterexample(op, s)
     else:
-        op = parse_binary(d)
-        cand = (
-            op
-            if isinstance(op, ImplicationCandidate)
-            else ImplicationCandidate(op.fn, op.label)
-        )
-        report = properties.check_property(cand, "EP", s)
+        report = properties.check_property(op, "EP", s)
     print(report.to_json(indent=2))
     return 0 if report.holds else 1
 

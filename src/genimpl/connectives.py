@@ -9,7 +9,6 @@ these values back into further connectives).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,6 +17,7 @@ from .generators import (
     INCREASING,
     Generator,
     clamp01,
+    linear_table,
     pseudo_inverse,
     require_direction,
     root,
@@ -26,14 +26,18 @@ from .generators import (
 
 @dataclass(frozen=True)
 class BinaryConnective:
-    """A map [0,1]^2 -> [0,1] with a label and construction provenance."""
+    """A labelled map [0,1]^2 -> [0,1]: a t-norm, t-conorm, mean or
+    implication candidate alike, until a check says which laws it obeys.
+
+    The value keeps the precision of ``fn``'s result (an mpf stays an mpf),
+    so a wide chain through a nested operator is not rounded to a double.
+    """
 
     fn: Callable[[float, float], float]
     label: str
-    provenance: str = "basic"
 
     def __call__(self, x: float, y: float) -> float:
-        return clamp01(float(self.fn(x, y)))
+        return clamp01(self.fn(x, y))
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,7 @@ def basic_tnorm(kind: str, x: float, y: float) -> float:
 
 
 def basic(kind: str) -> BinaryConnective:
-    return BinaryConnective(_basic_fn(kind), f"T_{kind}", provenance="basic")
+    return BinaryConnective(_basic_fn(kind), f"T_{kind}")
 
 
 # --------------------------------------------------------------------------
@@ -113,28 +117,18 @@ def generated_tconorm(g: Generator, x: float, y: float) -> float:
 
 def generated_tnorm_connective(f: Generator) -> BinaryConnective:
     require_direction(f, DECREASING, "t-norm")
-    return BinaryConnective(
-        lambda x, y: generated_tnorm(f, x, y),
-        f"T[{f.label}]",
-        provenance="generated-from-generator",
-    )
+    return BinaryConnective(lambda x, y: generated_tnorm(f, x, y), f"T[{f.label}]")
 
 
 def generated_tconorm_connective(g: Generator) -> BinaryConnective:
     require_direction(g, INCREASING, "t-conorm")
-    return BinaryConnective(
-        lambda x, y: generated_tconorm(g, x, y),
-        f"S[{g.label}]",
-        provenance="generated-from-generator",
-    )
+    return BinaryConnective(lambda x, y: generated_tconorm(g, x, y), f"S[{g.label}]")
 
 
 def dual_of(c: BinaryConnective) -> BinaryConnective:
     """Pointwise dual 1 - C(1-x, 1-y); maps t-norms to t-conorms."""
     return BinaryConnective(
-        lambda x, y: 1.0 - c(1.0 - x, 1.0 - y),
-        f"dual[{c.label}]",
-        provenance="dual-of",
+        lambda x, y: 1.0 - c(1.0 - x, 1.0 - y), f"dual[{c.label}]"
     )
 
 
@@ -144,7 +138,7 @@ def yager_tnorm(p: float, x: float, y: float) -> float:
     The endpoint parameters dispatch to the exact special cases; taking
     floating limits of the closed form there is meaningless.
     """
-    if p < 0:
+    if not p >= 0:
         raise ValueError("p must be >= 0")
     if p == 0.0:
         return t_drastic(x, y)
@@ -161,9 +155,7 @@ def yager_tnorm(p: float, x: float, y: float) -> float:
 
 
 def yager_connective(p: float) -> BinaryConnective:
-    return BinaryConnective(
-        lambda x, y: yager_tnorm(p, x, y), f"T_Y(p={p:g})", provenance="basic"
-    )
+    return BinaryConnective(lambda x, y: yager_tnorm(p, x, y), f"T_Y(p={p:g})")
 
 
 def quasi_arithmetic_mean(x: float, y: float) -> float:
@@ -172,7 +164,7 @@ def quasi_arithmetic_mean(x: float, y: float) -> float:
 
 
 def mean_connective() -> BinaryConnective:
-    return BinaryConnective(quasi_arithmetic_mean, "M_quad", provenance="mean")
+    return BinaryConnective(quasi_arithmetic_mean, "M_quad")
 
 
 def n_ary_power(c: BinaryConnective, x: float, n: int) -> float:
@@ -233,21 +225,7 @@ def dual_negation(n: Negation) -> Negation:
 
 
 def table_negation(points: list[tuple[float, float]]) -> Negation:
-    pts = sorted((float(a), float(b)) for a, b in points)
-    if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
-        raise ValueError("table must span x=0..1 with at least two points")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-
-    def fn(x: float) -> float:
-        i = bisect_left(xs, x)
-        if i < len(xs) and xs[i] == x:
-            return ys[i]
-        x0, x1 = xs[i - 1], xs[i]
-        y0, y1 = ys[i - 1], ys[i]
-        return y0 + (x - x0) / (x1 - x0) * (y1 - y0)
-
-    return Negation(fn, "N_table")
+    return Negation(linear_table(points), "N_table")
 
 
 # --------------------------------------------------------------------------
@@ -264,6 +242,8 @@ def table_connective(values: list[list[float]], label: str = "table") -> BinaryC
     n = len(values)
     if n < 2 or any(len(row) != n for row in values):
         raise ValueError("values must be a square grid with n >= 2")
+    if not all(math.isfinite(v) for row in values for v in row):
+        raise ValueError("table values must be finite")
     h = 1.0 / (n - 1)
 
     def fn(x: float, y: float) -> float:
@@ -282,4 +262,4 @@ def table_connective(values: list[list[float]], label: str = "table") -> BinaryC
             + v11 * tx * ty
         )
 
-    return BinaryConnective(fn, label, provenance="user-table")
+    return BinaryConnective(fn, label)

@@ -30,7 +30,6 @@ DECREASING = "decreasing"
 INCREASING = "increasing"
 
 BISECT_ITERS = 100
-BISECT_WIDTH = 1e-12
 
 
 class DomainError(ValueError):
@@ -110,44 +109,31 @@ def pseudo_inverse(g: Generator, y: float) -> float:
         v = g.inverse(y)
         return clamp01(v if isinstance(y, mpmath.mpf) else float(v))
     if g.direction == DECREASING:
-        return _bisect_decreasing(g.fn, y)
-    return _bisect_increasing(g.fn, y)
+        return bisect_sup(lambda t: g.fn(t) > y)
+    return bisect_sup(lambda t: g.fn(t) < y)
 
 
-def _bisect_decreasing(f: Callable[[float], float], y: float) -> float:
-    # sup{x | f(x) > y}: the predicate is true on an initial segment [0, b)
-    if not f(0.0) > y:
-        return 0.0
-    if f(1.0) > y:  # only when y < 0, excluded by the caller
+def bisect_sup(pred: Callable[[float], bool]) -> float:
+    """sup{t in [0,1] | pred(t)} for a predicate true on an initial segment
+    of [0,1], with sup of the empty set = 0.
+
+    Bisects until the midpoint of the bracket equals one of its ends (or
+    BISECT_ITERS halvings) and returns the last t known to satisfy pred.
+    """
+    if pred(1.0):
         return 1.0
-    lo, hi = 0.0, 1.0
+    if not pred(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0  # invariant: pred(lo) and not pred(hi)
     for _ in range(BISECT_ITERS):
-        if hi - lo < BISECT_WIDTH:
-            break
         mid = 0.5 * (lo + hi)
-        if f(mid) > y:
+        if mid <= lo or mid >= hi:
+            break
+        if pred(mid):
             lo = mid
         else:
             hi = mid
-    return clamp01(0.5 * (lo + hi))
-
-
-def _bisect_increasing(f: Callable[[float], float], y: float) -> float:
-    # sup{x | f(x) < y}: true on an initial segment, sup of empty set is 0
-    if not f(0.0) < y:
-        return 0.0
-    if f(1.0) < y:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECT_ITERS):
-        if hi - lo < BISECT_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return clamp01(0.5 * (lo + hi))
+    return lo
 
 
 def verify_generator(g: Generator, samples: int = 101) -> PropertyReport:
@@ -261,17 +247,16 @@ def piecewise_f() -> Generator:
     return Generator(INCREASING, fn, inv, 1.0, "piecewise_f")
 
 
-def table_generator(
-    direction: str, points: list[tuple[float, float]]
-) -> Generator:
-    """Generator given by sample points, linearly interpolated in between.
+def linear_table(points: list[tuple[float, float]]) -> Callable[[float], float]:
+    """The map through the (x, y) sample points, linear in between.
 
-    Points must cover x = 0 and x = 1 and be strictly monotone in the
-    stated direction; the pseudo-inverse falls back to bisection.
+    Points must be finite and cover x = 0 and x = 1.
     """
     pts = sorted((float(x), float(y)) for x, y in points)
     if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
         raise ValueError("table must span x=0..1 with at least two points")
+    if not all(math.isfinite(v) for pt in pts for v in pt):
+        raise ValueError("table values must be finite")
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
 
@@ -284,5 +269,17 @@ def table_generator(
         t = (x - x0) / (x1 - x0)
         return y0 + t * (y1 - y0)
 
-    endpoint = ys[0] if direction == DECREASING else ys[-1]
+    return fn
+
+
+def table_generator(
+    direction: str, points: list[tuple[float, float]]
+) -> Generator:
+    """Generator given by sample points, linearly interpolated in between.
+
+    Points must be strictly monotone in the stated direction; the
+    pseudo-inverse falls back to bisection.
+    """
+    fn = linear_table(points)
+    endpoint = fn(0.0) if direction == DECREASING else fn(1.0)
     return Generator(direction, fn, None, endpoint, "table")

@@ -1,16 +1,15 @@
 """Implication candidates: residual operators and generated implications.
 
-A candidate is just a map [0,1]^2 -> [0,1]; nothing here assumes the
-implication axioms hold.  Whether a candidate actually is a fuzzy
-implication is the verification engine's job (the quadratic mean's
-residual deliberately fails the boundary condition).
+A candidate is just a map [0,1]^2 -> [0,1], the same labelled operator
+type as a connective; nothing here assumes the implication axioms hold.
+Whether a candidate actually is a fuzzy implication is the verification
+engine's job (the quadratic mean's residual deliberately fails the
+boundary condition).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import mpmath
 
@@ -19,6 +18,7 @@ from .connectives import BinaryConnective, Negation
 from .generators import (
     INCREASING,
     Generator,
+    bisect_sup,
     clamp01,
     pseudo_inverse,
     require_direction,
@@ -30,18 +30,11 @@ from .generators import (
 # ulp of a double to ~1e-5, so the chain runs wider and rounds at the end
 CHAIN_DPS = 40
 
-RESIDUAL_ITERS = 100
 SCAN_POINTS = 4096  # fallback scan when C(x,.) is not monotone
 
-
-@dataclass(frozen=True)
-class ImplicationCandidate:
-    fn: Callable[[float, float], float]
-    label: str
-    provenance: str = "closed-form"
-
-    def __call__(self, x: float, y: float) -> float:
-        return clamp01(self.fn(x, y))
+# an implication candidate is a binary operator like any other; the name
+# says which laws a caller is about to check
+ImplicationCandidate = BinaryConnective
 
 
 # --------------------------------------------------------------------------
@@ -68,25 +61,8 @@ def residual_numeric(c: BinaryConnective, x: float, y: float) -> float:
     rightmost boundary), which bisection on the predicate gives for free.
     """
     if _monotone_in_second(c, x):
-        return _residual_bisect(c, x, y)
+        return bisect_sup(lambda t: c(x, t) <= y)
     return _residual_scan(c, x, y)
-
-
-def _residual_bisect(c: BinaryConnective, x: float, y: float) -> float:
-    if c(x, 1.0) <= y:
-        return 1.0
-    if not c(x, 0.0) <= y:
-        return 0.0
-    lo, hi = 0.0, 1.0  # invariant: C(x,lo) <= y < C(x,hi)
-    for _ in range(RESIDUAL_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if c(x, mid) <= y:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _residual_scan(c: BinaryConnective, x: float, y: float) -> float:
@@ -110,9 +86,7 @@ def _residual_scan(c: BinaryConnective, x: float, y: float) -> float:
 
 def residual_candidate(c: BinaryConnective) -> ImplicationCandidate:
     return ImplicationCandidate(
-        lambda x, y: residual_numeric(c, x, y),
-        f"R[{c.label}]",
-        provenance=f"residual-of({c.label})",
+        lambda x, y: residual_numeric(c, x, y), f"R[{c.label}]"
     )
 
 
@@ -122,8 +96,8 @@ def yager_residual(p: float, x: float, y: float) -> float:
     The subtraction of nearly equal powers is clamped at 0 before the
     root so x <= y yields exactly 1.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
+    if not 0 < p < math.inf:
+        raise ValueError("p must be finite and positive")
     d = (1.0 - y) ** p - (1.0 - x) ** p
     if d <= 0.0:
         return 1.0
@@ -181,18 +155,14 @@ def _at_precision_of(x, y, v):
 def ig_candidate(g: Generator) -> ImplicationCandidate:
     _require_increasing(g)
     return ImplicationCandidate(
-        lambda x, y: ig_implication(g, x, y),
-        f"Ig[{g.label}]",
-        provenance=f"Ig({g.label})",
+        lambda x, y: ig_implication(g, x, y), f"Ig[{g.label}]"
     )
 
 
 def ign_candidate(g: Generator, n: Negation) -> ImplicationCandidate:
     _require_increasing(g)
     return ImplicationCandidate(
-        lambda x, y: ign_implication(g, n, x, y),
-        f"IgN[{g.label},{n.label}]",
-        provenance=f"IgN({g.label},{n.label})",
+        lambda x, y: ign_implication(g, n, x, y), f"IgN[{g.label},{n.label}]"
     )
 
 
@@ -203,9 +173,7 @@ def sn_implication(s: BinaryConnective, n: Negation, x: float, y: float) -> floa
 
 def sn_candidate(s: BinaryConnective, n: Negation) -> ImplicationCandidate:
     return ImplicationCandidate(
-        lambda x, y: sn_implication(s, n, x, y),
-        f"SN[{s.label},{n.label}]",
-        provenance=f"SN({s.label},{n.label})",
+        lambda x, y: sn_implication(s, n, x, y), f"SN[{s.label},{n.label}]"
     )
 
 
@@ -228,9 +196,7 @@ def phi_conjugate_candidate(
     i: ImplicationCandidate, phi: Bijection
 ) -> ImplicationCandidate:
     return ImplicationCandidate(
-        lambda x, y: phi_conjugate(i, phi, x, y),
-        f"conj[{i.label},{phi.label}]",
-        provenance=f"phi-conjugate({i.label},{phi.label})",
+        lambda x, y: phi_conjugate(i, phi, x, y), f"conj[{i.label},{phi.label}]"
     )
 
 

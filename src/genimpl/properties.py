@@ -8,6 +8,7 @@ points, so re-evaluating them standalone reproduces the discrepancy.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable
 
 import mpmath
@@ -25,7 +26,33 @@ OP_SLACK = 10.0
 # wide evaluation can fail it.
 ESCALATE_SHARE = 1 / 16
 
-IMPLICATION_PROPERTIES = ("NP", "EP", "IP", "OP", "CP")
+
+def _scan_monotone(prop, s, values, xs, increasing, coords):
+    """The failing report of the first adjacent pair of ``values`` (an
+    operator evaluated along the sorted points ``xs``) that breaks
+    monotonicity by more than tol, or None.  ``coords(x1, x2)`` gives the
+    witness coordinates of a breaking pair."""
+    tol = s.tolerance
+    prev = next(values)
+    for k, cur in enumerate(values, 1):
+        if (cur < prev - tol) if increasing else (cur > prev + tol):
+            witness = {**coords(xs[k - 1], xs[k]), "value1": prev, "value2": cur}
+            return failing(prop, s, witness, abs(cur - prev))
+        prev = cur
+    return None
+
+
+def _second_arg_scan(prop, f, s):
+    """Non-decrease of f(x, .) along the sorted samples, for every grid x."""
+    xs = sorted(s.points_1d())
+    for x in s.grid():
+        report = _scan_monotone(
+            prop, s, map(f, repeat(x), xs), xs, True,
+            lambda y1, y2: {"x": x, "y1": y1, "y2": y2},
+        )
+        if report:
+            return report
+    return None
 
 
 def check_implication_axioms(
@@ -34,7 +61,6 @@ def check_implication_axioms(
     """Axioms I1 (antitone in x), I2 (monotone in y), I3 (corner values)."""
     s = s or SampleSpec()
     xs = sorted(s.points_1d())
-    grid = s.grid()
 
     # I3 first: three exact corner equalities
     corners = [((1.0, 0.0), 0.0), ((0.0, 0.0), 1.0), ((1.0, 1.0), 1.0)]
@@ -48,34 +74,15 @@ def check_implication_axioms(
             )
 
     # I1: non-increasing in the first argument along sorted samples
-    for y in grid:
-        prev = i(xs[0], y)
-        for k in range(1, len(xs)):
-            cur = i(xs[k], y)
-            if cur > prev + s.tolerance:
-                return failing(
-                    "I1", s,
-                    {"x1": xs[k - 1], "x2": xs[k], "y": y,
-                     "value1": prev, "value2": cur},
-                    cur - prev,
-                )
-            prev = cur
+    for y in s.grid():
+        report = _scan_monotone(
+            "I1", s, map(i, xs, repeat(y)), xs, False,
+            lambda x1, x2: {"x1": x1, "x2": x2, "y": y},
+        )
+        if report:
+            return report
 
-    # I2: non-decreasing in the second argument
-    for x in grid:
-        prev = i(x, xs[0])
-        for k in range(1, len(xs)):
-            cur = i(x, xs[k])
-            if cur < prev - s.tolerance:
-                return failing(
-                    "I2", s,
-                    {"x": x, "y1": xs[k - 1], "y2": xs[k],
-                     "value1": prev, "value2": cur},
-                    prev - cur,
-                )
-            prev = cur
-
-    return passing("I1-I3", s)
+    return _second_arg_scan("I2", i, s) or passing("I1-I3", s)
 
 
 def check_second_arg_monotone(
@@ -83,20 +90,7 @@ def check_second_arg_monotone(
 ) -> PropertyReport:
     """I2 alone (needed by the class probes)."""
     s = s or SampleSpec()
-    xs = sorted(s.points_1d())
-    for x in s.grid():
-        prev = i(x, xs[0])
-        for k in range(1, len(xs)):
-            cur = i(x, xs[k])
-            if cur < prev - s.tolerance:
-                return failing(
-                    "I2", s,
-                    {"x": x, "y1": xs[k - 1], "y2": xs[k],
-                     "value1": prev, "value2": cur},
-                    prev - cur,
-                )
-            prev = cur
-    return passing("I2", s)
+    return _second_arg_scan("I2", i, s) or passing("I2", s)
 
 
 def check_property(
@@ -107,22 +101,14 @@ def check_property(
 ) -> PropertyReport:
     """One of NP, EP, IP, OP, CP (CP needs the negation to test against)."""
     s = s or SampleSpec()
-    if prop == "NP":
-        return _check_np(i, s)
-    if prop == "EP":
-        return _check_ep(i, s)
-    if prop == "IP":
-        return _check_ip(i, s)
-    if prop == "OP":
-        return _check_op(i, s)
-    if prop == "CP":
-        if negation is None:
-            raise ValueError("CP requires a negation")
-        return _check_cp(i, negation, s)
-    raise ValueError(f"unknown property {prop!r}")
+    if prop not in _IMPLICATION_CHECKS:
+        raise ValueError(f"unknown property {prop!r}")
+    if prop == "CP" and negation is None:
+        raise ValueError("CP requires a negation")
+    return _IMPLICATION_CHECKS[prop](i, s, negation)
 
 
-def _check_np(i: ImplicationCandidate, s: SampleSpec) -> PropertyReport:
+def _check_np(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
     worst = 0.0
     for y in s.points_1d():
         d = abs(i(1.0, y) - y)
@@ -180,11 +166,11 @@ def _nested_law(prop, sides, fn, triples, s, keys=("x", "y", "z"), holds_as=None
     return report
 
 
-def _check_ep(i: ImplicationCandidate, s: SampleSpec) -> PropertyReport:
+def _check_ep(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
     return _nested_law("EP", _ep_sides, i.fn, s.triples(), s)
 
 
-def _check_ip(i: ImplicationCandidate, s: SampleSpec) -> PropertyReport:
+def _check_ip(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
     worst = 0.0
     for x in s.points_1d():
         d = abs(i(x, x) - 1.0)
@@ -194,7 +180,7 @@ def _check_ip(i: ImplicationCandidate, s: SampleSpec) -> PropertyReport:
     return passing("IP", s, worst)
 
 
-def _check_op(i: ImplicationCandidate, s: SampleSpec) -> PropertyReport:
+def _check_op(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
     worst = 0.0
     for x, y in s.pairs():
         v = i(x, y)
@@ -218,7 +204,7 @@ def _check_op(i: ImplicationCandidate, s: SampleSpec) -> PropertyReport:
     return passing("OP", s, worst)
 
 
-def _check_cp(i: ImplicationCandidate, n: Negation, s: SampleSpec) -> PropertyReport:
+def _check_cp(i: ImplicationCandidate, s: SampleSpec, n: Negation) -> PropertyReport:
     worst = 0.0
     for x, y in s.pairs():
         left = i(x, y)
@@ -233,6 +219,13 @@ def _check_cp(i: ImplicationCandidate, n: Negation, s: SampleSpec) -> PropertyRe
             )
         worst = max(worst, d)
     return passing("CP", s, worst)
+
+
+_IMPLICATION_CHECKS = {
+    "NP": _check_np, "EP": _check_ep, "IP": _check_ip, "OP": _check_op,
+    "CP": _check_cp,
+}
+IMPLICATION_PROPERTIES = tuple(_IMPLICATION_CHECKS)
 
 
 def check_tnorm_axioms(
@@ -263,20 +256,7 @@ def _tnorm_pair_laws(t: BinaryConnective, s: SampleSpec) -> PropertyReport | Non
                 "T1", s, {"x": x, "y": y, "xy": t(x, y), "yx": t(y, x)}, d
             )
 
-    xs = sorted(s.points_1d())
-    for x in s.grid():
-        prev = t(x, xs[0])
-        for k in range(1, len(xs)):
-            cur = t(x, xs[k])
-            if cur < prev - s.tolerance:
-                return failing(
-                    "T3", s,
-                    {"x": x, "y1": xs[k - 1], "y2": xs[k],
-                     "value1": prev, "value2": cur},
-                    prev - cur,
-                )
-            prev = cur
-    return None
+    return _second_arg_scan("T3", t, s)
 
 
 # The triple from the six-branch implication's associativity breakdown is
@@ -297,8 +277,8 @@ def find_associativity_counterexample(
 
 
 def compare_surfaces(
-    f: ImplicationCandidate | BinaryConnective,
-    g: ImplicationCandidate | BinaryConnective,
+    f: BinaryConnective,
+    g: BinaryConnective,
     s: SampleSpec | None = None,
 ) -> PropertyReport:
     """Max |F - G| over the sample pairs, with the argmax point."""
@@ -402,14 +382,8 @@ def check_negation_axioms(
                 abs(got - want),
             )
     xs = sorted(s.points_1d())
-    prev = n(xs[0])
-    for k in range(1, len(xs)):
-        cur = n(xs[k])
-        if cur > prev + s.tolerance:
-            return failing(
-                "negation-monotonicity", s,
-                {"x1": xs[k - 1], "x2": xs[k], "value1": prev, "value2": cur},
-                cur - prev,
-            )
-        prev = cur
-    return passing("negation-definition", s)
+    report = _scan_monotone(
+        "negation-monotonicity", s, map(n, xs), xs, False,
+        lambda x1, x2: {"x1": x1, "x2": x2},
+    )
+    return report or passing("negation-definition", s)

@@ -9,6 +9,7 @@ carries a concrete witness point; a passing verdict is only ever
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field
 
@@ -34,8 +35,8 @@ class SampleSpec:
     def __post_init__(self):
         if self.grid_n < 2:
             raise ValueError("grid_n must be >= 2")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:  # NaN would pass every check
+            raise ValueError("tolerance must be positive and finite")
 
     def grid(self) -> list[float]:
         n = self.grid_n

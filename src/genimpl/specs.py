@@ -15,7 +15,6 @@ or loaded from a file.  Examples::
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from pathlib import Path
@@ -23,7 +22,6 @@ from pathlib import Path
 from . import bijections, connectives, generators, implications
 from .classes import build_intersection_member
 from .connectives import BinaryConnective, Negation
-from .implications import ImplicationCandidate
 
 
 class SpecError(ValueError):
@@ -52,65 +50,27 @@ def _kind(d: dict) -> str:
         raise SpecError("spec must be a JSON object with a 'kind' field") from None
 
 
-def _spec_errors(parse):
-    """Report what a malformed spec raises while it is built as a SpecError:
-    a missing field, a bad value, a generator of the wrong direction."""
+def _parser(role: str, builders: dict):
+    """The parser of one role: look the spec's kind up in ``builders`` and
+    report what a malformed spec raises while it is built (a missing field,
+    a bad value, a generator of the wrong direction) as a SpecError."""
 
-    @functools.wraps(parse)
-    def checked(d):
+    def parse(d: dict):
+        kind = _kind(d)
+        if not isinstance(kind, str) or kind not in builders:
+            raise SpecError(
+                f"unknown {role} kind {kind!r}; known kinds: {', '.join(builders)}"
+            )
         try:
-            return parse(d)
+            return builders[kind](d)
         except SpecError:
             raise
         except KeyError as e:
-            raise SpecError(f"{_kind(d)!r} spec needs a {e.args[0]!r} field") from None
+            raise SpecError(f"{kind!r} spec needs a {e.args[0]!r} field") from None
         except (ValueError, TypeError, OSError) as e:
-            raise SpecError(f"{_kind(d)!r} spec: {e}") from None
+            raise SpecError(f"{kind!r} spec: {e}") from None
 
-    return checked
-
-
-@_spec_errors
-def parse_generator(d: dict) -> generators.Generator:
-    kind = _kind(d)
-    if kind == "yager_f":
-        return generators.yager_f(float(d["p"]))
-    if kind == "power_gp":
-        return generators.power_gp(float(d["p"]))
-    if kind == "neg_log":
-        return generators.neg_log()
-    if kind == "piecewise_f":
-        return generators.piecewise_f()
-    if kind == "table":
-        return generators.table_generator(d["direction"], d["points"])
-    raise SpecError(f"unknown generator kind {kind!r}")
-
-
-@_spec_errors
-def parse_negation(d: dict) -> Negation:
-    kind = _kind(d)
-    if kind == "standard":
-        return connectives.standard_negation()
-    if kind == "yager_np":
-        return connectives.yager_negation(float(d["p"]))
-    if kind == "phi":
-        phi = parse_bijection(d["phi"])
-        return connectives.phi_negation(phi.forward, phi.inverse, phi.label)
-    if kind == "dual":
-        return connectives.dual_negation(parse_negation(d["of"]))
-    if kind == "table":
-        return connectives.table_negation(d["points"])
-    raise SpecError(f"unknown negation kind {kind!r}")
-
-
-@_spec_errors
-def parse_bijection(d: dict) -> bijections.Bijection:
-    kind = _kind(d)
-    if kind == "identity":
-        return bijections.identity_bijection()
-    if kind == "power":
-        return bijections.power_bijection(float(d["a"]))
-    raise SpecError(f"unknown bijection kind {kind!r}")
+    return parse
 
 
 def _parse_p(v) -> float:
@@ -119,70 +79,77 @@ def _parse_p(v) -> float:
     return float(v)
 
 
-@_spec_errors
-def parse_connective(d: dict) -> BinaryConnective:
-    kind = _kind(d)
-    if kind == "basic":
-        return connectives.basic(d["name"])
-    if kind == "yager_tnorm":
-        return connectives.yager_connective(_parse_p(d["p"]))
-    if kind == "mean":
-        return connectives.mean_connective()
-    if kind == "dual":
-        return connectives.dual_of(parse_connective(d["of"]))
-    if kind == "generated_tnorm":
-        return connectives.generated_tnorm_connective(parse_generator(d["f"]))
-    if kind == "generated_tconorm":
-        return connectives.generated_tconorm_connective(parse_generator(d["g"]))
-    if kind == "table":
-        if "path" in d:
-            return surface_table_connective(d["path"])
-        return connectives.table_connective(d["values"])
-    raise SpecError(f"unknown connective kind {kind!r}")
+def _phi_negation(d: dict) -> Negation:
+    phi = parse_bijection(d["phi"])
+    return connectives.phi_negation(phi.forward, phi.inverse, phi.label)
 
 
-@_spec_errors
-def parse_implication(d: dict) -> ImplicationCandidate:
-    kind = _kind(d)
-    if kind == "yager_residual":
-        return implications.yager_residual_candidate(float(d["p"]))
-    if kind == "lukasiewicz":
-        return implications.lukasiewicz_candidate()
-    if kind == "mean_residual":
-        return implications.mean_residual_candidate()
-    if kind == "piecewise_f":
-        return implications.piecewise_f_candidate()
-    if kind == "ig":
-        return implications.ig_candidate(parse_generator(d["g"]))
-    if kind == "ign":
-        return implications.ign_candidate(
-            parse_generator(d["g"]), parse_negation(d["N"])
-        )
-    if kind == "sn":
-        return implications.sn_candidate(
-            parse_connective(d["S"]), parse_negation(d["N"])
-        )
-    if kind == "residual":
-        return implications.residual_candidate(parse_connective(d["of"]))
-    if kind == "phi_conjugate":
-        base = d.get("base", "lukasiewicz")
-        if base != "lukasiewicz":
-            raise SpecError("only the lukasiewicz base is supported")
-        return build_intersection_member(parse_bijection(d["phi"]))
-    raise SpecError(f"unknown implication kind {kind!r}")
+def _phi_conjugate(d: dict) -> BinaryConnective:
+    if d.get("base", "lukasiewicz") != "lukasiewicz":
+        raise SpecError("only the lukasiewicz base is supported")
+    return build_intersection_member(parse_bijection(d["phi"]))
 
 
-_IMPLICATION_KINDS = {
-    "yager_residual", "lukasiewicz", "mean_residual", "piecewise_f",
-    "ig", "ign", "sn", "residual", "phi_conjugate",
+def _table_connective(d: dict) -> BinaryConnective:
+    if "path" in d:
+        return surface_table_connective(d["path"])
+    return connectives.table_connective(d["values"])
+
+
+# One kind -> builder table per role; a builder takes the whole spec dict.
+# Connectives and implication candidates are the same operator type, so
+# they share one table.
+GENERATORS = {
+    "yager_f": lambda d: generators.yager_f(float(d["p"])),
+    "power_gp": lambda d: generators.power_gp(float(d["p"])),
+    "neg_log": lambda d: generators.neg_log(),
+    "piecewise_f": lambda d: generators.piecewise_f(),
+    "table": lambda d: generators.table_generator(d["direction"], d["points"]),
 }
 
+NEGATIONS = {
+    "standard": lambda d: connectives.standard_negation(),
+    "yager_np": lambda d: connectives.yager_negation(float(d["p"])),
+    "phi": _phi_negation,
+    "dual": lambda d: connectives.dual_negation(parse_negation(d["of"])),
+    "table": lambda d: connectives.table_negation(d["points"]),
+}
 
-def parse_binary(d: dict):
-    """A connective or an implication, whichever the kind names."""
-    if _kind(d) in _IMPLICATION_KINDS:
-        return parse_implication(d)
-    return parse_connective(d)
+BIJECTIONS = {
+    "identity": lambda d: bijections.identity_bijection(),
+    "power": lambda d: bijections.power_bijection(float(d["a"])),
+}
+
+OPERATORS = {
+    # connectives
+    "basic": lambda d: connectives.basic(d["name"]),
+    "yager_tnorm": lambda d: connectives.yager_connective(_parse_p(d["p"])),
+    "mean": lambda d: connectives.mean_connective(),
+    "dual": lambda d: connectives.dual_of(parse_binary(d["of"])),
+    "generated_tnorm": lambda d: connectives.generated_tnorm_connective(
+        parse_generator(d["f"])),
+    "generated_tconorm": lambda d: connectives.generated_tconorm_connective(
+        parse_generator(d["g"])),
+    "table": _table_connective,
+    # implication candidates
+    "yager_residual": lambda d: implications.yager_residual_candidate(float(d["p"])),
+    "lukasiewicz": lambda d: implications.lukasiewicz_candidate(),
+    "mean_residual": lambda d: implications.mean_residual_candidate(),
+    "piecewise_f": lambda d: implications.piecewise_f_candidate(),
+    "ig": lambda d: implications.ig_candidate(parse_generator(d["g"])),
+    "ign": lambda d: implications.ign_candidate(
+        parse_generator(d["g"]), parse_negation(d["N"])),
+    "sn": lambda d: implications.sn_candidate(
+        parse_binary(d["S"]), parse_negation(d["N"])),
+    "residual": lambda d: implications.residual_candidate(parse_binary(d["of"])),
+    "phi_conjugate": _phi_conjugate,
+}
+
+parse_generator = _parser("generator", GENERATORS)
+parse_negation = _parser("negation", NEGATIONS)
+parse_bijection = _parser("bijection", BIJECTIONS)
+# a connective or an implication candidate, whichever the kind names
+parse_binary = parse_connective = parse_implication = _parser("operator", OPERATORS)
 
 
 def surface_table_connective(path: str) -> BinaryConnective:

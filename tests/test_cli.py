@@ -50,6 +50,16 @@ class TestEval:
         ('{"kind": "yager_residual"}', "needs a 'p' field"),
         ('{"kind": "ig", "g": {"kind": "yager_f", "p": 2}}',
          "generator must be increasing"),
+        ('{"kind": "yager_tnorm", "p": NaN}', "p must be >= 0"),
+        ('{"kind": "yager_tnorm", "p": "nan"}', "p must be >= 0"),
+        ('{"kind": "yager_residual", "p": Infinity}', "p must be finite and positive"),
+        ('{"kind": "phi_conjugate", "phi": {"kind": "power", "a": Infinity}}',
+         "exponent must be finite and positive"),
+        ('{"kind": "table", "values": [[0, 0], [0, NaN]]}', "table values must be finite"),
+        ('{"kind": "generated_tconorm", "g": {"kind": "table", "direction": "increasing",'
+         ' "points": [[0, 0], [1, Infinity]]}}', "table values must be finite"),
+        ('{"kind": "ign", "g": {"kind": "power_gp", "p": 2},'
+         ' "N": {"kind": "table", "points": [[0, 1], [1, NaN]]}}', "table values must be finite"),
     ])
     def test_malformed_spec_exits_2_with_one_line(self, capsys, spec, message):
         code, out, err = run(capsys, "eval", spec, "0.5", "0.5")
@@ -122,6 +132,17 @@ class TestVerify:
             "tnorm", *FAST,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2(self, capsys, tol):
+        code, out, err = run(
+            capsys, "verify", '{"kind": "mean_residual"}', "axioms", "NP",
+            *FAST, "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "tolerance" in err
+        assert err.count("\n") == 1
 
     def test_unknown_token_exits_2(self, capsys):
         code, _, err = run(

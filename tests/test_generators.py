@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from genimpl.generators import (
     DECREASING,
@@ -47,9 +47,13 @@ class TestYagerF:
 
 class TestPowerGp:
     @given(unit, st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    @example(0.99999, 3.0)
     def test_round_trip(self, x, p):
+        # in generator space: near x = 1, g(x) = 1 - (1-x)^p keeps fewer
+        # digits of 1-x than a double holds, so g^(-1)(g(x)) need not come
+        # back to x itself, only to a point with the same image
         g = power_gp(p)
-        assert pseudo_inverse(g, g(x)) == pytest.approx(x, abs=1e-9)
+        assert g(pseudo_inverse(g, g(x))) == pytest.approx(g(x), abs=1e-12)
 
     def test_endpoints(self):
         g = power_gp(3.0)

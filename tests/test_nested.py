@@ -21,7 +21,13 @@ from genimpl.properties import (
     find_associativity_counterexample,
 )
 from genimpl.reports import SampleSpec, failing, passing
-from genimpl.specs import parse_connective, parse_implication
+from genimpl.specs import (
+    OPERATORS,
+    SpecError,
+    parse_binary,
+    parse_connective,
+    parse_implication,
+)
 
 DEFAULT = SampleSpec()
 
@@ -92,6 +98,18 @@ CONNECTIVES = [
     {"kind": "table", "values": PRODUCT_TABLE},
 ]
 
+
+def test_specs_cover_every_operator_kind():
+    # a new kind added to the registry must also enter the differential
+    # tests above; residual has its own test below
+    covered = {d["kind"] for d in IMPLICATIONS + CONNECTIVES} | {"residual"}
+    assert covered == set(OPERATORS)
+
+
+def test_unknown_kind_names_the_known_kinds():
+    with pytest.raises(SpecError, match="unknown operator kind 'nope'") as e:
+        parse_binary({"kind": "nope"})
+    assert all(kind in str(e.value) for kind in OPERATORS)
 
 
 def _id(d):

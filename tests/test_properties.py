@@ -200,3 +200,10 @@ class TestReportReplay:
         replayed = SampleSpec(**json.loads(report.to_json())["sample_spec"])
         again = check_property(lukasiewicz_candidate(), "EP", replayed)
         assert again.as_dict() == report.as_dict()
+
+
+class TestSampleSpec:
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            SampleSpec(tolerance=tol)
