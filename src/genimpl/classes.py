@@ -24,6 +24,7 @@ from .implications import ImplicationCandidate, natural_negation
 from .properties import (
     PropertyReport,
     SampleSpec,
+    _pointwise_law,
     check_negation_axioms,
     check_property,
     check_second_arg_monotone,
@@ -70,8 +71,7 @@ class ClassProbeResult:
         return json.dumps(self.as_dict(), indent=indent)
 
 
-def sn_probe(i: ImplicationCandidate, s: SampleSpec | None = None) -> ClassProbeResult:
-    s = s or SampleSpec()
+def sn_probe(i: ImplicationCandidate, s: SampleSpec = SampleSpec()) -> ClassProbeResult:
     n_i = natural_negation(i)
     verdicts = [
         check_second_arg_monotone(i, s),
@@ -82,8 +82,7 @@ def sn_probe(i: ImplicationCandidate, s: SampleSpec | None = None) -> ClassProbe
     return ClassProbeResult("SN", verdicts)
 
 
-def r_probe(i: ImplicationCandidate, s: SampleSpec | None = None) -> ClassProbeResult:
-    s = s or SampleSpec()
+def r_probe(i: ImplicationCandidate, s: SampleSpec = SampleSpec()) -> ClassProbeResult:
     verdicts = [
         check_second_arg_monotone(i, s),
         check_property(i, "OP", s),
@@ -94,9 +93,8 @@ def r_probe(i: ImplicationCandidate, s: SampleSpec | None = None) -> ClassProbeR
 
 
 def conjugate_lk_probe(
-    i: ImplicationCandidate, s: SampleSpec | None = None
+    i: ImplicationCandidate, s: SampleSpec = SampleSpec()
 ) -> ClassProbeResult:
-    s = s or SampleSpec()
     verdicts = [
         _surface_continuity(i, s),
         check_property(i, "OP", s),
@@ -174,20 +172,13 @@ def build_intersection_member(phi: Bijection) -> ImplicationCandidate:
 
 
 def check_self_dual_phi(
-    phi: Bijection, s: SampleSpec | None = None
+    phi: Bijection, s: SampleSpec = SampleSpec()
 ) -> PropertyReport:
     """phi(x) + phi(1-x) = 1 on samples: the condition under which the
     conjugate's natural negation collapses to the standard negation."""
-    s = s or SampleSpec()
-    worst = 0.0
-    for x in s.points_1d():
-        d = abs(phi.forward(x) + phi.forward(1.0 - x) - 1.0)
-        if d > s.tolerance:
-            return failing(
-                "phi-self-dual", s,
-                {"x": x, "phi_x": phi.forward(x),
-                 "phi_1mx": phi.forward(1.0 - x)},
-                d,
-            )
-        worst = max(worst, d)
-    return passing("phi-self-dual", s, worst)
+    return _pointwise_law(
+        "phi-self-dual", s, zip(s.points_1d()),
+        lambda x: abs(phi.forward(x) + phi.forward(1.0 - x) - 1.0),
+        lambda x: {"x": x, "phi_x": phi.forward(x),
+                   "phi_1mx": phi.forward(1.0 - x)},
+    )

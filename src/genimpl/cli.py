@@ -21,7 +21,7 @@ import sys
 
 from . import classes, properties
 from .generators import check_unit
-from .implications import residual_numeric
+from .implications import residual_candidate
 from .reports import SampleSpec
 from .specs import OPERATORS, SpecError, load_spec, parse_binary, parse_negation
 
@@ -29,10 +29,7 @@ SPEC_HELP = "operator spec, inline JSON or a JSON file; kinds: " + ", ".join(OPE
 
 
 def _sample_spec(args) -> SampleSpec:
-    kw = {"grid_n": args.grid, "seed": args.seed}
-    if args.tol is not None:
-        kw["tolerance"] = args.tol
-    return SampleSpec(**kw)
+    return SampleSpec(grid_n=args.grid, seed=args.seed, tolerance=args.tol)
 
 
 def _json_flag(sub):
@@ -41,9 +38,10 @@ def _json_flag(sub):
 
 def _common(sub):
     """The sample-plan flags, for the subcommands that run a check."""
-    sub.add_argument("--grid", type=int, default=101, help="grid resolution")
-    sub.add_argument("--seed", type=int, default=42, help="random sample seed")
-    sub.add_argument("--tol", type=float, default=None, help="tolerance")
+    plan = SampleSpec()
+    sub.add_argument("--grid", type=int, default=plan.grid_n, help="grid resolution")
+    sub.add_argument("--seed", type=int, default=plan.seed, help="random sample seed")
+    sub.add_argument("--tol", type=float, default=plan.tolerance, help="tolerance")
     _json_flag(sub)
 
 
@@ -54,17 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("eval", help="evaluate an operator at a point")
-    p.add_argument("spec", help=SPEC_HELP)
-    p.add_argument("x", type=float)
-    p.add_argument("y", type=float)
-    _json_flag(p)
-
-    p = subs.add_parser("residual", help="numeric residual of an operator")
-    p.add_argument("spec", help=SPEC_HELP)
-    p.add_argument("x", type=float)
-    p.add_argument("y", type=float)
-    _json_flag(p)
+    for name, help_ in (("eval", "evaluate an operator at a point"),
+                        ("residual", "numeric residual of an operator")):
+        p = subs.add_parser(name, help=help_)
+        p.add_argument("spec", help=SPEC_HELP)
+        p.add_argument("x", type=float)
+        p.add_argument("y", type=float)
+        _json_flag(p)
 
     p = subs.add_parser("verify", help="check properties of an operator")
     p.add_argument("spec", help=SPEC_HELP)
@@ -102,30 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_point(args) -> None:
+def cmd_eval(args) -> int:
+    """``eval``, and ``residual``, which evaluates R[op]."""
     # checked here, once per command: the operators' own __call__ sits
     # inside the law-check loops and stays unchecked
     check_unit(args.x, "x")
     check_unit(args.y, "y")
-
-
-def cmd_eval(args) -> int:
-    _check_point(args)
     op = parse_binary(load_spec(args.spec))
+    if args.command == "residual":
+        op = residual_candidate(op)
     v = op(args.x, args.y)
     if args.json:
         print(json.dumps({"label": op.label, "value": v}))
-    else:
-        print(f"{v:.17g}")
-    return 0
-
-
-def cmd_residual(args) -> int:
-    _check_point(args)
-    c = parse_binary(load_spec(args.spec))
-    v = residual_numeric(c, args.x, args.y)
-    if args.json:
-        print(json.dumps({"label": f"R[{c.label}]", "value": v}))
     else:
         print(f"{v:.17g}")
     return 0
@@ -155,10 +137,9 @@ def cmd_verify(args) -> int:
 
 def cmd_surface(args) -> int:
     op = parse_binary(load_spec(args.spec))
-    n = args.n
-    if n < 2:
-        print("surface resolution must be >= 2", file=sys.stderr)
-        return 2
+    g = SampleSpec(grid_n=args.n).grid()
+    # every value first, so an error while evaluating leaves no file behind
+    values = iter([op(x, y) for x in g for y in g])
     try:
         fh = open(args.output, "w", newline="")
     except OSError as e:
@@ -166,11 +147,9 @@ def cmd_surface(args) -> int:
         return 2
     with fh:
         fh.write("x,y,value\n")
-        for i in range(n):
-            x = i / (n - 1)
-            for j in range(n):
-                y = j / (n - 1)
-                fh.write(f"{x:.17g},{y:.17g},{op(x, y):.17g}\n")
+        for x in g:
+            for y in g:
+                fh.write(f"{x:.17g},{y:.17g},{next(values):.17g}\n")
     return 0
 
 
@@ -215,7 +194,7 @@ def cmd_counterexample(args) -> int:
 
 _COMMANDS = {
     "eval": cmd_eval,
-    "residual": cmd_residual,
+    "residual": cmd_eval,
     "verify": cmd_verify,
     "surface": cmd_surface,
     "compare": cmd_compare,

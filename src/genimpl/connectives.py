@@ -151,6 +151,8 @@ def yager_tnorm(p: float, x: float, y: float) -> float:
     if x == 1.0:
         return y
     s = (1.0 - x) ** p + (1.0 - y) ** p
+    if s >= 1.0:  # root(s, p) >= 1; at a tiny p the root would overflow
+        return 0.0
     return max(0.0, 1.0 - root(s, p))
 
 

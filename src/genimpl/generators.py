@@ -73,14 +73,12 @@ class Generator:
     """A strictly monotone map [0,1] -> [0,+inf] with optional closed inverse.
 
     ``inverse`` is the closed-form pseudo-inverse; ``None`` means the
-    pseudo-inverse is computed by bisection.  ``endpoint_limit`` is
-    f(0+) for decreasing generators and g(1-) for increasing ones.
+    pseudo-inverse is computed by bisection.
     """
 
     direction: str
     fn: Callable[[float], float]
     inverse: Callable[[float], float] | None
-    endpoint_limit: float
     label: str
 
     def __post_init__(self):
@@ -185,7 +183,7 @@ def yager_f(p: float) -> Generator:
             return 0.0
         return 1.0 - root(y, p)
 
-    return Generator(DECREASING, fn, inv, 1.0, f"yager_f(p={p:g})")
+    return Generator(DECREASING, fn, inv, f"yager_f(p={p:g})")
 
 
 def power_gp(p: float) -> Generator:
@@ -203,7 +201,7 @@ def power_gp(p: float) -> Generator:
             return 0.0
         return 1.0 - root(1.0 - y, p)
 
-    return Generator(INCREASING, fn, inv, 1.0, f"power_gp(p={p:g})")
+    return Generator(INCREASING, fn, inv, f"power_gp(p={p:g})")
 
 
 def neg_log() -> Generator:
@@ -221,7 +219,7 @@ def neg_log() -> Generator:
             return -math.expm1(-y)
         return 1 - mpmath.exp(-y)
 
-    return Generator(INCREASING, fn, inv, INF, "neg_log")
+    return Generator(INCREASING, fn, inv, "neg_log")
 
 
 def piecewise_f() -> Generator:
@@ -244,7 +242,7 @@ def piecewise_f() -> Generator:
             return 2.0 * y - 1.0
         return 1.0
 
-    return Generator(INCREASING, fn, inv, 1.0, "piecewise_f")
+    return Generator(INCREASING, fn, inv, "piecewise_f")
 
 
 def linear_table(points: list[tuple[float, float]]) -> Callable[[float], float]:
@@ -280,6 +278,4 @@ def table_generator(
     Points must be strictly monotone in the stated direction; the
     pseudo-inverse falls back to bisection.
     """
-    fn = linear_table(points)
-    endpoint = fn(0.0) if direction == DECREASING else fn(1.0)
-    return Generator(direction, fn, None, endpoint, "table")
+    return Generator(direction, linear_table(points), None, "table")

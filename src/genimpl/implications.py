@@ -124,13 +124,9 @@ def mean_residual_candidate() -> ImplicationCandidate:
 # --------------------------------------------------------------------------
 
 
-def _require_increasing(g: Generator) -> None:
-    require_direction(g, INCREASING, "implication")
-
-
 def ig_implication(g: Generator, x: float, y: float) -> float:
     """g^(-1)(g(1-x) + g(y)) for strictly increasing g with g(0)=0."""
-    _require_increasing(g)
+    require_direction(g, INCREASING, "implication")
     with mpmath.workdps(CHAIN_DPS):
         s = g.fn(1 - mpmath.mpf(x)) + g.fn(mpmath.mpf(y))
         return _at_precision_of(x, y, pseudo_inverse(g, s))
@@ -138,7 +134,7 @@ def ig_implication(g: Generator, x: float, y: float) -> float:
 
 def ign_implication(g: Generator, n: Negation, x: float, y: float) -> float:
     """g^(-1)(g(N(x)) + g(y)); the standard negation recovers the plain form."""
-    _require_increasing(g)
+    require_direction(g, INCREASING, "implication")
     with mpmath.workdps(CHAIN_DPS):
         z = min(max(n.fn(mpmath.mpf(x)), 0), 1)
         s = g.fn(z) + g.fn(mpmath.mpf(y))
@@ -153,14 +149,14 @@ def _at_precision_of(x, y, v):
 
 
 def ig_candidate(g: Generator) -> ImplicationCandidate:
-    _require_increasing(g)
+    require_direction(g, INCREASING, "implication")
     return ImplicationCandidate(
         lambda x, y: ig_implication(g, x, y), f"Ig[{g.label}]"
     )
 
 
 def ign_candidate(g: Generator, n: Negation) -> ImplicationCandidate:
-    _require_increasing(g)
+    require_direction(g, INCREASING, "implication")
     return ImplicationCandidate(
         lambda x, y: ign_implication(g, n, x, y), f"IgN[{g.label},{n.label}]"
     )

@@ -27,6 +27,20 @@ OP_SLACK = 10.0
 ESCALATE_SHARE = 1 / 16
 
 
+def _pointwise_law(prop, s, points, gap, witness):
+    """The failing report at the first point whose ``gap(*point)`` exceeds
+    tol, else a passing report with the largest gap.  ``witness(*point)``
+    evaluates again; the operators are deterministic, so it sees the same
+    values as the gap did."""
+    worst = 0.0
+    for point in points:
+        d = gap(*point)
+        if d > s.tolerance:
+            return failing(prop, s, witness(*point), d)
+        worst = max(worst, d)
+    return passing(prop, s, worst)
+
+
 def _scan_monotone(prop, s, values, xs, increasing, coords):
     """The failing report of the first adjacent pair of ``values`` (an
     operator evaluated along the sorted points ``xs``) that breaks
@@ -56,24 +70,20 @@ def _second_arg_scan(prop, f, s):
 
 
 def check_implication_axioms(
-    i: ImplicationCandidate, s: SampleSpec | None = None
+    i: ImplicationCandidate, s: SampleSpec = SampleSpec()
 ) -> PropertyReport:
     """Axioms I1 (antitone in x), I2 (monotone in y), I3 (corner values)."""
-    s = s or SampleSpec()
-    xs = sorted(s.points_1d())
-
     # I3 first: three exact corner equalities
-    corners = [((1.0, 0.0), 0.0), ((0.0, 0.0), 1.0), ((1.0, 1.0), 1.0)]
-    for (x, y), want in corners:
-        got = i(x, y)
-        if abs(got - want) > s.tolerance:
-            return failing(
-                "I3", s,
-                {"x": x, "y": y, "value": got, "expected": want},
-                abs(got - want),
-            )
+    report = _pointwise_law(
+        "I3", s, [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)],
+        lambda x, y, want: abs(i(x, y) - want),
+        lambda x, y, want: {"x": x, "y": y, "value": i(x, y), "expected": want},
+    )
+    if not report.holds:
+        return report
 
     # I1: non-increasing in the first argument along sorted samples
+    xs = sorted(s.points_1d())
     for y in s.grid():
         report = _scan_monotone(
             "I1", s, map(i, xs, repeat(y)), xs, False,
@@ -86,21 +96,19 @@ def check_implication_axioms(
 
 
 def check_second_arg_monotone(
-    i: ImplicationCandidate, s: SampleSpec | None = None
+    i: ImplicationCandidate, s: SampleSpec = SampleSpec()
 ) -> PropertyReport:
     """I2 alone (needed by the class probes)."""
-    s = s or SampleSpec()
     return _second_arg_scan("I2", i, s) or passing("I2", s)
 
 
 def check_property(
     i: ImplicationCandidate,
     prop: str,
-    s: SampleSpec | None = None,
+    s: SampleSpec = SampleSpec(),
     negation: Negation | None = None,
 ) -> PropertyReport:
     """One of NP, EP, IP, OP, CP (CP needs the negation to test against)."""
-    s = s or SampleSpec()
     if prop not in _IMPLICATION_CHECKS:
         raise ValueError(f"unknown property {prop!r}")
     if prop == "CP" and negation is None:
@@ -109,13 +117,11 @@ def check_property(
 
 
 def _check_np(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
-    worst = 0.0
-    for y in s.points_1d():
-        d = abs(i(1.0, y) - y)
-        if d > s.tolerance:
-            return failing("NP", s, {"y": y, "value": i(1.0, y)}, d)
-        worst = max(worst, d)
-    return passing("NP", s, worst)
+    return _pointwise_law(
+        "NP", s, zip(s.points_1d()),
+        lambda y: abs(i(1.0, y) - y),
+        lambda y: {"y": y, "value": i(1.0, y)},
+    )
 
 
 def _ep_sides(f, x, y, z):
@@ -171,54 +177,37 @@ def _check_ep(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport
 
 
 def _check_ip(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
-    worst = 0.0
-    for x in s.points_1d():
-        d = abs(i(x, x) - 1.0)
-        if d > s.tolerance:
-            return failing("IP", s, {"x": x, "value": i(x, x)}, d)
-        worst = max(worst, d)
-    return passing("IP", s, worst)
+    return _pointwise_law(
+        "IP", s, zip(s.points_1d()),
+        lambda x: abs(i(x, x) - 1.0),
+        lambda x: {"x": x, "value": i(x, x)},
+    )
 
 
 def _check_op(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
-    worst = 0.0
-    for x, y in s.pairs():
+    tol = s.tolerance
+
+    def gap(x, y):
         v = i(x, y)
         if x <= y:
-            d = abs(v - 1.0)
-            if d > s.tolerance:
-                return failing(
-                    "OP", s,
-                    {"x": x, "y": y, "value": v,
-                     "direction": "x<=y but I(x,y)<1"},
-                    d,
-                )
-            worst = max(worst, d)
-        elif v >= 1.0 - s.tolerance and x > y + OP_SLACK * s.tolerance:
-            return failing(
-                "OP", s,
-                {"x": x, "y": y, "value": v,
-                 "direction": "I(x,y)=1 but x>y"},
-                x - y,
-            )
-    return passing("OP", s, worst)
+            return abs(v - 1.0)
+        # reverse direction: x - y exceeds 10*tol > tol whenever it fires
+        return x - y if v >= 1.0 - tol and x > y + OP_SLACK * tol else 0.0
+
+    def witness(x, y):
+        direction = "x<=y but I(x,y)<1" if x <= y else "I(x,y)=1 but x>y"
+        return {"x": x, "y": y, "value": i(x, y), "direction": direction}
+
+    return _pointwise_law("OP", s, s.pairs(), gap, witness)
 
 
 def _check_cp(i: ImplicationCandidate, s: SampleSpec, n: Negation) -> PropertyReport:
-    worst = 0.0
-    for x, y in s.pairs():
-        left = i(x, y)
-        right = i(n(y), n(x))
-        d = abs(left - right)
-        if d > s.tolerance:
-            return failing(
-                "CP", s,
-                {"x": x, "y": y, "left": left, "right": right,
-                 "negation": n.label},
-                d,
-            )
-        worst = max(worst, d)
-    return passing("CP", s, worst)
+    return _pointwise_law(
+        "CP", s, s.pairs(),
+        lambda x, y: abs(i(x, y) - i(n(y), n(x))),
+        lambda x, y: {"x": x, "y": y, "left": i(x, y), "right": i(n(y), n(x)),
+                      "negation": n.label},
+    )
 
 
 _IMPLICATION_CHECKS = {
@@ -229,10 +218,9 @@ IMPLICATION_PROPERTIES = tuple(_IMPLICATION_CHECKS)
 
 
 def check_tnorm_axioms(
-    t: BinaryConnective, s: SampleSpec | None = None
+    t: BinaryConnective, s: SampleSpec = SampleSpec()
 ) -> PropertyReport:
     """T1 commutativity, T2 associativity, T3 monotonicity, T4 boundary."""
-    s = s or SampleSpec()
     report = _tnorm_pair_laws(t, s)
     if report is None:
         return _nested_law(
@@ -244,19 +232,18 @@ def check_tnorm_axioms(
 
 def _tnorm_pair_laws(t: BinaryConnective, s: SampleSpec) -> PropertyReport | None:
     """The first failing report of T4, T1 and T3, or None."""
-    for x in s.points_1d():
-        v = t(x, 1.0)
-        if abs(v - x) > s.tolerance:
-            return failing("T4", s, {"x": x, "y": 1.0, "value": v}, abs(v - x))
-
-    for x, y in s.pairs():
-        d = abs(t(x, y) - t(y, x))
-        if d > s.tolerance:
-            return failing(
-                "T1", s, {"x": x, "y": y, "xy": t(x, y), "yx": t(y, x)}, d
-            )
-
-    return _second_arg_scan("T3", t, s)
+    report = _pointwise_law(
+        "T4", s, zip(s.points_1d()),
+        lambda x: abs(t(x, 1.0) - x),
+        lambda x: {"x": x, "y": 1.0, "value": t(x, 1.0)},
+    )
+    if report.holds:
+        report = _pointwise_law(
+            "T1", s, s.pairs(),
+            lambda x, y: abs(t(x, y) - t(y, x)),
+            lambda x, y: {"x": x, "y": y, "xy": t(x, y), "yx": t(y, x)},
+        )
+    return _second_arg_scan("T3", t, s) if report.holds else report
 
 
 # The triple from the six-branch implication's associativity breakdown is
@@ -266,10 +253,9 @@ SPECIAL_TRIPLES = [(0.3, 0.35, 0.2)]
 
 
 def find_associativity_counterexample(
-    c: BinaryConnective, s: SampleSpec | None = None
+    c: BinaryConnective, s: SampleSpec = SampleSpec()
 ) -> PropertyReport:
     """First sampled triple with C(a, C(b,c)) != C(C(a,b), c)."""
-    s = s or SampleSpec()
     return _nested_law(
         "associativity", _assoc_sides, c.fn, SPECIAL_TRIPLES + s.triples(), s,
         keys=("a", "b", "c"),
@@ -279,10 +265,9 @@ def find_associativity_counterexample(
 def compare_surfaces(
     f: BinaryConnective,
     g: BinaryConnective,
-    s: SampleSpec | None = None,
+    s: SampleSpec = SampleSpec(),
 ) -> PropertyReport:
     """Max |F - G| over the sample pairs, with the argmax point."""
-    s = s or SampleSpec()
     worst = -1.0
     arg = None
     for x, y in s.pairs():
@@ -323,7 +308,7 @@ def refine_jump(
 
 
 def probe_continuity(
-    n: Callable[[float], float], s: SampleSpec | None = None
+    n: Callable[[float], float], s: SampleSpec = SampleSpec()
 ) -> PropertyReport:
     """Heuristic profile of a unary map: continuity, strictness, and
     strongness N(N(x)) = x.
@@ -331,7 +316,6 @@ def probe_continuity(
     Continuity compares adjacent grid jumps against 5/grid_n, but any
     offending interval is first refined locally so steep continuous maps
     (root-type cusps) are not mistaken for jumps."""
-    s = s or SampleSpec()
     g = s.grid()
     vals = [n(x) for x in g]
     threshold = 5.0 / s.grid_n
@@ -369,18 +353,16 @@ def probe_continuity(
 
 
 def check_negation_axioms(
-    n: Negation, s: SampleSpec | None = None
+    n: Negation, s: SampleSpec = SampleSpec()
 ) -> PropertyReport:
     """Endpoints N(0)=1, N(1)=0 and monotone non-increase on samples."""
-    s = s or SampleSpec()
-    for x, want in ((0.0, 1.0), (1.0, 0.0)):
-        got = n(x)
-        if abs(got - want) > s.tolerance:
-            return failing(
-                "negation-endpoint", s,
-                {"x": x, "value": got, "expected": want},
-                abs(got - want),
-            )
+    report = _pointwise_law(
+        "negation-endpoint", s, ((0.0, 1.0), (1.0, 0.0)),
+        lambda x, want: abs(n(x) - want),
+        lambda x, want: {"x": x, "value": n(x), "expected": want},
+    )
+    if not report.holds:
+        return report
     xs = sorted(s.points_1d())
     report = _scan_monotone(
         "negation-monotonicity", s, map(n, xs), xs, False,

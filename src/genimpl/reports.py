@@ -17,6 +17,10 @@ from dataclasses import asdict, dataclass, field
 HOLDS = "holds-on-samples"
 FAILS = "fails"
 
+# most pairs or triples a plan may sample: a grid of up to 1,023 with the
+# default 1,000 random pairs
+MAX_SAMPLES = 2**20
+
 
 @dataclass(frozen=True)
 class SampleSpec:
@@ -37,6 +41,10 @@ class SampleSpec:
             raise ValueError("grid_n must be >= 2")
         if not 0 < self.tolerance < math.inf:  # NaN would pass every check
             raise ValueError("tolerance must be positive and finite")
+        pairs = self.grid_n**2 + self.random_count
+        triples = self.triple_grid_n**3 + self.triple_random_count
+        if max(pairs, triples) > MAX_SAMPLES:
+            raise ValueError(f"sample plan above {MAX_SAMPLES} pairs or triples")
 
     def grid(self) -> list[float]:
         n = self.grid_n

@@ -80,6 +80,14 @@ class TestEval:
         assert "outside [0,1]" in err
 
 
+    @pytest.mark.parametrize("p", ["0.0005", "1e-300"])
+    def test_yager_at_tiny_p_is_drastic(self, capsys, p):
+        code, out, err = run(
+            capsys, "eval", f'{{"kind": "yager_tnorm", "p": {p}}}', "0.5", "0.3"
+        )
+        assert (code, out, err) == (0, "0\n", "")
+
+
 class TestResidual:
     def test_product_residual(self, capsys):
         code, out, _ = run(
@@ -144,6 +152,23 @@ class TestVerify:
         assert err.startswith("error: ") and "tolerance" in err
         assert err.count("\n") == 1
 
+    def test_yager_at_tiny_p_passes_tnorm_axioms(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", '{"kind": "yager_tnorm", "p": 1e-300}', "tnorm",
+            *FAST,
+        )
+        assert code == 0, out
+
+    def test_plan_above_the_cap_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", '{"kind": "lukasiewicz"}', "NP",
+            "--grid", "1000000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "sample plan above" in err
+        assert err.count("\n") == 1
+
     def test_unknown_token_exits_2(self, capsys):
         code, _, err = run(
             capsys, "verify", '{"kind": "lukasiewicz"}', "ZZ", *FAST
@@ -174,6 +199,24 @@ class TestSurfaceAndCompare:
         report = json.loads(out)
         # bilinear nodes are exact; the random samples see interpolation error
         assert report["max_discrepancy"] < 0.01
+
+    @pytest.mark.parametrize("spec, n, message", [
+        # parses, then fails at its sixth value: the table generator goes
+        # negative, which its pseudo-inverse rejects
+        ('{"kind": "generated_tnorm", "f": {"kind": "table", '
+         '"direction": "decreasing", "points": [[0, 1], [1, -1]]}}', "3",
+         "outside [0,+inf]"),
+        ('{"kind": "yager_tnorm", "p": 2}', "1000000", "sample plan above"),
+        ('{"kind": "yager_tnorm", "p": 2}', "1", "grid_n must be >= 2"),
+    ])
+    def test_surface_error_leaves_no_file(self, capsys, tmp_path, spec, n, message):
+        out_csv = tmp_path / "partial.csv"
+        code, out, err = run(capsys, "surface", spec, "-n", n, "-o", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
 
     def test_compare_identical(self, capsys):
         code, out, _ = run(

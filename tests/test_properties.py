@@ -2,20 +2,27 @@ import json
 
 import pytest
 
+from genimpl.bijections import power_bijection
+from genimpl.classes import check_self_dual_phi
 from genimpl.connectives import (
     BinaryConnective,
     Negation,
     basic,
     mean_connective,
+    quasi_arithmetic_mean,
     standard_negation,
     yager_negation,
 )
+from genimpl.generators import neg_log
 from genimpl.implications import (
     ImplicationCandidate,
+    ig_candidate,
     lukasiewicz_candidate,
+    mean_residual,
     mean_residual_candidate,
     piecewise_f_candidate,
     piecewise_f_implication,
+    yager_residual,
     yager_residual_candidate,
 )
 from genimpl.properties import (
@@ -191,6 +198,80 @@ class TestNegationAxioms:
         assert not report.holds
 
 
+IG_LOG = ig_candidate(neg_log())
+REICHENBACH = ImplicationCandidate(lambda x, y: 1.0 - x + x * y, "reichenbach")
+CONSTANT_ONE = ImplicationCandidate(lambda x, y: 1.0, "one")
+XYY = BinaryConnective(lambda x, y: x * y * y, "xyy")
+PHI2 = power_bijection(2.0)
+
+# (check on a plan, property, witness, the law's gap re-evaluated at the witness)
+POINTWISE_WITNESSES = {
+    "NP": (
+        lambda s: check_property(mean_residual_candidate(), "NP", s),
+        "NP", {"y": 0.05, "value": 0.0},
+        lambda w: abs(mean_residual(1.0, w["y"]) - w["y"]),
+    ),
+    "IP": (
+        lambda s: check_property(IG_LOG, "IP", s),
+        "IP", {"x": 0.05, "value": 0.9525},
+        lambda w: abs(IG_LOG(w["x"], w["x"]) - 1.0),
+    ),
+    "OP-below-diagonal": (
+        lambda s: check_property(REICHENBACH, "OP", s),
+        "OP", {"x": 0.05, "y": 0.05, "value": 0.9524999999999999,
+               "direction": "x<=y but I(x,y)<1"},
+        lambda w: abs(REICHENBACH(w["x"], w["y"]) - 1.0),
+    ),
+    "OP-above-diagonal": (
+        lambda s: check_property(CONSTANT_ONE, "OP", s),
+        "OP", {"x": 0.05, "y": 0.0, "value": 1.0,
+               "direction": "I(x,y)=1 but x>y"},
+        lambda w: w["x"] - w["y"],
+    ),
+    "CP": (
+        lambda s: check_property(
+            yager_residual_candidate(2.0), "CP", s, standard_negation()
+        ),
+        "CP", {"x": 0.05, "y": 0.0, "left": 0.6877501000800801,
+               "right": 0.95, "negation": "N_standard"},
+        lambda w: abs(yager_residual(2.0, w["x"], w["y"])
+                      - yager_residual(2.0, 1.0 - w["y"], 1.0 - w["x"])),
+    ),
+    "T4": (
+        lambda s: check_tnorm_axioms(mean_connective(), s),
+        "T4", {"x": 0.0, "y": 1.0, "value": 0.7071067811865476},
+        lambda w: abs(quasi_arithmetic_mean(w["x"], 1.0) - w["x"]),
+    ),
+    "T1": (
+        lambda s: check_tnorm_axioms(XYY, s),
+        "T1", {"x": 0.05, "y": 0.1, "xy": 0.0005000000000000001,
+               "yx": 0.00025000000000000006},
+        lambda w: abs(XYY(w["x"], w["y"]) - XYY(w["y"], w["x"])),
+    ),
+    "negation-endpoint": (
+        lambda s: check_negation_axioms(Negation(lambda x: x, "id"), s),
+        "negation-endpoint", {"x": 0.0, "value": 0.0, "expected": 1.0},
+        lambda w: abs(w["x"] - 1.0),
+    ),
+    "phi-self-dual": (
+        lambda s: check_self_dual_phi(PHI2, s),
+        "phi-self-dual", {"x": 0.05, "phi_x": 0.0025000000000000005,
+                          "phi_1mx": 0.9025},
+        lambda w: abs(PHI2.forward(w["x"]) + PHI2.forward(1.0 - w["x"]) - 1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", POINTWISE_WITNESSES)
+def test_pointwise_law_witness(case, small_spec):
+    check, prop, witness, gap = POINTWISE_WITNESSES[case]
+    report = check(small_spec)
+    assert not report.holds
+    assert report.property == prop
+    assert report.witness == witness
+    assert gap(report.witness) == report.max_discrepancy
+
+
 class TestReportReplay:
     def test_ep_report_rebuilds_its_plan(self):
         plan = SampleSpec(grid_n=11, random_count=20, seed=7,
@@ -207,3 +288,14 @@ class TestSampleSpec:
     def test_tolerance_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             SampleSpec(tolerance=tol)
+
+    @pytest.mark.parametrize("plan", [
+        {"grid_n": 10**6},
+        {"grid_n": 1024},
+        {"random_count": 2**20},
+        {"triple_grid_n": 102},
+        {"triple_random_count": 2**20},
+    ])
+    def test_plan_above_the_cap_is_rejected(self, plan):
+        with pytest.raises(ValueError, match="sample plan"):
+            SampleSpec(**plan)
