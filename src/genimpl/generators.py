@@ -15,12 +15,12 @@ floats and no wrapper type is needed.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
-
-import mpmath
 
 from .reports import SampleSpec, PropertyReport, failing, passing
 
@@ -55,6 +55,27 @@ def clamp01(v: float) -> float:
     return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
 
+@functools.cache
+def wide():
+    """The mpmath module, imported at the first wide evaluation.
+
+    Every extended-precision site asks here, so a run that stays in
+    float never loads mpmath.  Cached, so a later call is one C-level
+    call instead of an import statement: the 40-digit chains ask at
+    every point.
+    """
+    import mpmath
+
+    return mpmath
+
+
+def is_mpf(v) -> bool:
+    """Whether v is an ``mpmath.mpf``.  An mpf exists only once mpmath is
+    imported, so the test loads nothing."""
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and isinstance(v, mpmath.mpf)
+
+
 def root(v, p):
     """v**(1/p), keeping the exponent at the precision of v.
 
@@ -65,7 +86,7 @@ def root(v, p):
     """
     if isinstance(v, float):
         return v ** (1.0 / p)
-    return v ** (1 / mpmath.mpf(p))
+    return v ** (1 / wide().mpf(p))
 
 
 @dataclass(frozen=True)
@@ -105,7 +126,8 @@ def pseudo_inverse(g: Generator, y: float) -> float:
         raise DomainError(f"y={y!r} outside [0,+inf]")
     if g.inverse is not None:
         v = g.inverse(y)
-        return clamp01(v if isinstance(y, mpmath.mpf) else float(v))
+        wide_y = not isinstance(y, float) and is_mpf(y)
+        return clamp01(v if wide_y else float(v))
     if g.direction == DECREASING:
         return bisect_sup(lambda t: g.fn(t) > y)
     return bisect_sup(lambda t: g.fn(t) < y)
@@ -212,12 +234,12 @@ def neg_log() -> Generator:
             return INF
         if isinstance(x, float):
             return -math.log1p(-x)
-        return -mpmath.log(1 - x)
+        return -wide().log(1 - x)
 
     def inv(y):
         if isinstance(y, float):
             return -math.expm1(-y)
-        return 1 - mpmath.exp(-y)
+        return 1 - wide().exp(-y)
 
     return Generator(INCREASING, fn, inv, "neg_log")
 

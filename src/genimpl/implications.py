@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath
-
 from .bijections import Bijection
 from .connectives import BinaryConnective, Negation
 from .generators import (
@@ -23,6 +21,7 @@ from .generators import (
     pseudo_inverse,
     require_direction,
     root,
+    wide,
 )
 
 # working precision for the generator-chain evaluations; the pseudo-inverse
@@ -59,7 +58,10 @@ def residual_numeric(c: BinaryConnective, x: float, y: float) -> float:
     detected monotonicity violation falls back to a dense scan with
     local refinement.  Ties at plateaus resolve to the supremum (the
     rightmost boundary), which bisection on the predicate gives for free.
+    When C(x,1) <= y the supremum is 1 and neither is needed.
     """
+    if c(x, 1.0) <= y:
+        return 1.0
     if _monotone_in_second(c, x):
         return bisect_sup(lambda t: c(x, t) <= y)
     return _residual_scan(c, x, y)
@@ -127,23 +129,25 @@ def mean_residual_candidate() -> ImplicationCandidate:
 def ig_implication(g: Generator, x: float, y: float) -> float:
     """g^(-1)(g(1-x) + g(y)) for strictly increasing g with g(0)=0."""
     require_direction(g, INCREASING, "implication")
+    mpmath = wide()
     with mpmath.workdps(CHAIN_DPS):
         s = g.fn(1 - mpmath.mpf(x)) + g.fn(mpmath.mpf(y))
-        return _at_precision_of(x, y, pseudo_inverse(g, s))
+        return _at_precision_of(mpmath.mpf, x, y, pseudo_inverse(g, s))
 
 
 def ign_implication(g: Generator, n: Negation, x: float, y: float) -> float:
     """g^(-1)(g(N(x)) + g(y)); the standard negation recovers the plain form."""
     require_direction(g, INCREASING, "implication")
+    mpmath = wide()
     with mpmath.workdps(CHAIN_DPS):
         z = min(max(n.fn(mpmath.mpf(x)), 0), 1)
         s = g.fn(z) + g.fn(mpmath.mpf(y))
-        return _at_precision_of(x, y, pseudo_inverse(g, s))
+        return _at_precision_of(mpmath.mpf, x, y, pseudo_inverse(g, s))
 
 
-def _at_precision_of(x, y, v):
+def _at_precision_of(mpf, x, y, v):
     """v rounded once to a double, unless the caller's chain is already mpf."""
-    if isinstance(x, mpmath.mpf) or isinstance(y, mpmath.mpf):
+    if isinstance(x, mpf) or isinstance(y, mpf):
         return v
     return float(v)
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Callable
 
-import mpmath
-
 from .connectives import BinaryConnective, Negation
+from .generators import wide
 from .implications import CHAIN_DPS, ImplicationCandidate
 from .reports import PropertyReport, SampleSpec, failing, passing
 
@@ -155,6 +154,7 @@ def _nested_law(prop, sides, fn, triples, s, keys=("x", "y", "z"), holds_as=None
         d = abs(left - right)
         if not d <= escalate_above:  # a NaN escalates too
             escalations += 1
+            mpmath = wide()
             with mpmath.workdps(CHAIN_DPS):
                 left, right = sides(
                     fn, mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)

@@ -39,6 +39,10 @@ class SampleSpec:
     def __post_init__(self):
         if self.grid_n < 2:
             raise ValueError("grid_n must be >= 2")
+        if self.triple_grid_n < 2:
+            raise ValueError("triple_grid_n must be >= 2")
+        if min(self.random_count, self.triple_random_count) < 0:
+            raise ValueError("random counts must be >= 0")
         if not 0 < self.tolerance < math.inf:  # NaN would pass every check
             raise ValueError("tolerance must be positive and finite")
         pairs = self.grid_n**2 + self.random_count

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import genimpl
 from genimpl.cli import main
 
 FAST = ["--grid", "11"]
@@ -288,3 +293,59 @@ class TestCounterexample:
         assert code == 1
         w = json.loads(out)["witness"]
         assert abs(w["left"] - w["right"]) > 1e-9
+
+
+# A fresh interpreter imports genimpl, then genimpl.cli, then runs main on
+# its arguments (if any) with the output swallowed, and prints the exit
+# code and whether mpmath was in sys.modules after each step.
+_REPORT_MPMATH = """
+import contextlib, io, sys
+import genimpl
+steps = ["mpmath" in sys.modules]
+from genimpl import cli
+steps.append("mpmath" in sys.modules)
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+    steps.append("mpmath" in sys.modules)
+print(code, *steps)
+"""
+
+
+def mpmath_after(*argv):
+    """(exit code, mpmath loaded after each step) of a fresh process."""
+    src = str(Path(genimpl.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run(
+        [sys.executable, "-c", _REPORT_MPMATH, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    code = None if out[0] == "None" else int(out[0])
+    return code, [w == "True" for w in out[1:]]
+
+
+class TestMpmathLoading:
+    """mpmath is imported at the first wide evaluation, not at start-up."""
+
+    def test_import_does_not_load_it(self):
+        assert mpmath_after() == (None, [False, False])
+
+    @pytest.mark.parametrize("argv, code", [
+        (["eval", '{"kind": "lukasiewicz"}', "0.3", "0.6"], 0),
+        (["residual", '{"kind": "basic", "name": "product"}', "0.8", "0.4"], 0),
+        (["verify", '{"kind": "lukasiewicz"}', "NP", "IP"], 0),
+        (["eval", '{"kind": "nope"}', "0.5", "0.5"], 2),
+    ])
+    def test_float_runs_do_not_load_it(self, argv, code):
+        assert mpmath_after(*argv) == (code, [False, False, False])
+
+    @pytest.mark.parametrize("argv, code", [
+        (["eval", '{"kind": "ig", "g": {"kind": "neg_log"}}', "0.3", "0.6"], 0),
+        # the mean fails associativity at an escalated triple
+        (["counterexample", '{"kind": "mean"}', "associativity"], 1),
+    ])
+    def test_wide_runs_load_it(self, argv, code):
+        assert mpmath_after(*argv) == (code, [False, False, True])

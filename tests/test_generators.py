@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -82,6 +83,22 @@ class TestNegLog:
 
     def test_inverse_of_infinity(self):
         assert pseudo_inverse(neg_log(), math.inf) == 1.0
+
+
+class TestPrecisionOfArgument:
+    """A closed-form pseudo-inverse answers at the precision of y: an mpf
+    stays an mpf, a float or an int gives a float."""
+
+    @pytest.mark.parametrize("g", [yager_f(2.0), power_gp(2.0), neg_log()])
+    def test_mpf_stays_mpf(self, g):
+        assert isinstance(pseudo_inverse(g, mpmath.mpf("0.25")), mpmath.mpf)
+
+    @pytest.mark.parametrize("g", [yager_f(2.0), power_gp(2.0), neg_log()])
+    @pytest.mark.parametrize("y", [0.25, 0, 1])
+    def test_float_or_int_gives_float(self, g, y):
+        v = pseudo_inverse(g, y)
+        assert type(v) is float
+        assert v == pytest.approx(float(pseudo_inverse(g, mpmath.mpf(y))), abs=1e-15)
 
 
 class TestPiecewiseF:

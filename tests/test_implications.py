@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -123,6 +124,14 @@ class TestGeneratedImplications:
     def test_rejects_decreasing_generator(self):
         with pytest.raises(DirectionError):
             ig_implication(yager_f(2.0), 0.5, 0.5)
+
+    @pytest.mark.parametrize("g", [neg_log(), power_gp(2.0)])
+    def test_answers_at_precision_of_arguments(self, g):
+        # g(0.1) + g(0.1) < g(1), so the sum is not saturated
+        assert type(ig_implication(g, 0.9, 0.1)) is float
+        v = ig_implication(g, mpmath.mpf("0.9"), mpmath.mpf("0.1"))
+        assert isinstance(v, mpmath.mpf)
+        assert float(v) == pytest.approx(ig_implication(g, 0.9, 0.1), abs=1e-15)
 
 
 class TestSNImplication:

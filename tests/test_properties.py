@@ -299,3 +299,16 @@ class TestSampleSpec:
     def test_plan_above_the_cap_is_rejected(self, plan):
         with pytest.raises(ValueError, match="sample plan"):
             SampleSpec(**plan)
+
+    # a one-point triple grid divides by zero in triples(), a zero one with
+    # no random triples holds EP on nothing, and a negative count samples
+    # nothing; only constructing the plan is needed to see it refused
+    @pytest.mark.parametrize("plan, message", [
+        ({"triple_grid_n": 1}, "triple_grid_n must be >= 2"),
+        ({"triple_grid_n": 0, "triple_random_count": 0}, "triple_grid_n must be >= 2"),
+        ({"random_count": -1}, "random counts must be >= 0"),
+        ({"triple_random_count": -5}, "random counts must be >= 0"),
+    ])
+    def test_degenerate_plan_is_rejected(self, plan, message):
+        with pytest.raises(ValueError, match=message):
+            SampleSpec(**plan)
