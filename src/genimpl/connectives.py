@@ -21,6 +21,7 @@ from .generators import (
     pseudo_inverse,
     require_direction,
     root,
+    yager_f,
 )
 
 
@@ -31,10 +32,14 @@ class BinaryConnective:
 
     The value keeps the precision of ``fn``'s result (an mpf stays an mpf),
     so a wide chain through a nested operator is not rounded to a double.
+    ``generator`` is set only on a t-norm generated by a generator with
+    a closed inverse (every such catalog generator is continuous), whose
+    residual then has a closed form; every other operator leaves it None.
     """
 
     fn: Callable[[float, float], float]
     label: str
+    generator: Generator | None = None
 
     def __call__(self, x: float, y: float) -> float:
         return clamp01(self.fn(x, y))
@@ -106,7 +111,11 @@ def basic(kind: str) -> BinaryConnective:
 def generated_tnorm(f: Generator, x: float, y: float) -> float:
     """f^(-1)(f(x) + f(y)) for a decreasing generator f."""
     require_direction(f, DECREASING, "t-norm")
-    return pseudo_inverse(f, f.fn(x) + f.fn(y))
+    v = pseudo_inverse(f, f.fn(x) + f.fn(y))
+    # neutral element handled exactly, as in yager_tnorm: the round trip
+    # f^(-1)(f(x)) is off by an ulp.  v is computed even then, so a
+    # generator with f(1) < 0 is rejected wherever its sum goes negative
+    return x if y == 1.0 else y if x == 1.0 else v
 
 
 def generated_tconorm(g: Generator, x: float, y: float) -> float:
@@ -117,7 +126,8 @@ def generated_tconorm(g: Generator, x: float, y: float) -> float:
 
 def generated_tnorm_connective(f: Generator) -> BinaryConnective:
     require_direction(f, DECREASING, "t-norm")
-    return BinaryConnective(lambda x, y: generated_tnorm(f, x, y), f"T[{f.label}]")
+    return BinaryConnective(lambda x, y: generated_tnorm(f, x, y), f"T[{f.label}]",
+                            None if f.inverse is None else f)
 
 
 def generated_tconorm_connective(g: Generator) -> BinaryConnective:
@@ -157,7 +167,9 @@ def yager_tnorm(p: float, x: float, y: float) -> float:
 
 
 def yager_connective(p: float) -> BinaryConnective:
-    return BinaryConnective(lambda x, y: yager_tnorm(p, x, y), f"T_Y(p={p:g})")
+    # generated by (1-x)^p between the drastic (p=0) and minimum (p=inf) ends
+    return BinaryConnective(lambda x, y: yager_tnorm(p, x, y), f"T_Y(p={p:g})",
+                            yager_f(p) if 0 < p < math.inf else None)
 
 
 def quasi_arithmetic_mean(x: float, y: float) -> float:

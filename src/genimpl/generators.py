@@ -129,19 +129,21 @@ def pseudo_inverse(g: Generator, y: float) -> float:
         wide_y = not isinstance(y, float) and is_mpf(y)
         return clamp01(v if wide_y else float(v))
     if g.direction == DECREASING:
-        return bisect_sup(lambda t: g.fn(t) > y)
-    return bisect_sup(lambda t: g.fn(t) < y)
+        below = lambda t: g.fn(t) > y  # noqa: E731
+    else:
+        below = lambda t: g.fn(t) < y  # noqa: E731
+    return 1.0 if below(1.0) else bisect_sup(below)
 
 
 def bisect_sup(pred: Callable[[float], bool]) -> float:
     """sup{t in [0,1] | pred(t)} for a predicate true on an initial segment
-    of [0,1], with sup of the empty set = 0.
+    of [0,1] and false at t = 1, with sup of the empty set = 0.
 
-    Bisects until the midpoint of the bracket equals one of its ends (or
-    BISECT_ITERS halvings) and returns the last t known to satisfy pred.
+    The caller tests t = 1 itself (the supremum is 1 where pred(1) holds):
+    a residual has C(x,1) at hand already.  Bisects until the midpoint of
+    the bracket equals one of its ends (or BISECT_ITERS halvings) and
+    returns the last t known to satisfy pred.
     """
-    if pred(1.0):
-        return 1.0
     if not pred(0.0):
         return 0.0
     lo, hi = 0.0, 1.0  # invariant: pred(lo) and not pred(hi)

@@ -41,14 +41,15 @@ ImplicationCandidate = BinaryConnective
 # --------------------------------------------------------------------------
 
 
-def _monotone_in_second(c: BinaryConnective, x: float, probes: int = 17) -> bool:
+def _monotone_in_second(c: BinaryConnective, x: float, top: float) -> bool:
+    """C(x,.) looks nondecreasing on 17 probes, the last being top = C(x,1)."""
     prev = c(x, 0.0)
-    for i in range(1, probes):
-        cur = c(x, i / (probes - 1))
+    for i in range(1, 16):
+        cur = c(x, i / 16)
         if cur < prev - 1e-12:
             return False
         prev = cur
-    return True
+    return not top < prev - 1e-12
 
 
 def residual_numeric(c: BinaryConnective, x: float, y: float) -> float:
@@ -58,11 +59,13 @@ def residual_numeric(c: BinaryConnective, x: float, y: float) -> float:
     detected monotonicity violation falls back to a dense scan with
     local refinement.  Ties at plateaus resolve to the supremum (the
     rightmost boundary), which bisection on the predicate gives for free.
-    When C(x,1) <= y the supremum is 1 and neither is needed.
+    When C(x,1) <= y the supremum is 1 and neither is needed; otherwise
+    the probe reuses C(x,1), so it is evaluated once.
     """
-    if c(x, 1.0) <= y:
+    top = c(x, 1.0)
+    if top <= y:
         return 1.0
-    if _monotone_in_second(c, x):
+    if _monotone_in_second(c, x, top):
         return bisect_sup(lambda t: c(x, t) <= y)
     return _residual_scan(c, x, y)
 
@@ -86,7 +89,29 @@ def _residual_scan(c: BinaryConnective, x: float, y: float) -> float:
     return out
 
 
+def generated_residual(f: Generator, x: float, y: float) -> float:
+    """f^(-1)(max(f(y) - f(x), 0)): the residual of the t-norm generated
+    by a continuous decreasing f, exactly 1.0 for x <= y.
+
+    Answers at the precision of its arguments: an mpf stays an mpf.  The
+    neutral element is handled exactly, R(1,y) = y: for yager_f(p) the
+    round trip f^(-1)(f(y)) loses about ulp/p, all of y at a tiny p.
+    """
+    if x <= y:
+        return 1.0
+    if x == 1.0:
+        return y
+    return pseudo_inverse(f, max(f.fn(y) - f.fn(x), 0.0))
+
+
 def residual_candidate(c: BinaryConnective) -> ImplicationCandidate:
+    """R[C]: in closed form from C's generator when it has one, else by
+    ``residual_numeric``."""
+    f = c.generator
+    if f is not None:
+        return ImplicationCandidate(
+            lambda x, y: generated_residual(f, x, y), f"R[{c.label}]"
+        )
     return ImplicationCandidate(
         lambda x, y: residual_numeric(c, x, y), f"R[{c.label}]"
     )

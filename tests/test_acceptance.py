@@ -41,7 +41,6 @@ from genimpl.implications import (
     phi_conjugate_candidate,
     piecewise_f_candidate,
     piecewise_f_implication,
-    residual_candidate,
     residual_numeric,
     yager_residual_candidate,
 )
@@ -103,8 +102,11 @@ def test_criterion_03_numeric_residual_matches_closed_form():
     spec = SampleSpec(tolerance=1e-6)
     worst = 0.0
     for p in (1.0, 2.0, 3.0):
+        # residual_numeric itself: residual_candidate of a Yager t-norm
+        # takes the generator's closed form
+        t = yager_connective(p)
         r = compare_surfaces(
-            residual_candidate(yager_connective(p)),
+            ImplicationCandidate(lambda x, y: residual_numeric(t, x, y), "R_bisect"),
             yager_residual_candidate(p),
             spec,
         )

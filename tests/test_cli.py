@@ -102,6 +102,24 @@ class TestResidual:
         assert code == 0
         assert float(out) == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "yager_tnorm", "p": 2}',
+        '{"kind": "generated_tnorm", "f": {"kind": "yager_f", "p": 2}}',
+    ])
+    def test_generated_tnorm_residual_in_closed_form(self, capsys, spec):
+        # f^(-1)(max(f(y) - f(x), 0)), correctly rounded here
+        # (0.1079097579280445870... at 50 digits); the bisection gave
+        # 0.10790975792804464
+        code, out, _ = run(capsys, "residual", spec, "0.748", "0.073")
+        assert (code, out.strip()) == (0, "0.10790975792804458")
+
+    @pytest.mark.parametrize("p", ["1e-300", "1e-9"])
+    def test_generated_residual_neutral_element_at_tiny_p(self, capsys, p):
+        code, out, _ = run(
+            capsys, "residual", f'{{"kind": "yager_tnorm", "p": {p}}}', "1", "0.5"
+        )
+        assert (code, out) == (0, "0.5\n")
+
     @pytest.mark.parametrize("x, y", [("0.8", "1.5"), ("nan", "0.4")])
     def test_point_outside_unit_square_exits_2(self, capsys, x, y):
         code, out, err = run(
@@ -173,6 +191,15 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and "sample plan above" in err
         assert err.count("\n") == 1
+
+    def test_residual_of_generated_tnorm_is_an_implication(self, capsys):
+        # the bisection residual used to stop just short of 1 at
+        # x = y = 0.01, a false IP and OP failure
+        spec = ('{"kind": "residual", "of": {"kind": "generated_tnorm", '
+                '"f": {"kind": "yager_f", "p": 2}}}')
+        code, out, _ = run(capsys, "verify", spec, "IP", "OP")
+        assert code == 0
+        assert [r["verdict"] for r in json.loads(out)] == ["holds-on-samples"] * 2
 
     def test_unknown_token_exits_2(self, capsys):
         code, _, err = run(

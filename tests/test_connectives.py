@@ -1,13 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from genimpl.connectives import (
     archimedean_witness,
     basic,
     basic_tnorm,
     dual_of,
+    generated_tnorm,
     generated_tnorm_connective,
     mean_connective,
     n_ary_power,
@@ -23,6 +24,7 @@ from genimpl.connectives import (
     yager_tnorm,
 )
 from genimpl.generators import yager_f
+from genimpl.implications import residual_numeric
 from genimpl.properties import check_negation_axioms, check_tnorm_axioms
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -76,6 +78,20 @@ class TestYagerFamily:
     def test_rejects_negative_p(self):
         with pytest.raises(ValueError):
             yager_tnorm(-1.0, 0.5, 0.5)
+
+
+class TestGeneratedTnorm:
+    @given(unit)
+    @example(0.01)
+    def test_neutral_element_exact(self, x):
+        # the p-th root of the p-th power is off by an ulp at 6 of 71
+        # sample points of yager_f(2) when 1 goes through the generator;
+        # C(0.01, 1) came out as 0.010000000000000009, and the bisection
+        # residual then stopped just short of 1 at x = y
+        f = yager_f(2.0)
+        assert generated_tnorm(f, x, 1.0) == x
+        assert generated_tnorm(f, 1.0, x) == x
+        assert residual_numeric(generated_tnorm_connective(f), x, x) == 1.0
 
 
 class TestDual:

@@ -6,14 +6,26 @@ from hypothesis import given, strategies as st
 
 from genimpl.bijections import identity_bijection, power_bijection
 from genimpl.connectives import (
+    BinaryConnective,
     basic,
+    dual_of,
+    generated_tnorm_connective,
     mean_connective,
     standard_negation,
     yager_connective,
     yager_negation,
 )
-from genimpl.generators import neg_log, piecewise_f, power_gp, yager_f
+from genimpl.generators import (
+    DECREASING,
+    neg_log,
+    piecewise_f,
+    power_gp,
+    table_generator,
+    yager_f,
+)
 from genimpl.implications import (
+    ImplicationCandidate,
+    generated_residual,
     ig_implication,
     ign_implication,
     lukasiewicz_candidate,
@@ -22,10 +34,13 @@ from genimpl.implications import (
     natural_negation,
     phi_conjugate,
     piecewise_f_implication,
+    residual_candidate,
     residual_numeric,
     sn_implication,
     yager_residual,
 )
+from genimpl.properties import check_implication_axioms, check_property
+from genimpl.reports import SampleSpec
 from genimpl.generators import DirectionError
 
 # subnormal x make products underflow to 0, shifting the float-exact
@@ -67,6 +82,18 @@ class TestResidualNumeric:
         got = residual_numeric(vee, 1.0, 0.25)
         assert got == pytest.approx(0.75, abs=1e-3)
 
+    def test_endpoint_evaluated_once(self):
+        calls = []
+
+        def product(x, y):
+            calls.append(y)
+            return x * y
+
+        assert residual_numeric(BinaryConnective(product, "counted"), 0.8, 0.4) == 0.5
+        # C(x,1) once, 15 more probes, then C(x,0) and 54 bisection steps
+        assert calls.count(1.0) == 1
+        assert len(calls) == 71
+
 
 class TestYagerResidual:
     def test_value(self):
@@ -97,6 +124,94 @@ class TestYagerResidual:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             yager_residual(0.0, 0.5, 0.5)
+
+
+def yager_residual_50(p, x, y):
+    with mpmath.workdps(50):
+        if x <= y:
+            return mpmath.mpf(1)
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        return 1 - ((1 - y) ** p - (1 - x) ** p) ** (1 / mpmath.mpf(p))
+
+
+def bisection_residual(c):
+    return ImplicationCandidate(lambda x, y: residual_numeric(c, x, y), f"R[{c.label}]")
+
+
+GENERATED_TNORMS = [
+    (p, c) for p in (0.5, 1.0, 2.0, 3.7)
+    for c in (yager_connective(p), generated_tnorm_connective(yager_f(p)))
+]
+
+
+def _label(v):
+    return v.label if hasattr(v, "label") else repr(v)
+
+
+class TestGeneratedResidual:
+    """The residual of a t-norm generated by a continuous f in closed form,
+    f^(-1)(max(f(y) - f(x), 0)), against the bisection."""
+
+    @pytest.mark.parametrize("p, c", GENERATED_TNORMS, ids=_label)
+    def test_matches_bisection_on_default_pairs(self, p, c):
+        r = residual_candidate(c)
+        for x, y in SampleSpec().pairs():
+            got, numeric = r(x, y), residual_numeric(c, x, y)
+            if abs(got - numeric) > 1e-15:
+                # the bisection loses a few ulps next to the diagonal;
+                # there the closed form is the closer one
+                exact = yager_residual_50(p, x, y)
+                assert abs(got - exact) <= 1e-15, (x, y)
+                assert abs(got - exact) < abs(numeric - exact), (x, y)
+
+    @pytest.mark.parametrize("p, c", GENERATED_TNORMS, ids=_label)
+    def test_verdicts_match_bisection(self, p, c, small_spec):
+        closed, numeric = residual_candidate(c), bisection_residual(c)
+
+        def reports(i):
+            return [*(check_property(i, law, small_spec) for law in ("NP", "IP", "OP")),
+                    check_implication_axioms(i, small_spec)]
+
+        # residuals of continuous t-norms: every one of these laws holds
+        for a, b in zip(reports(closed), reports(numeric)):
+            assert a.holds and b.holds, (a.property, a.witness, b.witness)
+
+    @pytest.mark.parametrize("c", [
+        c for p in (1e-300, 1e-9)
+        for c in (yager_connective(p), generated_tnorm_connective(yager_f(p)))
+    ], ids=_label)
+    def test_neutral_element_exact_at_tiny_p(self, c, small_spec):
+        # f^(-1)(f(y)) loses about ulp/p: at p = 1e-300, (1-y)^p rounds
+        # to 1 and the round trip gives 0 for every y
+        r = residual_candidate(c)
+        assert all(r(1.0, y) == y for y in small_spec.grid())
+        assert check_property(r, "NP", small_spec).holds
+
+    def test_equals_yager_closed_form(self, small_spec):
+        r = residual_candidate(yager_connective(2.0))
+        for x, y in small_spec.pairs():
+            # yager_residual has no exact neutral element: at x = 1 it
+            # takes the round trip through (1-y)^2
+            assert r(x, y) == (y if x == 1.0 else yager_residual(2.0, x, y))
+        assert r(0.748, 0.073) == 0.10790975792804458
+
+    def test_answers_at_precision_of_arguments(self):
+        f = yager_f(2.0)
+        assert generated_residual(f, 0.3, 0.3) == 1.0
+        assert type(generated_residual(f, 0.9, 0.1)) is float
+        with mpmath.workdps(40):
+            x, y = mpmath.mpf("0.9"), mpmath.mpf("0.1")
+            v = generated_residual(f, x, y)
+            assert isinstance(v, mpmath.mpf)
+            assert abs(v - yager_residual_50(2.0, x, y)) < mpmath.mpf(10) ** -35
+
+    def test_others_stay_on_bisection(self, small_spec):
+        table_f = table_generator(DECREASING, [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0)])
+        for c in (generated_tnorm_connective(table_f), dual_of(yager_connective(2.0)),
+                  basic("product"), yager_connective(0.0), yager_connective(math.inf)):
+            r = residual_candidate(c)
+            for x, y in small_spec.pairs()[::7]:
+                assert r(x, y) == residual_numeric(c, x, y)
 
 
 class TestGeneratedImplications:

@@ -11,9 +11,19 @@ accepts.
 import mpmath
 import pytest
 
-from genimpl.connectives import generated_tconorm_connective, yager_negation
+from genimpl.connectives import (
+    generated_tconorm_connective,
+    yager_connective,
+    yager_negation,
+)
 from genimpl.generators import power_gp, pseudo_inverse
-from genimpl.implications import CHAIN_DPS, ig_implication, ign_implication
+from genimpl.implications import (
+    CHAIN_DPS,
+    ImplicationCandidate,
+    ig_implication,
+    ign_implication,
+    residual_numeric,
+)
 from genimpl.properties import (
     SPECIAL_TRIPLES,
     check_property,
@@ -85,6 +95,9 @@ IMPLICATIONS = [
     {"kind": "sn", "S": {"kind": "dual", "of": {"kind": "yager_tnorm", "p": 2}},
      "N": {"kind": "phi", "phi": {"kind": "power", "a": 2}}},
     {"kind": "phi_conjugate", "phi": {"kind": "power", "a": 2}},
+    # residuals of generated t-norms, in closed form at any precision
+    {"kind": "residual", "of": {"kind": "yager_tnorm", "p": 2}},
+    {"kind": "residual", "of": {"kind": "generated_tnorm", "f": YAGER_F2}},
 ]
 
 CONNECTIVES = [
@@ -101,8 +114,8 @@ CONNECTIVES = [
 
 def test_specs_cover_every_operator_kind():
     # a new kind added to the registry must also enter the differential
-    # tests above; residual has its own test below
-    covered = {d["kind"] for d in IMPLICATIONS + CONNECTIVES} | {"residual"}
+    # tests above
+    covered = {d["kind"] for d in IMPLICATIONS + CONNECTIVES}
     assert covered == set(OPERATORS)
 
 
@@ -157,7 +170,8 @@ def test_residual_of_yager_ep_all_wide_false_fail():
     # the bisection residual rounds every point value to a double, so the
     # all-wide chain mixes a double into its outer step (bisection in
     # double precision is still open); float-first compares like with like
-    i = parse_implication({"kind": "residual", "of": {"kind": "yager_tnorm", "p": 2}})
+    t = yager_connective(2.0)
+    i = ImplicationCandidate(lambda x, y: residual_numeric(t, x, y), f"R[{t.label}]")
     wide = all_wide("EP", ep_sides, i.fn, DEFAULT.triples(), DEFAULT)
     assert not wide.holds
     w = wide.witness
