@@ -16,7 +16,9 @@ SPEC is inline JSON or a path to a JSON file; see `specs` for the schema.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import classes, properties
@@ -131,8 +133,7 @@ def cmd_verify(args) -> int:
             neg = parse_negation(load_spec(neg_spec)) if neg_spec else None
             reports.append(properties.check_property(op, prop, s, neg))
         else:
-            print(f"unknown property {token!r}", file=sys.stderr)
-            return 2
+            raise SpecError(f"unknown property {token!r}")
     print(json.dumps([r.as_dict() for r in reports], indent=2))
     return 0 if all(r.holds for r in reports) else 1
 
@@ -141,17 +142,13 @@ def cmd_surface(args) -> int:
     op = parse_binary(load_spec(args.spec))
     g = SampleSpec(grid_n=args.n).grid()
     # every value first, so an error while evaluating leaves no file behind
-    values = iter([op(x, y) for x in g for y in g])
+    rows = [f"{x:.17g},{y:.17g},{op(x, y):.17g}\n" for x in g for y in g]
     try:
-        fh = open(args.output, "w", newline="")
+        with open(args.output, "w", newline="") as fh:
+            fh.write("x,y,value\n")
+            fh.writelines(rows)
     except OSError as e:
-        print(f"cannot write {args.output}: {e}", file=sys.stderr)
-        return 2
-    with fh:
-        fh.write("x,y,value\n")
-        for x in g:
-            for y in g:
-                fh.write(f"{x:.17g},{y:.17g},{next(values):.17g}\n")
+        raise SpecError(f"cannot write {args.output}: {e}") from None
     return 0
 
 
@@ -176,8 +173,7 @@ def cmd_classify(args) -> int:
     for name in args.classes.split(","):
         name = name.strip().lower()
         if name not in probes:
-            print(f"unknown class {name!r}", file=sys.stderr)
-            return 2
+            raise SpecError(f"unknown class {name!r}")
         results.append(probes[name](i, s))
     print(json.dumps([r.as_dict() for r in results], indent=2))
     return 0
@@ -208,9 +204,17 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
     except (SpecError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader left early: send what is still buffered to devnull
+        # (stdout captured in-process has no file descriptor to point there)
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
         return 2
 
 

@@ -2,8 +2,9 @@
 
 Both the basic closed forms and the generator-derived constructions are
 provided.  Everything returns values clamped to [0,1] so round-off never
-leaks outside the lattice into downstream compositions (residuals feed
-these values back into further connectives).
+leaks outside the lattice into downstream compositions, and at the
+precision they were computed in: an mpf stays an mpf, so a wide chain
+through connectives and negations is rounded once, at its end.
 """
 
 from __future__ import annotations
@@ -47,13 +48,16 @@ class BinaryConnective:
 
 @dataclass(frozen=True)
 class Negation:
-    """A decreasing map [0,1] -> [0,1] with N(0)=1, N(1)=0."""
+    """A decreasing map [0,1] -> [0,1] with N(0)=1, N(1)=0; like a
+    BinaryConnective, its value keeps the precision of ``fn``'s result."""
 
     fn: Callable[[float], float]
     label: str
 
     def __call__(self, x: float) -> float:
-        return clamp01(float(self.fn(x)))
+        v = self.fn(x)
+        # int bounds, like the standard negation's 1: an mpf meets an int 3x faster
+        return v if 0 <= v <= 1 else clamp01(v)
 
 
 # --------------------------------------------------------------------------
@@ -212,19 +216,14 @@ def archimedean_witness(
 
 
 def standard_negation() -> Negation:
-    return Negation(lambda x: 1.0 - x, "N_standard")
+    return Negation(lambda x: 1 - x, "N_standard")
 
 
 def yager_negation(p: float) -> Negation:
-    """N_p(x) = 1 - (1 - (1-x)^p)^(1/p), the natural negation of the
-    Yager residual; collapses to the standard negation at p=1."""
-    if not p > 0 or math.isinf(p):
-        raise ValueError("p must be finite and positive")
-
-    def fn(x):
-        return 1.0 - root(1.0 - (1.0 - x) ** p, p)
-
-    return Negation(fn, f"N_p(p={p:g})")
+    """N_p(x) = 1 - (1 - (1-x)^p)^(1/p), the natural negation R(x,0) of the
+    Yager residual, from its generator f: f^(-1)(f(0) - f(x)); standard at p=1."""
+    f = yager_f(p)
+    return Negation(lambda x: pseudo_inverse(f, f.fn(0.0) - f.fn(x)), f"N_p(p={p:g})")
 
 
 def phi_negation(forward: Callable[[float], float],

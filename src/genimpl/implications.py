@@ -5,6 +5,9 @@ type as a connective; nothing here assumes the implication axioms hold.
 Whether a candidate actually is a fuzzy implication is the verification
 engine's job (the quadratic mean's residual deliberately fails the
 boundary condition).
+
+I^g_N(x,y) = g^(-1)(g(N(x)) + g(y)) is S_g(N(x), y), the (S,N)-implication
+of the t-conorm generated by g; I^g is I^g_N at the standard negation.
 """
 
 from __future__ import annotations
@@ -12,12 +15,13 @@ from __future__ import annotations
 import math
 
 from .bijections import Bijection
-from .connectives import BinaryConnective, Negation
+from .connectives import BinaryConnective, Negation, generated_tconorm, standard_negation
 from .generators import (
     INCREASING,
     Generator,
     bisect_sup,
     clamp01,
+    is_mpf,
     pseudo_inverse,
     require_direction,
     root,
@@ -121,13 +125,15 @@ def yager_residual(p: float, x: float, y: float) -> float:
     """Closed-form residual of the Yager t-norm, p > 0.
 
     The subtraction of nearly equal powers is clamped at 0 before the
-    root so x <= y yields exactly 1.
+    root so x <= y yields exactly 1; R(1,y) = y exactly, as in generated_residual.
     """
     if not 0 < p < math.inf:
         raise ValueError("p must be finite and positive")
     d = (1.0 - y) ** p - (1.0 - x) ** p
     if d <= 0.0:
         return 1.0
+    if x == 1.0:
+        return y
     return clamp01(1.0 - root(d, p))
 
 
@@ -151,37 +157,27 @@ def mean_residual_candidate() -> ImplicationCandidate:
 # --------------------------------------------------------------------------
 
 
-def ig_implication(g: Generator, x: float, y: float) -> float:
-    """g^(-1)(g(1-x) + g(y)) for strictly increasing g with g(0)=0."""
-    require_direction(g, INCREASING, "implication")
-    mpmath = wide()
-    with mpmath.workdps(CHAIN_DPS):
-        s = g.fn(1 - mpmath.mpf(x)) + g.fn(mpmath.mpf(y))
-        return _at_precision_of(mpmath.mpf, x, y, pseudo_inverse(g, s))
-
-
 def ign_implication(g: Generator, n: Negation, x: float, y: float) -> float:
-    """g^(-1)(g(N(x)) + g(y)); the standard negation recovers the plain form."""
+    """S_g(N(x), y) for strictly increasing g with g(0)=0, at CHAIN_DPS;
+    rounded once to a double unless the caller passed an mpf."""
     require_direction(g, INCREASING, "implication")
     mpmath = wide()
     with mpmath.workdps(CHAIN_DPS):
-        z = min(max(n.fn(mpmath.mpf(x)), 0), 1)
-        s = g.fn(z) + g.fn(mpmath.mpf(y))
-        return _at_precision_of(mpmath.mpf, x, y, pseudo_inverse(g, s))
+        v = generated_tconorm(g, n(mpmath.mpf(x)), mpmath.mpf(y))
+    return v if is_mpf(x) or is_mpf(y) else float(v)
 
 
-def _at_precision_of(mpf, x, y, v):
-    """v rounded once to a double, unless the caller's chain is already mpf."""
-    if isinstance(x, mpf) or isinstance(y, mpf):
-        return v
-    return float(v)
+_STANDARD = standard_negation()
+
+
+def ig_implication(g: Generator, x: float, y: float) -> float:
+    """g^(-1)(g(1-x) + g(y)): I^g_N at the standard negation."""
+    return ign_implication(g, _STANDARD, x, y)
 
 
 def ig_candidate(g: Generator) -> ImplicationCandidate:
     require_direction(g, INCREASING, "implication")
-    return ImplicationCandidate(
-        lambda x, y: ig_implication(g, x, y), f"Ig[{g.label}]"
-    )
+    return ImplicationCandidate(lambda x, y: ig_implication(g, x, y), f"Ig[{g.label}]")
 
 
 def ign_candidate(g: Generator, n: Negation) -> ImplicationCandidate:

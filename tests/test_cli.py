@@ -202,10 +202,20 @@ class TestVerify:
         assert [r["verdict"] for r in json.loads(out)] == ["holds-on-samples"] * 2
 
     def test_unknown_token_exits_2(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "verify", '{"kind": "lukasiewicz"}', "ZZ", *FAST
         )
         assert code == 2
+        assert out == ""
+        assert err == "error: unknown property 'ZZ'\n"
+
+    def test_unknown_token_after_a_known_one_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", '{"kind": "lukasiewicz"}', "NP", "XX", *FAST
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown property 'XX'\n"
 
 
 class TestSurfaceAndCompare:
@@ -250,6 +260,16 @@ class TestSurfaceAndCompare:
         assert err.count("\n") == 1
         assert not out_csv.exists()
 
+    def test_unwritable_output_exits_2_with_one_line(self, capsys, tmp_path):
+        out_csv = tmp_path / "missing" / "surface.csv"
+        code, out, err = run(capsys, "surface", '{"kind": "lukasiewicz"}',
+                             "-n", "3", "-o", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_csv}: ")
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
+
     def test_compare_identical(self, capsys):
         code, out, _ = run(
             capsys, "compare", '{"kind": "lukasiewicz"}',
@@ -283,10 +303,12 @@ class TestClassify:
         assert results[0]["overall"] == "excluded"
 
     def test_unknown_class_exits_2(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "classify", '{"kind": "lukasiewicz"}', "--classes", "zz"
         )
         assert code == 2
+        assert out == ""
+        assert err == "error: unknown class 'zz'\n"
 
 
 class TestCounterexample:
@@ -341,14 +363,18 @@ print(code, *steps)
 """
 
 
-def mpmath_after(*argv):
-    """(exit code, mpmath loaded after each step) of a fresh process."""
+def _env():
+    """The environment of a fresh process that imports this genimpl."""
     src = str(Path(genimpl.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def mpmath_after(*argv):
+    """(exit code, mpmath loaded after each step) of a fresh process."""
     out = subprocess.run(
         [sys.executable, "-c", _REPORT_MPMATH, *argv],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
+        env=_env(), capture_output=True, text=True, check=True, timeout=120,
     ).stdout.split()
     code = None if out[0] == "None" else int(out[0])
     return code, [w == "True" for w in out[1:]]
@@ -376,3 +402,28 @@ class TestMpmathLoading:
     ])
     def test_wide_runs_load_it(self, argv, code):
         assert mpmath_after(*argv) == (code, [False, False, True])
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", '{"kind": "lukasiewicz"}', *FAST],
+    ["eval", '{"kind": "lukasiewicz"}', "0.3", "0.6"],
+])
+def test_reader_closing_stdout_early_exits_2_quietly(argv):
+    # as `genimpl classify ... | head -c 20`, with the reader gone before
+    # the first write, so the write fails whatever the output's size
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genimpl.cli", *argv], env=_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_broken_pipe_with_stdout_not_a_file_exits_2(capsys, monkeypatch):
+    # a broken pipe while stdout is captured in-process, with no file descriptor
+    def reader_gone(args):
+        raise BrokenPipeError
+    monkeypatch.setitem(genimpl.cli._COMMANDS, "eval", reader_gone)
+    assert main(["eval", '{"kind": "lukasiewicz"}', "0.3", "0.6"]) == 2

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -159,6 +160,17 @@ class TestNegations:
     def test_axioms(self, small_spec):
         for n in (standard_negation(), yager_negation(0.5), yager_negation(3.0)):
             assert check_negation_axioms(n, small_spec).holds
+
+    def test_keeps_precision_of_argument(self):
+        # like a connective's, so a wide chain through N stays wide
+        assert isinstance(standard_negation()(mpmath.mpf("0.3")), mpmath.mpf)
+        assert isinstance(yager_negation(2.0)(mpmath.mpf("0.3")), mpmath.mpf)
+        assert type(yager_negation(2.0)(0.3)) is float
+
+    def test_yager_rejects_bad_p(self):
+        for p in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="p must be finite and positive"):
+                yager_negation(p)
 
 
 class TestTableConnective:

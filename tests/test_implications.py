@@ -8,6 +8,7 @@ from genimpl.bijections import identity_bijection, power_bijection
 from genimpl.connectives import (
     BinaryConnective,
     basic,
+    dual_negation,
     dual_of,
     generated_tnorm_connective,
     mean_connective,
@@ -17,16 +18,20 @@ from genimpl.connectives import (
 )
 from genimpl.generators import (
     DECREASING,
+    INCREASING,
     neg_log,
     piecewise_f,
     power_gp,
+    pseudo_inverse,
     table_generator,
     yager_f,
 )
 from genimpl.implications import (
+    CHAIN_DPS,
     ImplicationCandidate,
     generated_residual,
     ig_implication,
+    ign_candidate,
     ign_implication,
     lukasiewicz_candidate,
     lukasiewicz_implication,
@@ -38,6 +43,7 @@ from genimpl.implications import (
     residual_numeric,
     sn_implication,
     yager_residual,
+    yager_residual_candidate,
 )
 from genimpl.properties import check_implication_axioms, check_property
 from genimpl.reports import SampleSpec
@@ -176,23 +182,22 @@ class TestGeneratedResidual:
         for a, b in zip(reports(closed), reports(numeric)):
             assert a.holds and b.holds, (a.property, a.witness, b.witness)
 
-    @pytest.mark.parametrize("c", [
-        c for p in (1e-300, 1e-9)
-        for c in (yager_connective(p), generated_tnorm_connective(yager_f(p)))
-    ], ids=_label)
-    def test_neutral_element_exact_at_tiny_p(self, c, small_spec):
+    @pytest.mark.parametrize("r", [
+        r for p in (1e-300, 1e-9)
+        for r in (residual_candidate(yager_connective(p)),
+                  residual_candidate(generated_tnorm_connective(yager_f(p))),
+                  yager_residual_candidate(p))
+    ], ids=lambda r: r.label.removeprefix("R[").removesuffix("]"))
+    def test_neutral_element_exact_at_tiny_p(self, r, small_spec):
         # f^(-1)(f(y)) loses about ulp/p: at p = 1e-300, (1-y)^p rounds
         # to 1 and the round trip gives 0 for every y
-        r = residual_candidate(c)
         assert all(r(1.0, y) == y for y in small_spec.grid())
         assert check_property(r, "NP", small_spec).holds
 
     def test_equals_yager_closed_form(self, small_spec):
         r = residual_candidate(yager_connective(2.0))
         for x, y in small_spec.pairs():
-            # yager_residual has no exact neutral element: at x = 1 it
-            # takes the round trip through (1-y)^2
-            assert r(x, y) == (y if x == 1.0 else yager_residual(2.0, x, y))
+            assert r(x, y) == yager_residual(2.0, x, y)
         assert r(0.748, 0.073) == 0.10790975792804458
 
     def test_answers_at_precision_of_arguments(self):
@@ -221,13 +226,28 @@ class TestGeneratedImplications:
         assert got == pytest.approx(1.0 - x + x * y, abs=1e-9)
 
     def test_standard_negation_recovers_plain_form(self):
-        g = power_gp(2.0)
+        # against g^(-1)(g(1-x) + g(y)) written out here, at the chain's
+        # precision and rounded once
         n = standard_negation()
-        for x in (0.2, 0.5, 0.8):
-            for y in (0.1, 0.6):
-                assert ign_implication(g, n, x, y) == pytest.approx(
-                    ig_implication(g, x, y), abs=1e-12
-                )
+        table_g = table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
+        for g in (power_gp(0.5), power_gp(2.0), power_gp(3.7), neg_log(),
+                  piecewise_f(), table_g):
+            for x, y in SampleSpec(grid_n=11).pairs():
+                with mpmath.workdps(CHAIN_DPS):
+                    s = g.fn(1 - mpmath.mpf(x)) + g.fn(mpmath.mpf(y))
+                    plain = float(pseudo_inverse(g, s))
+                assert ig_implication(g, x, y) == plain, (g.label, x, y)
+                assert ign_implication(g, n, x, y) == plain, (g.label, x, y)
+
+    def test_negation_not_rounded_inside_the_chain(self, small_spec):
+        # N(x) = (1 - x^3)^(1/3) enters g at the chain's precision; a value
+        # rounded to a double first is off by up to 7e-6 at p = 3.7, which
+        # fails CP against N itself
+        n = dual_negation(yager_negation(3.0))
+        assert ign_implication(power_gp(2.0), n, 0.05, 0.0) == 0.9999583315971017
+        i = ign_candidate(power_gp(3.7), n)
+        assert i(0.1, 0.0) == 0.999666555493786
+        assert check_property(i, "CP", small_spec, n).holds
 
     def test_ign_matches_yager_residual(self):
         g = power_gp(2.0)
@@ -308,12 +328,16 @@ class TestNaturalNegation:
             assert n(x) == pytest.approx(1.0 - x, abs=1e-12)
 
     def test_of_yager_residual_is_np(self):
-        from genimpl.implications import yager_residual_candidate
-
         n = natural_negation(yager_residual_candidate(2.0))
         m = yager_negation(2.0)
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert n(x) == pytest.approx(m(x), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.7])
+    def test_yager_negation_is_residual_at_zero(self, p, small_spec):
+        n = yager_negation(p)
+        for x in small_spec.points_1d():
+            assert n(x) == yager_residual(p, x, 0.0), x
 
 
 class TestMeanResidual:
