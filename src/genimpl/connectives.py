@@ -36,11 +36,15 @@ class BinaryConnective:
     ``generator`` is set only on a t-norm generated by a generator with
     a closed inverse (every such catalog generator is continuous), whose
     residual then has a closed form; every other operator leaves it None.
+    ``bounds(x, y_lo, y_hi)`` is set only on a generated implication I^g
+    of such a generator: a double (lo, hi) enclosing fn(x, y) for every
+    y in [y_lo, y_hi], which lets EP decide a triple without mpmath.
     """
 
     fn: Callable[[float, float], float]
     label: str
     generator: Generator | None = None
+    bounds: Callable[[float, float, float], tuple[float, float]] | None = None
 
     def __call__(self, x: float, y: float) -> float:
         return clamp01(self.fn(x, y))

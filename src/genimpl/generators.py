@@ -132,7 +132,8 @@ def pseudo_inverse(g: Generator, y: float) -> float:
         below = lambda t: g.fn(t) > y  # noqa: E731
     else:
         below = lambda t: g.fn(t) < y  # noqa: E731
-    return 1.0 if below(1.0) else bisect_sup(below)
+    # g(1) = y is tested apart: bisection stops at the last double below 1
+    return 1.0 if below(1.0) or g.fn(1.0) == y else bisect_sup(below)
 
 
 def bisect_sup(pred: Callable[[float], bool]) -> float:

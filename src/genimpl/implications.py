@@ -12,6 +12,7 @@ of the t-conorm generated by g; I^g is I^g_N at the standard negation.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .bijections import Bijection
@@ -175,9 +176,40 @@ def ig_implication(g: Generator, x: float, y: float) -> float:
     return ign_implication(g, _STANDARD, x, y)
 
 
+# The double enclosure of I^g: each generator argument moves outward by
+# ARG_SLACK, which covers the rounding of 1-x and the 1-x inside power_gp's
+# closed form (an error p times 2^-53 relative at p up to 1000); the sum,
+# then the inverse's value, move outward by VALUE_SLACK relative plus
+# VALUE_SLACK absolute, which covers a few ulp of every catalog closed form.
+ARG_SLACK = 2.0**-50
+VALUE_SLACK = 2.0**-44
+
+
+def _ig_end(g: Generator, a: float, y: float, side: float) -> float:
+    """g^(-1)(g(a) + g(y)) in double, pushed outward on ``side`` (+1 up, -1 down)."""
+    s = g.fn(clamp01(a + side * ARG_SLACK)) + g.fn(clamp01(y + side * ARG_SLACK))
+    if s < math.inf:  # g(1) = inf saturates either way: inf - inf is NaN
+        s = max(s + side * (s * VALUE_SLACK + VALUE_SLACK), 0.0)
+    v = g.inverse(s)
+    return clamp01(v + side * (v * VALUE_SLACK + VALUE_SLACK))
+
+
+def ig_bounds(g: Generator, x: float, y_lo: float, y_hi: float) -> tuple[float, float]:
+    """A double (lo, hi) with lo <= I^g(x, y) <= hi for every y in [y_lo, y_hi]:
+    the float chain at y_lo and at y_hi, each moved outward, as I^g is
+    nondecreasing in g's sum.  Needs g's closed ``inverse``, with ``fn`` and
+    ``inverse`` accurate to a few ulp in double, as the catalog's are.
+    """
+    a = 1.0 - x
+    return _ig_end(g, a, y_lo, -1.0), _ig_end(g, a, y_hi, 1.0)
+
+
 def ig_candidate(g: Generator) -> ImplicationCandidate:
+    """I^g, with the float enclosure ``ig_bounds`` when g has a closed inverse."""
     require_direction(g, INCREASING, "implication")
-    return ImplicationCandidate(lambda x, y: ig_implication(g, x, y), f"Ig[{g.label}]")
+    bounds = None if g.inverse is None else functools.partial(ig_bounds, g)
+    return ImplicationCandidate(lambda x, y: ig_implication(g, x, y), f"Ig[{g.label}]",
+                                bounds=bounds)
 
 
 def ign_candidate(g: Generator, n: Negation) -> ImplicationCandidate:

@@ -12,12 +12,12 @@ from itertools import repeat
 from typing import Callable
 
 from .connectives import BinaryConnective, Negation
-from .generators import wide
+from .generators import is_mpf, wide
 from .implications import CHAIN_DPS, ImplicationCandidate
 from .reports import PropertyReport, SampleSpec, failing, passing
 
 # OP's reverse direction: exact-1 tests are brittle in floating point,
-# so "I = 1" is read as I >= 1 - tol and x <= y as x <= y + 10*tol.
+# so a hit is I >= 1 - tol at x > y + 10*tol, confirmed at CHAIN_DPS.
 OP_SLACK = 10.0
 
 # Nested laws run in float first; a triple whose float discrepancy exceeds
@@ -135,7 +135,8 @@ def _assoc_sides(f, a, b, c):
     return f(a, f(b, c)), f(f(a, b), c)
 
 
-def _nested_law(prop, sides, fn, triples, s, keys=("x", "y", "z"), holds_as=None):
+def _nested_law(prop, sides, fn, triples, s, keys=("x", "y", "z"), holds_as=None,
+                bounds=None):
     """Check that the two sides of a nested law agree within tol on triples.
 
     ``sides(fn, a, b, c)`` composes the raw fn, so an inner value is never
@@ -145,13 +146,24 @@ def _nested_law(prop, sides, fn, triples, s, keys=("x", "y", "z"), holds_as=None
     saturation point amplifies the last ulp of a double to ~1e-5) and that
     wide evaluation alone gives the verdict, left/right and witness.  The
     report's ``details.escalations`` counts the re-evaluated triples.
+
+    With ``bounds`` (an operator's enclosure, see BinaryConnective) the
+    float pass encloses both sides instead, nesting only in the second
+    argument as EP does, and its discrepancy is the bound
+    U = max(L_hi - R_lo, R_hi - L_lo) on the true one.
     """
     escalate_above = ESCALATE_SHARE * s.tolerance
     worst = 0.0
     escalations = 0
+    if bounds is not None:
+        enclose = lambda u, v: bounds(u, *v)  # noqa: E731
     for a, b, c in triples:
-        left, right = sides(fn, a, b, c)
-        d = abs(left - right)
+        if bounds is None:
+            left, right = sides(fn, a, b, c)
+            d = abs(left - right)
+        else:
+            (l_lo, l_hi), (r_lo, r_hi) = sides(enclose, a, b, (c, c))
+            d = max(l_hi - r_lo, r_hi - l_lo)
         if not d <= escalate_above:  # a NaN escalates too
             escalations += 1
             mpmath = wide()
@@ -173,7 +185,7 @@ def _nested_law(prop, sides, fn, triples, s, keys=("x", "y", "z"), holds_as=None
 
 
 def _check_ep(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
-    return _nested_law("EP", _ep_sides, i.fn, s.triples(), s)
+    return _nested_law("EP", _ep_sides, i.fn, s.triples(), s, bounds=i.bounds)
 
 
 def _check_ip(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
@@ -191,8 +203,17 @@ def _check_op(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport
         v = i(x, y)
         if x <= y:
             return abs(v - 1.0)
-        # reverse direction: x - y exceeds 10*tol > tol whenever it fires
-        return x - y if v >= 1.0 - tol and x > y + OP_SLACK * tol else 0.0
+        if not (v >= 1.0 - tol and x > y + OP_SLACK * tol):
+            return 0.0
+        # reverse direction: a continuous I comes within tol of 1 just past
+        # the diagonal, so the hit stands only if the unrounded wide value
+        # is 1; x - y then exceeds 10*tol > tol.  An fn that answers mpf
+        # arguments with a float (a bisected residual, a closed form that
+        # saturates) was not evaluated wide, and its double hit stands.
+        mpmath = wide()
+        with mpmath.workdps(CHAIN_DPS):
+            w = i(mpmath.mpf(x), mpmath.mpf(y))
+        return x - y if not is_mpf(w) or w >= 1 else 0.0
 
     def witness(x, y):
         direction = "x<=y but I(x,y)<1" if x <= y else "I(x,y)=1 but x>y"

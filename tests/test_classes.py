@@ -16,6 +16,7 @@ from genimpl.implications import (
     piecewise_f_candidate,
     yager_residual_candidate,
 )
+from genimpl.specs import parse_implication
 
 
 class TestSNProbe:
@@ -38,6 +39,18 @@ class TestSNProbe:
         assert result.overall == EXCLUDED
         failed = [r.property for r in result.verdicts if not r.holds]
         assert "negation-continuity" in failed
+
+    def test_table_generated_implication_has_a_strong_negation(self, small_spec):
+        # N_I(0) = I(0, 0) = g^(-1)(g(1)) is exactly 1 for a table generator
+        i = parse_implication({
+            "kind": "ign",
+            "g": {"kind": "table", "direction": "increasing",
+                  "points": [[0, 0], [0.5, 0.3], [1, 1]]},
+            "N": {"kind": "dual", "of": {"kind": "yager_np", "p": 3}},
+        })
+        continuity = sn_probe(i, small_spec).verdicts[-1]
+        assert continuity.details["strong"]
+        assert continuity.details["involution_discrepancy"] < 1e-12
 
 
 class TestRProbe:

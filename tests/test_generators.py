@@ -133,6 +133,13 @@ class TestTableGenerator:
         f = table_generator(DECREASING, [(0.0, 1.0), (1.0, 0.0)])
         assert pseudo_inverse(f, 0.25) == pytest.approx(0.75, abs=1e-8)
 
+    def test_top_of_range_inverts_to_one(self):
+        # bisection alone stops at the last double below 1
+        g = table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
+        assert pseudo_inverse(g, 1.0) == 1.0
+        f = table_generator(DECREASING, [(0.0, 1.0), (1.0, 0.0)])
+        assert pseudo_inverse(f, 0.0) == 1.0
+
     def test_requires_full_span(self):
         with pytest.raises(ValueError):
             table_generator(INCREASING, [(0.1, 0.0), (1.0, 1.0)])

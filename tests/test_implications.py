@@ -30,6 +30,8 @@ from genimpl.implications import (
     CHAIN_DPS,
     ImplicationCandidate,
     generated_residual,
+    ig_bounds,
+    ig_candidate,
     ig_implication,
     ign_candidate,
     ign_implication,
@@ -267,6 +269,41 @@ class TestGeneratedImplications:
         v = ig_implication(g, mpmath.mpf("0.9"), mpmath.mpf("0.1"))
         assert isinstance(v, mpmath.mpf)
         assert float(v) == pytest.approx(ig_implication(g, 0.9, 0.1), abs=1e-15)
+
+
+# every catalog increasing generator with a closed inverse
+CLOSED_INVERSE_GENERATORS = [
+    *(power_gp(p) for p in (0.1, 0.5, 1.0, 2.0, 3.7, 20.0, 1000.0)),
+    neg_log(),
+    piecewise_f(),
+]
+
+
+def wide_ig(g, x, y):
+    """I^g(x, y) at CHAIN_DPS, unrounded."""
+    with mpmath.workdps(CHAIN_DPS):
+        return ig_implication(g, mpmath.mpf(x), mpmath.mpf(y))
+
+
+class TestIgBounds:
+    @pytest.mark.parametrize("g", CLOSED_INVERSE_GENERATORS, ids=lambda g: g.label)
+    def test_encloses_wide_value_on_plan_pairs(self, g):
+        for x, y in SampleSpec(grid_n=41, random_count=400).pairs():
+            lo, hi = ig_bounds(g, x, y, y)
+            assert lo <= wide_ig(g, x, y) <= hi, (x, y)
+
+    @given(st.sampled_from(CLOSED_INVERSE_GENERATORS), unit, unit, unit)
+    def test_encloses_wide_values_over_an_interval(self, g, x, y1, y2):
+        y_lo, y_hi = sorted((y1, y2))
+        lo, hi = ig_bounds(g, x, y_lo, y_hi)
+        for y in (y_lo, 0.5 * (y_lo + y_hi), y_hi):
+            assert lo <= wide_ig(g, x, y) <= hi, (g.label, x, y)
+
+    def test_only_a_closed_inverse_gets_bounds(self):
+        table_g = table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
+        assert ig_candidate(power_gp(2.0)).bounds is not None
+        assert ig_candidate(table_g).bounds is None
+        assert ign_candidate(power_gp(2.0), yager_negation(2.0)).bounds is None
 
 
 class TestSNImplication:

@@ -8,6 +8,8 @@ and witness for every implication and connective kind the spec parser
 accepts.
 """
 
+import dataclasses
+
 import mpmath
 import pytest
 
@@ -90,6 +92,7 @@ IMPLICATIONS = [
     {"kind": "mean_residual"},
     {"kind": "piecewise_f"},
     {"kind": "ig", "g": POWER_GP2},
+    {"kind": "ig", "g": {"kind": "neg_log"}},
     {"kind": "ig", "g": {"kind": "piecewise_f"}},
     {"kind": "ign", "g": POWER_GP2, "N": {"kind": "yager_np", "p": 2}},
     {"kind": "sn", "S": {"kind": "dual", "of": {"kind": "yager_tnorm", "p": 2}},
@@ -135,6 +138,25 @@ def test_ep_matches_all_wide(spec):
     fast = check_property(i, "EP", DEFAULT)
     assert_same(fast, all_wide("EP", ep_sides, i.fn, DEFAULT.triples(), DEFAULT), DEFAULT)
     assert fast.details["escalations"] >= (0 if fast.holds else 1)
+
+
+@pytest.mark.parametrize("g, escalated_share", [
+    ({"kind": "neg_log"}, 0.0),
+    (POWER_GP2, 0.1),
+], ids=_id)
+def test_ep_on_ig_is_screened_by_its_enclosure(g, escalated_share):
+    # the 40-digit chain runs four times per escalated triple and nowhere
+    # else, so a regression to "every triple wide" fails here, not only in
+    # the benchmark
+    triples = len(DEFAULT.triples())
+    assert triples == 11261
+    i = parse_implication({"kind": "ig", "g": g})
+    calls = []
+    counted = dataclasses.replace(i, fn=lambda x, y: calls.append(1) or i.fn(x, y))
+    report = check_property(counted, "EP", DEFAULT)
+    assert report.holds
+    assert report.details["escalations"] <= escalated_share * triples
+    assert len(calls) == 4 * report.details["escalations"]
 
 
 @pytest.mark.parametrize("spec", CONNECTIVES, ids=_id)

@@ -11,6 +11,7 @@ from genimpl.connectives import (
     mean_connective,
     quasi_arithmetic_mean,
     standard_negation,
+    yager_connective,
     yager_negation,
 )
 from genimpl.generators import neg_log
@@ -22,6 +23,7 @@ from genimpl.implications import (
     mean_residual_candidate,
     piecewise_f_candidate,
     piecewise_f_implication,
+    residual_candidate,
     yager_residual,
     yager_residual_candidate,
 )
@@ -102,6 +104,34 @@ class TestNamedProperties:
         rc = ImplicationCandidate(lambda x, y: 1.0 - x + x * y, "RC")
         report = check_property(rc, "OP", small_spec)
         assert not report.holds
+
+    def test_op_near_the_diagonal_is_decided_wide(self):
+        # I(0.49353989595376424, 0.4935062888839352) of the Yager residual
+        # at p = 0.5 is 0.99999999944250412...: within tol of 1 in double,
+        # below 1 at CHAIN_DPS
+        report = check_property(yager_residual_candidate(0.5), "OP", SampleSpec(seed=5))
+        assert report.holds, report.witness
+
+    def test_op_fails_where_the_closed_form_saturates(self, small_spec):
+        report = check_property(piecewise_f_candidate(), "OP", small_spec)
+        assert not report.holds
+        w = report.witness
+        assert w["direction"] == "I(x,y)=1 but x>y"
+        assert piecewise_f_implication(w["x"], w["y"]) == w["value"] == 1.0
+        assert w["x"] - w["y"] == report.max_discrepancy > small_spec.tolerance
+
+    @pytest.mark.parametrize("tnorm", [basic("drastic"), yager_connective(0.0)],
+                             ids=["drastic", "yager_tnorm_0"])
+    def test_op_fails_where_the_residual_bisects(self, tnorm, small_spec):
+        # R(x, y) = 1 for every x < 1; the bisection answers mpf arguments
+        # with the last double below 1, so the double hit must stand
+        i = residual_candidate(tnorm)
+        report = check_property(i, "OP", small_spec)
+        assert not report.holds
+        w = report.witness
+        assert w["direction"] == "I(x,y)=1 but x>y"
+        assert w["x"] > w["y"] + small_spec.tolerance
+        assert i(w["x"], w["y"]) == w["value"] >= 1.0 - small_spec.tolerance
 
     def test_unknown_property(self, small_spec):
         with pytest.raises(ValueError):
