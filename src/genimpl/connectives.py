@@ -33,12 +33,12 @@ class BinaryConnective:
 
     The value keeps the precision of ``fn``'s result (an mpf stays an mpf),
     so a wide chain through a nested operator is not rounded to a double.
-    ``generator`` is set only on a t-norm generated by a generator with
-    a closed inverse (every such catalog generator is continuous), whose
+    ``generator`` is set only on a t-norm generated by a generator (every
+    decreasing generator, ``yager_f`` or a table, is continuous), whose
     residual then has a closed form; every other operator leaves it None.
-    ``bounds(x, y_lo, y_hi)`` is set only on a generated implication I^g
-    of such a generator: a double (lo, hi) enclosing fn(x, y) for every
-    y in [y_lo, y_hi], which lets EP decide a triple without mpmath.
+    ``bounds(x, y_lo, y_hi)`` is set only on a generated implication I^g:
+    a double (lo, hi) enclosing fn(x, y) for every y in [y_lo, y_hi],
+    which lets EP decide a triple without mpmath.
     """
 
     fn: Callable[[float, float], float]
@@ -134,8 +134,7 @@ def generated_tconorm(g: Generator, x: float, y: float) -> float:
 
 def generated_tnorm_connective(f: Generator) -> BinaryConnective:
     require_direction(f, DECREASING, "t-norm")
-    return BinaryConnective(lambda x, y: generated_tnorm(f, x, y), f"T[{f.label}]",
-                            None if f.inverse is None else f)
+    return BinaryConnective(lambda x, y: generated_tnorm(f, x, y), f"T[{f.label}]", f)
 
 
 def generated_tconorm_connective(g: Generator) -> BinaryConnective:

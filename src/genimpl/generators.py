@@ -20,7 +20,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .reports import SampleSpec, PropertyReport, failing, passing
 
@@ -28,8 +28,6 @@ INF = math.inf
 
 DECREASING = "decreasing"
 INCREASING = "increasing"
-
-BISECT_ITERS = 100
 
 
 class DomainError(ValueError):
@@ -91,15 +89,12 @@ def root(v, p):
 
 @dataclass(frozen=True)
 class Generator:
-    """A strictly monotone map [0,1] -> [0,+inf] with optional closed inverse.
-
-    ``inverse`` is the closed-form pseudo-inverse; ``None`` means the
-    pseudo-inverse is computed by bisection.
-    """
+    """A strictly monotone map [0,1] -> [0,+inf] with its closed-form
+    pseudo-inverse ``inverse``."""
 
     direction: str
     fn: Callable[[float], float]
-    inverse: Callable[[float], float] | None
+    inverse: Callable[[float], float]
     label: str
 
     def __post_init__(self):
@@ -118,45 +113,15 @@ def eval_generator(g: Generator, x: float) -> float:
 def pseudo_inverse(g: Generator, y: float) -> float:
     """Sup-based pseudo-inverse of the generator, total on [0,+inf].
 
-    A closed-form inverse answers at the precision of ``y``: an mpf stays
-    an mpf, so an extended-precision chain through a generated connective
-    is not rounded to a double after its inner step.
+    The closed-form inverse answers at the precision of ``y``: an mpf
+    stays an mpf, so an extended-precision chain through a generated
+    connective is not rounded to a double after its inner step.
     """
     if y != y or y < 0.0:
         raise DomainError(f"y={y!r} outside [0,+inf]")
-    if g.inverse is not None:
-        v = g.inverse(y)
-        wide_y = not isinstance(y, float) and is_mpf(y)
-        return clamp01(v if wide_y else float(v))
-    if g.direction == DECREASING:
-        below = lambda t: g.fn(t) > y  # noqa: E731
-    else:
-        below = lambda t: g.fn(t) < y  # noqa: E731
-    # g(1) = y is tested apart: bisection stops at the last double below 1
-    return 1.0 if below(1.0) or g.fn(1.0) == y else bisect_sup(below)
-
-
-def bisect_sup(pred: Callable[[float], bool]) -> float:
-    """sup{t in [0,1] | pred(t)} for a predicate true on an initial segment
-    of [0,1] and false at t = 1, with sup of the empty set = 0.
-
-    The caller tests t = 1 itself (the supremum is 1 where pred(1) holds):
-    a residual has C(x,1) at hand already.  Bisects until the midpoint of
-    the bracket equals one of its ends (or BISECT_ITERS halvings) and
-    returns the last t known to satisfy pred.
-    """
-    if not pred(0.0):
-        return 0.0
-    lo, hi = 0.0, 1.0  # invariant: pred(lo) and not pred(hi)
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    v = g.inverse(y)
+    wide_y = not isinstance(y, float) and is_mpf(y)
+    return clamp01(v if wide_y else float(v))
 
 
 def verify_generator(g: Generator, samples: int = 101) -> PropertyReport:
@@ -270,22 +235,15 @@ def piecewise_f() -> Generator:
     return Generator(INCREASING, fn, inv, "piecewise_f")
 
 
-def linear_table(points: list[tuple[float, float]]) -> Callable[[float], float]:
-    """The map through the (x, y) sample points, linear in between.
-
-    Points must be finite and cover x = 0 and x = 1.
-    """
-    pts = sorted((float(x), float(y)) for x, y in points)
-    if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
-        raise ValueError("table must span x=0..1 with at least two points")
-    if not all(math.isfinite(v) for pt in pts for v in pt):
-        raise ValueError("table values must be finite")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+def _interpolate(xs: Sequence[float], ys: Sequence[float]) -> Callable[[float], float]:
+    """The map through the nodes (xs[i], ys[i]), xs increasing, linear in
+    between and at its end values outside [xs[0], xs[-1]]."""
 
     def fn(x: float) -> float:
         i = bisect_left(xs, x)
-        if i < len(xs) and xs[i] == x:
+        if i == len(xs):
+            return ys[-1]
+        if xs[i] == x or i == 0:
             return ys[i]
         x0, x1 = xs[i - 1], xs[i]
         y0, y1 = ys[i - 1], ys[i]
@@ -295,12 +253,38 @@ def linear_table(points: list[tuple[float, float]]) -> Callable[[float], float]:
     return fn
 
 
+def _table_nodes(points: list[tuple[float, float]]) -> tuple[list[float], list[float]]:
+    """The x and y columns of finite points that cover x = 0 and x = 1,
+    sorted by x."""
+    pts = sorted((float(x), float(y)) for x, y in points)
+    if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
+        raise ValueError("table must span x=0..1 with at least two points")
+    if not all(math.isfinite(v) for pt in pts for v in pt):
+        raise ValueError("table values must be finite")
+    return [p[0] for p in pts], [p[1] for p in pts]
+
+
+def linear_table(points: list[tuple[float, float]]) -> Callable[[float], float]:
+    """The map through the (x, y) sample points, linear in between."""
+    return _interpolate(*_table_nodes(points))
+
+
 def table_generator(
     direction: str, points: list[tuple[float, float]]
 ) -> Generator:
     """Generator given by sample points, linearly interpolated in between.
 
-    Points must be strictly monotone in the stated direction; the
-    pseudo-inverse falls back to bisection.
+    Points must be strictly monotone in the stated direction.  The
+    pseudo-inverse of such a continuous map is its inverse on the range,
+    the table of the swapped (y, x) nodes, and outside the range the sup
+    of the empty set (0) or of all of [0,1] (1): the end values of that
+    table.
     """
-    return Generator(direction, linear_table(points), None, "table")
+    xs, ys = _table_nodes(points)
+    # the swapped (y, x) nodes, sorted by y
+    inv = (ys, xs) if direction == INCREASING else (ys[::-1], xs[::-1])
+    # built before the check below, so a bad direction is reported as one
+    g = Generator(direction, _interpolate(xs, ys), _interpolate(*inv), "table")
+    if not all(a < b for v in (xs, inv[0]) for a, b in zip(v, v[1:])):
+        raise ValueError(f"table points must be strictly {direction}")
+    return g

@@ -20,7 +20,6 @@ from .connectives import BinaryConnective, Negation, generated_tconorm, standard
 from .generators import (
     INCREASING,
     Generator,
-    bisect_sup,
     clamp01,
     is_mpf,
     pseudo_inverse,
@@ -35,6 +34,8 @@ from .generators import (
 CHAIN_DPS = 40
 
 SCAN_POINTS = 4096  # fallback scan when C(x,.) is not monotone
+BISECT_ITERS = 100
+_BELOW_ONE = 1.0 - 2.0**-53  # the last double below 1
 
 # an implication candidate is a binary operator like any other; the name
 # says which laws a caller is about to check
@@ -46,9 +47,11 @@ ImplicationCandidate = BinaryConnective
 # --------------------------------------------------------------------------
 
 
-def _monotone_in_second(c: BinaryConnective, x: float, top: float) -> bool:
-    """C(x,.) looks nondecreasing on 17 probes, the last being top = C(x,1)."""
-    prev = c(x, 0.0)
+def _monotone_in_second(
+    c: BinaryConnective, x: float, bottom: float, top: float
+) -> bool:
+    """C(x,.) looks nondecreasing on 17 probes, from bottom = C(x,0) to top = C(x,1)."""
+    prev = bottom
     for i in range(1, 16):
         cur = c(x, i / 16)
         if cur < prev - 1e-12:
@@ -65,14 +68,30 @@ def residual_numeric(c: BinaryConnective, x: float, y: float) -> float:
     local refinement.  Ties at plateaus resolve to the supremum (the
     rightmost boundary), which bisection on the predicate gives for free.
     When C(x,1) <= y the supremum is 1 and neither is needed; otherwise
-    the probe reuses C(x,1), so it is evaluated once.
+    the probe reuses C(x,1) and the bisection the probe's C(x,0), so each
+    is evaluated once.  The bisection halves until the midpoint of the
+    bracket equals one of its ends (or BISECT_ITERS halvings); where
+    C(x,t) <= y still holds at the last double below 1, the supremum is
+    1, not attained (the drastic t-norm), and 1 is returned.
     """
     top = c(x, 1.0)
     if top <= y:
         return 1.0
-    if _monotone_in_second(c, x, top):
-        return bisect_sup(lambda t: c(x, t) <= y)
-    return _residual_scan(c, x, y)
+    bottom = c(x, 0.0)
+    if not _monotone_in_second(c, x, bottom, top):
+        return _residual_scan(c, x, y)
+    if bottom > y:
+        return 0.0
+    lo, hi = 0.0, 1.0  # invariant: C(x,lo) <= y < C(x,hi)
+    for _ in range(BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if c(x, mid) <= y:
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 if lo == _BELOW_ONE else lo
 
 
 def _residual_scan(c: BinaryConnective, x: float, y: float) -> float:
@@ -197,19 +216,18 @@ def _ig_end(g: Generator, a: float, y: float, side: float) -> float:
 def ig_bounds(g: Generator, x: float, y_lo: float, y_hi: float) -> tuple[float, float]:
     """A double (lo, hi) with lo <= I^g(x, y) <= hi for every y in [y_lo, y_hi]:
     the float chain at y_lo and at y_hi, each moved outward, as I^g is
-    nondecreasing in g's sum.  Needs g's closed ``inverse``, with ``fn`` and
-    ``inverse`` accurate to a few ulp in double, as the catalog's are.
+    nondecreasing in g's sum.  Needs g's ``fn`` and ``inverse`` accurate to
+    a few ulp in double, as the catalog's and the tables' are.
     """
     a = 1.0 - x
     return _ig_end(g, a, y_lo, -1.0), _ig_end(g, a, y_hi, 1.0)
 
 
 def ig_candidate(g: Generator) -> ImplicationCandidate:
-    """I^g, with the float enclosure ``ig_bounds`` when g has a closed inverse."""
+    """I^g, with the float enclosure ``ig_bounds``."""
     require_direction(g, INCREASING, "implication")
-    bounds = None if g.inverse is None else functools.partial(ig_bounds, g)
     return ImplicationCandidate(lambda x, y: ig_implication(g, x, y), f"Ig[{g.label}]",
-                                bounds=bounds)
+                                bounds=functools.partial(ig_bounds, g))
 
 
 def ign_candidate(g: Generator, n: Negation) -> ImplicationCandidate:

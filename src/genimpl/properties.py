@@ -12,7 +12,7 @@ from itertools import repeat
 from typing import Callable
 
 from .connectives import BinaryConnective, Negation
-from .generators import is_mpf, wide
+from .generators import wide
 from .implications import CHAIN_DPS, ImplicationCandidate
 from .reports import PropertyReport, SampleSpec, failing, passing
 
@@ -207,13 +207,11 @@ def _check_op(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport
             return 0.0
         # reverse direction: a continuous I comes within tol of 1 just past
         # the diagonal, so the hit stands only if the unrounded wide value
-        # is 1; x - y then exceeds 10*tol > tol.  An fn that answers mpf
-        # arguments with a float (a bisected residual, a closed form that
-        # saturates) was not evaluated wide, and its double hit stands.
+        # is 1; x - y then exceeds 10*tol > tol
         mpmath = wide()
         with mpmath.workdps(CHAIN_DPS):
             w = i(mpmath.mpf(x), mpmath.mpf(y))
-        return x - y if not is_mpf(w) or w >= 1 else 0.0
+        return x - y if w >= 1 else 0.0
 
     def witness(x, y):
         direction = "x<=y but I(x,y)<1" if x <= y else "I(x,y)=1 but x>y"

@@ -65,6 +65,13 @@ class TestEval:
          ' "points": [[0, 0], [1, Infinity]]}}', "table values must be finite"),
         ('{"kind": "ign", "g": {"kind": "power_gp", "p": 2},'
          ' "N": {"kind": "table", "points": [[0, 1], [1, NaN]]}}', "table values must be finite"),
+        ('{"kind": "ig", "g": {"kind": "table", "direction": "increasing",'
+         ' "points": [[0, 0], [0.4, 0.5], [0.6, 0.5], [1, 1]]}}',
+         "'table' spec: table points must be strictly increasing"),
+        ('{"kind": "generated_tnorm", "f": {"kind": "table", "direction": "decreasing",'
+         ' "points": [[0, 0], [1, 1]]}}', "'table' spec: table points must be strictly decreasing"),
+        ('{"kind": "ig", "g": {"kind": "table", "direction": "up", "points": [[0, 0], [1, 1]]}}',
+         "'table' spec: bad direction 'up'"),
     ])
     def test_malformed_spec_exits_2_with_one_line(self, capsys, spec, message):
         code, out, err = run(capsys, "eval", spec, "0.5", "0.5")
@@ -200,6 +207,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", spec, "IP", "OP")
         assert code == 0
         assert [r["verdict"] for r in json.loads(out)] == ["holds-on-samples"] * 2
+
+    def test_op_of_a_flat_bisected_residual_holds(self, capsys):
+        # the bisection gives 0.9999999994425041 at (0.49353989595376424,
+        # 0.4935062888839352), at either precision: within tol of 1 but
+        # below it, so that OP hit does not stand
+        spec = ('{"kind": "residual", "of": {"kind": "dual", "of": {"kind": "dual",'
+                ' "of": {"kind": "yager_tnorm", "p": 0.5}}}}')
+        code, out, _ = run(capsys, "verify", spec, "OP", "--seed", "5")
+        assert code == 0, out
+        assert json.loads(out)[0]["verdict"] == "holds-on-samples"
 
     def test_unknown_token_exits_2(self, capsys):
         code, out, err = run(

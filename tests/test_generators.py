@@ -8,7 +8,9 @@ from genimpl.generators import (
     DECREASING,
     INCREASING,
     DomainError,
+    Generator,
     eval_generator,
+    linear_table,
     neg_log,
     piecewise_f,
     power_gp,
@@ -17,8 +19,20 @@ from genimpl.generators import (
     verify_generator,
     yager_f,
 )
+from genimpl.reports import SampleSpec
+from genimpl.specs import GENERATORS, parse_generator
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+# one spec of every generator kind, a table in both directions
+GENERATOR_SPECS = [
+    {"kind": "yager_f", "p": 2},
+    {"kind": "power_gp", "p": 2},
+    {"kind": "neg_log"},
+    {"kind": "piecewise_f"},
+    {"kind": "table", "direction": "increasing", "points": [[0, 0], [0.5, 0.2], [1, 1]]},
+    {"kind": "table", "direction": "decreasing", "points": [[0, 3], [0.2, 1], [1, 0]]},
+]
 
 
 class TestYagerF:
@@ -123,18 +137,47 @@ class TestPiecewiseF:
 
 
 class TestTableGenerator:
-    def test_bisection_fallback_round_trip(self):
+    def test_inverse_round_trip(self):
+        # the inverse is the table of the swapped nodes: exact at a node,
+        # linear in between
         g = table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.2), (1.0, 1.0)])
-        assert g.inverse is None
+        assert [g.inverse(y) for y in (0.0, 0.2, 1.0)] == [0.0, 0.5, 1.0]
         for x in (0.1, 0.3, 0.5, 0.9):
-            assert pseudo_inverse(g, g(x)) == pytest.approx(x, abs=1e-8)
+            assert pseudo_inverse(g, g(x)) == pytest.approx(x, abs=1e-15)
+
+    def test_inverse_outside_range_takes_end_values(self):
+        # sup of the empty set below the range, sup of [0,1] above it
+        g = table_generator(INCREASING, [(0.0, 0.1), (1.0, 0.6)])
+        assert (pseudo_inverse(g, 0.05), pseudo_inverse(g, 0.7)) == (0.0, 1.0)
+        f = table_generator(DECREASING, [(0.0, 0.6), (1.0, 0.1)])
+        assert (pseudo_inverse(f, 0.7), pseudo_inverse(f, 0.05)) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("direction, points", [
+        (INCREASING, [(0.0, 0.0), (0.4, 0.5), (0.6, 0.5), (1.0, 1.0)]),
+        (INCREASING, [(0.0, 1.0), (1.0, 0.0)]),
+        (DECREASING, [(0.0, 0.0), (1.0, 1.0)]),
+        (DECREASING, [(0.0, 1.0), (0.5, 0.5), (0.5, 0.4), (1.0, 0.0)]),
+    ])
+    def test_rejects_points_not_strictly_monotone(self, direction, points):
+        with pytest.raises(ValueError, match=f"strictly {direction}"):
+            table_generator(direction, points)
+
+    @pytest.mark.parametrize("spec", GENERATOR_SPECS,
+                             ids=lambda d: d.get("direction", d["kind"]))
+    def test_every_kind_has_an_inverse(self, spec):
+        g = parse_generator(spec)
+        for x in SampleSpec().grid():
+            assert g.inverse(g.fn(x)) == pytest.approx(x, abs=1e-12), x
+
+    def test_every_kind_is_covered(self):
+        # a new generator kind must enter the round trip above
+        assert {d["kind"] for d in GENERATOR_SPECS} == set(GENERATORS)
 
     def test_decreasing_direction(self):
         f = table_generator(DECREASING, [(0.0, 1.0), (1.0, 0.0)])
         assert pseudo_inverse(f, 0.25) == pytest.approx(0.75, abs=1e-8)
 
     def test_top_of_range_inverts_to_one(self):
-        # bisection alone stops at the last double below 1
         g = table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
         assert pseudo_inverse(g, 1.0) == 1.0
         f = table_generator(DECREASING, [(0.0, 1.0), (1.0, 0.0)])
@@ -151,10 +194,9 @@ class TestVerifyGenerator:
             assert verify_generator(g).holds
 
     def test_flat_table_fails_strictness(self):
-        g = table_generator(
-            INCREASING, [(0.0, 0.0), (0.4, 0.5), (0.6, 0.5), (1.0, 1.0)]
-        )
-        report = verify_generator(g)
+        # table_generator rejects such points; verify_generator reads fn only
+        flat = linear_table([(0.0, 0.0), (0.4, 0.5), (0.6, 0.5), (1.0, 1.0)])
+        report = verify_generator(Generator(INCREASING, flat, lambda y: y, "flat"))
         assert not report.holds
         assert report.property == "generator-strict-monotonicity"
 

@@ -98,9 +98,9 @@ class TestResidualNumeric:
             return x * y
 
         assert residual_numeric(BinaryConnective(product, "counted"), 0.8, 0.4) == 0.5
-        # C(x,1) once, 15 more probes, then C(x,0) and 54 bisection steps
-        assert calls.count(1.0) == 1
-        assert len(calls) == 71
+        # C(x,1) and C(x,0) once each, 15 more probes, then 53 bisection steps
+        assert calls.count(1.0) == calls.count(0.0) == 1
+        assert len(calls) == 70
 
 
 class TestYagerResidual:
@@ -213,12 +213,21 @@ class TestGeneratedResidual:
             assert abs(v - yager_residual_50(2.0, x, y)) < mpmath.mpf(10) ** -35
 
     def test_others_stay_on_bisection(self, small_spec):
-        table_f = table_generator(DECREASING, [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0)])
-        for c in (generated_tnorm_connective(table_f), dual_of(yager_connective(2.0)),
-                  basic("product"), yager_connective(0.0), yager_connective(math.inf)):
+        for c in (dual_of(yager_connective(2.0)), basic("product"),
+                  yager_connective(0.0), yager_connective(math.inf)):
+            assert c.generator is None
             r = residual_candidate(c)
             for x, y in small_spec.pairs()[::7]:
                 assert r(x, y) == residual_numeric(c, x, y)
+
+    def test_table_tnorm_takes_the_closed_form(self, small_spec):
+        table_f = table_generator(DECREASING, [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0)])
+        c = generated_tnorm_connective(table_f)
+        assert c.generator is table_f
+        r = residual_candidate(c)
+        for x, y in small_spec.pairs():
+            assert r(x, y) == generated_residual(table_f, x, y)
+            assert r(x, y) == pytest.approx(residual_numeric(c, x, y), abs=1e-15), (x, y)
 
 
 class TestGeneratedImplications:
@@ -271,11 +280,15 @@ class TestGeneratedImplications:
         assert float(v) == pytest.approx(ig_implication(g, 0.9, 0.1), abs=1e-15)
 
 
-# every catalog increasing generator with a closed inverse
-CLOSED_INVERSE_GENERATORS = [
+# every catalog increasing generator, and tables: a plain one, a steep
+# one (slope 5e5, then a range past 1) and a near-flat one (slope 2e-9)
+INCREASING_GENERATORS = [
     *(power_gp(p) for p in (0.1, 0.5, 1.0, 2.0, 3.7, 20.0, 1000.0)),
     neg_log(),
     piecewise_f(),
+    table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)]),
+    table_generator(INCREASING, [(0.0, 0.0), (1e-6, 0.5), (0.5, 0.7), (1.0, 40.0)]),
+    table_generator(INCREASING, [(0.0, 0.0), (0.5, 1e-9), (0.75, 0.5), (1.0, 0.6)]),
 ]
 
 
@@ -286,23 +299,22 @@ def wide_ig(g, x, y):
 
 
 class TestIgBounds:
-    @pytest.mark.parametrize("g", CLOSED_INVERSE_GENERATORS, ids=lambda g: g.label)
+    @pytest.mark.parametrize("g", INCREASING_GENERATORS, ids=lambda g: g.label)
     def test_encloses_wide_value_on_plan_pairs(self, g):
         for x, y in SampleSpec(grid_n=41, random_count=400).pairs():
             lo, hi = ig_bounds(g, x, y, y)
             assert lo <= wide_ig(g, x, y) <= hi, (x, y)
 
-    @given(st.sampled_from(CLOSED_INVERSE_GENERATORS), unit, unit, unit)
+    @given(st.sampled_from(INCREASING_GENERATORS), unit, unit, unit)
     def test_encloses_wide_values_over_an_interval(self, g, x, y1, y2):
         y_lo, y_hi = sorted((y1, y2))
         lo, hi = ig_bounds(g, x, y_lo, y_hi)
         for y in (y_lo, 0.5 * (y_lo + y_hi), y_hi):
             assert lo <= wide_ig(g, x, y) <= hi, (g.label, x, y)
 
-    def test_only_a_closed_inverse_gets_bounds(self):
-        table_g = table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
-        assert ig_candidate(power_gp(2.0)).bounds is not None
-        assert ig_candidate(table_g).bounds is None
+    def test_every_ig_gets_bounds(self):
+        for g in INCREASING_GENERATORS:
+            assert ig_candidate(g).bounds is not None, g.label
         assert ign_candidate(power_gp(2.0), yager_negation(2.0)).bounds is None
 
 

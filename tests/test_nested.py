@@ -84,6 +84,8 @@ YAGER_F2 = {"kind": "yager_f", "p": 2}
 POWER_GP2 = {"kind": "power_gp", "p": 2}
 PRODUCT = {"kind": "basic", "name": "product"}
 PRODUCT_TABLE = [[i * j / 100 for j in range(11)] for i in range(11)]
+TABLE_G = {"kind": "table", "direction": "increasing", "points": [[0, 0], [0.5, 0.3], [1, 1]]}
+TABLE_F = {"kind": "table", "direction": "decreasing", "points": [[0, 1], [0.5, 0.3], [1, 0]]}
 
 IMPLICATIONS = [
     {"kind": "yager_residual", "p": 2},
@@ -94,6 +96,7 @@ IMPLICATIONS = [
     {"kind": "ig", "g": POWER_GP2},
     {"kind": "ig", "g": {"kind": "neg_log"}},
     {"kind": "ig", "g": {"kind": "piecewise_f"}},
+    {"kind": "ig", "g": TABLE_G},
     {"kind": "ign", "g": POWER_GP2, "N": {"kind": "yager_np", "p": 2}},
     {"kind": "sn", "S": {"kind": "dual", "of": {"kind": "yager_tnorm", "p": 2}},
      "N": {"kind": "phi", "phi": {"kind": "power", "a": 2}}},
@@ -101,6 +104,7 @@ IMPLICATIONS = [
     # residuals of generated t-norms, in closed form at any precision
     {"kind": "residual", "of": {"kind": "yager_tnorm", "p": 2}},
     {"kind": "residual", "of": {"kind": "generated_tnorm", "f": YAGER_F2}},
+    {"kind": "residual", "of": {"kind": "generated_tnorm", "f": TABLE_F}},
 ]
 
 CONNECTIVES = [

@@ -123,15 +123,15 @@ class TestNamedProperties:
     @pytest.mark.parametrize("tnorm", [basic("drastic"), yager_connective(0.0)],
                              ids=["drastic", "yager_tnorm_0"])
     def test_op_fails_where_the_residual_bisects(self, tnorm, small_spec):
-        # R(x, y) = 1 for every x < 1; the bisection answers mpf arguments
-        # with the last double below 1, so the double hit must stand
+        # R(x, y) = 1 for every x < 1, a supremum the bisection answers as
+        # exactly 1 at either precision
         i = residual_candidate(tnorm)
         report = check_property(i, "OP", small_spec)
         assert not report.holds
         w = report.witness
         assert w["direction"] == "I(x,y)=1 but x>y"
         assert w["x"] > w["y"] + small_spec.tolerance
-        assert i(w["x"], w["y"]) == w["value"] >= 1.0 - small_spec.tolerance
+        assert i(w["x"], w["y"]) == w["value"] == 1.0
 
     def test_unknown_property(self, small_spec):
         with pytest.raises(ValueError):
