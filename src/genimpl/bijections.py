@@ -26,6 +26,5 @@ def power_bijection(a: float) -> Bijection:
     """phi(x) = x^a for a > 0; inverse x^(1/a)."""
     if not 0 < a < math.inf:
         raise ValueError("exponent must be finite and positive")
-    return Bijection(
-        lambda x: x ** a, lambda x: x ** (1.0 / a), f"power(a={a:g})"
-    )
+    inv_a = 1.0 / a
+    return Bijection(lambda x: x ** a, lambda x: x ** inv_a, f"power(a={a:g})")

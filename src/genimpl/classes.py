@@ -33,7 +33,6 @@ from .properties import (
     probe_continuity,
     refine_jump,
 )
-from .generators import clamp01
 
 CONSISTENT = "consistent-with-membership"
 EXCLUDED = "excluded"
@@ -163,10 +162,13 @@ def build_intersection_member(phi: Bijection) -> ImplicationCandidate:
     """I(x,y) = phi^-1(min(1 - phi(x) + phi(y), 1)): the conjugate of the
     Lukasiewicz implication, with natural negation phi^-1(1 - phi(x))."""
 
+    forward, inverse = phi.forward, phi.inverse
+
     def fn(x: float, y: float) -> float:
-        return clamp01(
-            phi.inverse(min(1.0 - phi.forward(x) + phi.forward(y), 1.0))
-        )
+        # min(v, 1.0) and clamp01, written out; a NaN passes both unchanged
+        v = 1.0 - forward(x) + forward(y)
+        v = inverse(1.0 if v > 1.0 else v)
+        return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
     return ImplicationCandidate(fn, f"I_phi[{phi.label}]")
 

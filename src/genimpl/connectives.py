@@ -10,6 +10,7 @@ through connectives and negations is rounded once, at its end.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +25,10 @@ from .generators import (
     root,
     yager_f,
 )
+
+# a double below this is subnormal: a Yager power or sum of powers there
+# has lost precision to underflow (at a large p)
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -116,30 +121,45 @@ def basic(kind: str) -> BinaryConnective:
 # --------------------------------------------------------------------------
 
 
+def _generated_tnorm_fn(f: Generator) -> Callable[[float, float], float]:
+    """f^(-1)(f(x) + f(y)) for a decreasing generator f, as a closure: the
+    direction is checked once, here."""
+    require_direction(f, DECREASING, "t-norm")
+    f_fn = f.fn
+
+    def fn(x: float, y: float) -> float:
+        v = pseudo_inverse(f, f_fn(x) + f_fn(y))
+        # neutral element handled exactly, as in yager_tnorm: the round trip
+        # f^(-1)(f(x)) is off by an ulp.  v is computed even then, so a
+        # generator with f(1) < 0 is rejected wherever its sum goes negative
+        return x if y == 1.0 else y if x == 1.0 else v
+
+    return fn
+
+
+def _generated_tconorm_fn(g: Generator) -> Callable[[float, float], float]:
+    """g^(-1)(g(x) + g(y)) for an increasing generator g, as a closure."""
+    require_direction(g, INCREASING, "t-conorm")
+    g_fn = g.fn
+    return lambda x, y: pseudo_inverse(g, g_fn(x) + g_fn(y))
+
+
 def generated_tnorm(f: Generator, x: float, y: float) -> float:
     """f^(-1)(f(x) + f(y)) for a decreasing generator f."""
-    require_direction(f, DECREASING, "t-norm")
-    v = pseudo_inverse(f, f.fn(x) + f.fn(y))
-    # neutral element handled exactly, as in yager_tnorm: the round trip
-    # f^(-1)(f(x)) is off by an ulp.  v is computed even then, so a
-    # generator with f(1) < 0 is rejected wherever its sum goes negative
-    return x if y == 1.0 else y if x == 1.0 else v
+    return _generated_tnorm_fn(f)(x, y)
 
 
 def generated_tconorm(g: Generator, x: float, y: float) -> float:
     """g^(-1)(g(x) + g(y)) for an increasing generator g."""
-    require_direction(g, INCREASING, "t-conorm")
-    return pseudo_inverse(g, g.fn(x) + g.fn(y))
+    return _generated_tconorm_fn(g)(x, y)
 
 
 def generated_tnorm_connective(f: Generator) -> BinaryConnective:
-    require_direction(f, DECREASING, "t-norm")
-    return BinaryConnective(lambda x, y: generated_tnorm(f, x, y), f"T[{f.label}]", f)
+    return BinaryConnective(_generated_tnorm_fn(f), f"T[{f.label}]", f)
 
 
 def generated_tconorm_connective(g: Generator) -> BinaryConnective:
-    require_direction(g, INCREASING, "t-conorm")
-    return BinaryConnective(lambda x, y: generated_tconorm(g, x, y), f"S[{g.label}]")
+    return BinaryConnective(_generated_tconorm_fn(g), f"S[{g.label}]")
 
 
 def dual_of(c: BinaryConnective) -> BinaryConnective:
@@ -149,33 +169,50 @@ def dual_of(c: BinaryConnective) -> BinaryConnective:
     )
 
 
-def yager_tnorm(p: float, x: float, y: float) -> float:
-    """Yager family: drastic at p=0, minimum at p=+inf, closed form between.
-
-    The endpoint parameters dispatch to the exact special cases; taking
-    floating limits of the closed form there is meaningless.
+def _yager_fn(p: float) -> Callable[[float, float], float]:
+    """The Yager t-norm at p: drastic at p=0, minimum at p=+inf, the closed
+    form between.  The endpoint parameters dispatch to the exact special
+    cases, once, here; taking floating limits of the closed form there is
+    meaningless.
     """
     if not p >= 0:
         raise ValueError("p must be >= 0")
     if p == 0.0:
-        return t_drastic(x, y)
+        return t_drastic
     if math.isinf(p):
-        return t_minimum(x, y)
-    # neutral element handled exactly: the p-th root of the p-th power
-    # is off by an ulp, which residual bisection would amplify to ~1e-5
-    if y == 1.0:
-        return x
-    if x == 1.0:
-        return y
-    s = (1.0 - x) ** p + (1.0 - y) ** p
-    if s >= 1.0:  # root(s, p) >= 1; at a tiny p the root would overflow
-        return 0.0
-    return max(0.0, 1.0 - root(s, p))
+        return t_minimum
+    inv_p = 1.0 / p  # root(s, p) of a double s
+
+    def fn(x: float, y: float) -> float:
+        # neutral element handled exactly: the p-th root of the p-th power
+        # is off by an ulp, which residual bisection would amplify to ~1e-5
+        if y == 1.0:
+            return x
+        if x == 1.0:
+            return y
+        s = (1.0 - x) ** p + (1.0 - y) ** p
+        if s >= 1.0:  # root(s, p) >= 1; at a tiny p the root would overflow
+            return 0.0
+        if not isinstance(s, float):
+            return max(0.0, 1.0 - root(s, p))
+        if s < _SMALLEST_NORMAL:
+            # both powers underflow at a large p: scale by m = max(1-x, 1-y)
+            m = max(1.0 - x, 1.0 - y)
+            s = ((1.0 - x) / m) ** p + ((1.0 - y) / m) ** p
+            return max(0.0, 1.0 - m * s ** inv_p)
+        return max(0.0, 1.0 - s ** inv_p)
+
+    return fn
+
+
+def yager_tnorm(p: float, x: float, y: float) -> float:
+    """Yager family: drastic at p=0, minimum at p=+inf, closed form between."""
+    return _yager_fn(p)(x, y)
 
 
 def yager_connective(p: float) -> BinaryConnective:
     # generated by (1-x)^p between the drastic (p=0) and minimum (p=inf) ends
-    return BinaryConnective(lambda x, y: yager_tnorm(p, x, y), f"T_Y(p={p:g})",
+    return BinaryConnective(_yager_fn(p), f"T_Y(p={p:g})",
                             yager_f(p) if 0 < p < math.inf else None)
 
 

@@ -274,8 +274,9 @@ def table_generator(
 ) -> Generator:
     """Generator given by sample points, linearly interpolated in between.
 
-    Points must be strictly monotone in the stated direction.  The
-    pseudo-inverse of such a continuous map is its inverse on the range,
+    Points must be strictly monotone in the stated direction, with the
+    zero endpoint of a generator: g(0) = 0 increasing, f(1) = 0 decreasing.
+    The pseudo-inverse of such a continuous map is its inverse on the range,
     the table of the swapped (y, x) nodes, and outside the range the sup
     of the empty set (0) or of all of [0,1] (1): the end values of that
     table.
@@ -287,4 +288,7 @@ def table_generator(
     g = Generator(direction, _interpolate(xs, ys), _interpolate(*inv), "table")
     if not all(a < b for v in (xs, inv[0]) for a, b in zip(v, v[1:])):
         raise ValueError(f"table points must be strictly {direction}")
+    zero_at = 1.0 if direction == DECREASING else 0.0
+    if g.fn(zero_at) != 0.0:
+        raise ValueError(f"table must take 0 at x={zero_at:g} when {direction}")
     return g

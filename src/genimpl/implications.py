@@ -16,7 +16,13 @@ import functools
 import math
 
 from .bijections import Bijection
-from .connectives import BinaryConnective, Negation, generated_tconorm, standard_negation
+from .connectives import (
+    _SMALLEST_NORMAL,
+    BinaryConnective,
+    Negation,
+    generated_tconorm,
+    standard_negation,
+)
 from .generators import (
     INCREASING,
     Generator,
@@ -146,10 +152,19 @@ def yager_residual(p: float, x: float, y: float) -> float:
 
     The subtraction of nearly equal powers is clamped at 0 before the
     root so x <= y yields exactly 1; R(1,y) = y exactly, as in generated_residual.
+    In double, where (1-y)^p underflows at a large p, both powers are taken
+    relative to m = 1 - y: R = 1 - m (1 - ((1-x)/m)^p)^(1/p).
     """
     if not 0 < p < math.inf:
         raise ValueError("p must be finite and positive")
-    d = (1.0 - y) ** p - (1.0 - x) ** p
+    a = (1.0 - y) ** p
+    d = a - (1.0 - x) ** p
+    if isinstance(d, float) and a < _SMALLEST_NORMAL and y < 1.0:
+        if x <= y:  # where (1-x)/m >= 1, whose p-th power may overflow
+            return 1.0
+        m = 1.0 - y
+        d = 1.0 - ((1.0 - x) / m) ** p
+        return y if x == 1.0 else clamp01(1.0 - m * root(d, p))
     if d <= 0.0:
         return 1.0
     if x == 1.0:

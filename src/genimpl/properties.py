@@ -12,7 +12,7 @@ from itertools import repeat
 from typing import Callable
 
 from .connectives import BinaryConnective, Negation
-from .generators import wide
+from .generators import clamp01, wide
 from .implications import CHAIN_DPS, ImplicationCandidate
 from .reports import PropertyReport, SampleSpec, failing, passing
 
@@ -41,13 +41,16 @@ def _pointwise_law(prop, s, points, gap, witness):
 
 
 def _scan_monotone(prop, s, values, xs, increasing, coords):
-    """The failing report of the first adjacent pair of ``values`` (an
-    operator evaluated along the sorted points ``xs``) that breaks
-    monotonicity by more than tol, or None.  ``coords(x1, x2)`` gives the
+    """The failing report of the first adjacent pair of ``values`` that
+    breaks monotonicity by more than tol, or None.  ``values`` are an
+    operator's raw ``fn`` evaluated along the sorted points ``xs``; each is
+    clamped here as the operator's ``__call__`` would (a NaN stays NaN),
+    which spares every cell two calls.  ``coords(x1, x2)`` gives the
     witness coordinates of a breaking pair."""
     tol = s.tolerance
-    prev = next(values)
-    for k, cur in enumerate(values, 1):
+    prev = clamp01(next(values))
+    for k, v in enumerate(values, 1):
+        cur = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v  # clamp01, inline
         if (cur < prev - tol) if increasing else (cur > prev + tol):
             witness = {**coords(xs[k - 1], xs[k]), "value1": prev, "value2": cur}
             return failing(prop, s, witness, abs(cur - prev))
@@ -56,7 +59,8 @@ def _scan_monotone(prop, s, values, xs, increasing, coords):
 
 
 def _second_arg_scan(prop, f, s):
-    """Non-decrease of f(x, .) along the sorted samples, for every grid x."""
+    """Non-decrease of f(x, .) along the sorted samples, for every grid x;
+    f is an operator's raw ``fn``."""
     xs = sorted(s.points_1d())
     for x in s.grid():
         report = _scan_monotone(
@@ -85,20 +89,20 @@ def check_implication_axioms(
     xs = sorted(s.points_1d())
     for y in s.grid():
         report = _scan_monotone(
-            "I1", s, map(i, xs, repeat(y)), xs, False,
+            "I1", s, map(i.fn, xs, repeat(y)), xs, False,
             lambda x1, x2: {"x1": x1, "x2": x2, "y": y},
         )
         if report:
             return report
 
-    return _second_arg_scan("I2", i, s) or passing("I1-I3", s)
+    return _second_arg_scan("I2", i.fn, s) or passing("I1-I3", s)
 
 
 def check_second_arg_monotone(
     i: ImplicationCandidate, s: SampleSpec = SampleSpec()
 ) -> PropertyReport:
     """I2 alone (needed by the class probes)."""
-    return _second_arg_scan("I2", i, s) or passing("I2", s)
+    return _second_arg_scan("I2", i.fn, s) or passing("I2", s)
 
 
 def check_property(
@@ -262,7 +266,7 @@ def _tnorm_pair_laws(t: BinaryConnective, s: SampleSpec) -> PropertyReport | Non
             lambda x, y: abs(t(x, y) - t(y, x)),
             lambda x, y: {"x": x, "y": y, "xy": t(x, y), "yx": t(y, x)},
         )
-    return _second_arg_scan("T3", t, s) if report.holds else report
+    return _second_arg_scan("T3", t.fn, s) if report.holds else report
 
 
 # The triple from the six-branch implication's associativity breakdown is
@@ -384,7 +388,7 @@ def check_negation_axioms(
         return report
     xs = sorted(s.points_1d())
     report = _scan_monotone(
-        "negation-monotonicity", s, map(n, xs), xs, False,
+        "negation-monotonicity", s, map(n.fn, xs), xs, False,
         lambda x1, x2: {"x1": x1, "x2": x2},
     )
     return report or passing("negation-definition", s)

@@ -57,6 +57,9 @@ class TestEval:
          "generator must be increasing"),
         ('{"kind": "yager_tnorm", "p": NaN}', "p must be >= 0"),
         ('{"kind": "yager_tnorm", "p": "nan"}', "p must be >= 0"),
+        ('{"kind": "yager_tnorm", "p": -1}', "'yager_tnorm' spec: p must be >= 0"),
+        ('{"kind": "ig", "g": {"kind": "table", "direction": "increasing",'
+         ' "points": [[0, 0.1], [1, 1]]}}', "'table' spec: table must take 0 at x=0"),
         ('{"kind": "yager_residual", "p": Infinity}', "p must be finite and positive"),
         ('{"kind": "phi_conjugate", "phi": {"kind": "power", "a": Infinity}}',
          "exponent must be finite and positive"),
@@ -260,11 +263,12 @@ class TestSurfaceAndCompare:
         assert report["max_discrepancy"] < 0.01
 
     @pytest.mark.parametrize("spec, n, message", [
-        # parses, then fails at its sixth value: the table generator goes
-        # negative, which its pseudo-inverse rejects
+        # a table generator with f(1) != 0 no longer parses
         ('{"kind": "generated_tnorm", "f": {"kind": "table", '
          '"direction": "decreasing", "points": [[0, 1], [1, -1]]}}', "3",
-         "outside [0,+inf]"),
+         "table must take 0 at x=1 when decreasing"),
+        # parses, then fails at its first value
+        ('{"kind": "yager_residual", "p": -1}', "3", "p must be finite and positive"),
         ('{"kind": "yager_tnorm", "p": 2}', "1000000", "sample plan above"),
         ('{"kind": "yager_tnorm", "p": 2}', "1", "grid_n must be >= 2"),
     ])

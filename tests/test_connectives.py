@@ -80,6 +80,28 @@ class TestYagerFamily:
         with pytest.raises(ValueError):
             yager_tnorm(-1.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("p", [-1.0, math.nan])
+    def test_connective_rejects_bad_p_when_built(self, p):
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            yager_connective(p)
+
+    @pytest.mark.parametrize("p", [800.0, 1000.0])
+    def test_large_p_does_not_underflow(self, p):
+        # (1-x)^p + (1-y)^p is below the smallest normal double for
+        # x, y >= 0.6 at these p; it used to read 0.0 and give T = 1
+        assert yager_tnorm(1000.0, 0.6, 0.6) == pytest.approx(0.5997226450149677, abs=1e-15)
+        xs = [0.0, 0.3, 0.5, 0.6, 0.61, 0.7, 0.75, 0.9, 0.95, 0.999, 1.0]
+        for x in xs:
+            for y in xs:
+                v = yager_tnorm(p, x, y)
+                with mpmath.workdps(50):
+                    a, b = 1 - mpmath.mpf(x), 1 - mpmath.mpf(y)
+                    exact = max(0, 1 - (a ** p + b ** p) ** (1 / mpmath.mpf(p)))
+                assert abs(v - exact) < 1e-12, (x, y)
+                if min(x, y) >= 0.5:  # below, 1 - (1-x) itself rounds up by an ulp
+                    assert v <= min(x, y), (x, y)
+                assert yager_connective(p).fn(x, y) == v
+
 
 class TestGeneratedTnorm:
     @given(unit)

@@ -147,10 +147,12 @@ class TestTableGenerator:
 
     def test_inverse_outside_range_takes_end_values(self):
         # sup of the empty set below the range, sup of [0,1] above it
-        g = table_generator(INCREASING, [(0.0, 0.1), (1.0, 0.6)])
-        assert (pseudo_inverse(g, 0.05), pseudo_inverse(g, 0.7)) == (0.0, 1.0)
-        f = table_generator(DECREASING, [(0.0, 0.6), (1.0, 0.1)])
-        assert (pseudo_inverse(f, 0.7), pseudo_inverse(f, 0.05)) == (0.0, 1.0)
+        # (a table takes 0 at its zero endpoint, so below its range lies
+        # only y < 0, which pseudo_inverse rejects: ask the inverse there)
+        g = table_generator(INCREASING, [(0.0, 0.0), (1.0, 0.6)])
+        assert (g.inverse(-0.05), pseudo_inverse(g, 0.7)) == (0.0, 1.0)
+        f = table_generator(DECREASING, [(0.0, 0.6), (1.0, 0.0)])
+        assert (pseudo_inverse(f, 0.7), f.inverse(-0.05)) == (0.0, 1.0)
 
     @pytest.mark.parametrize("direction, points", [
         (INCREASING, [(0.0, 0.0), (0.4, 0.5), (0.6, 0.5), (1.0, 1.0)]),
@@ -160,6 +162,15 @@ class TestTableGenerator:
     ])
     def test_rejects_points_not_strictly_monotone(self, direction, points):
         with pytest.raises(ValueError, match=f"strictly {direction}"):
+            table_generator(direction, points)
+
+    @pytest.mark.parametrize("direction, points, zero_at", [
+        (INCREASING, [(0.0, 0.1), (1.0, 1.0)], "x=0"),
+        (DECREASING, [(0.0, 1.0), (1.0, 0.1)], "x=1"),
+        (DECREASING, [(0.0, 1.0), (1.0, -1.0)], "x=1"),
+    ])
+    def test_rejects_a_wrong_zero_endpoint(self, direction, points, zero_at):
+        with pytest.raises(ValueError, match=f"take 0 at {zero_at} when {direction}"):
             table_generator(direction, points)
 
     @pytest.mark.parametrize("spec", GENERATOR_SPECS,
@@ -201,7 +212,9 @@ class TestVerifyGenerator:
         assert report.property == "generator-strict-monotonicity"
 
     def test_wrong_endpoint_fails(self):
-        g = table_generator(INCREASING, [(0.0, 0.1), (1.0, 1.0)])
+        # table_generator rejects such points; verify_generator reads fn only
+        bad = linear_table([(0.0, 0.1), (1.0, 1.0)])
+        g = Generator(INCREASING, bad, lambda y: y, "bad")
         report = verify_generator(g)
         assert not report.holds
         assert report.property == "generator-endpoint"

@@ -133,6 +133,17 @@ class TestYagerResidual:
         with pytest.raises(ValueError):
             yager_residual(0.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("p", [800.0, 1000.0])
+    def test_large_p_does_not_underflow(self, p):
+        # (1-y)^p underflows for y >= 0.6 at these p; R(0.7, 0.6) read 1.0
+        assert yager_residual(1000.0, 0.7, 0.6) == 0.6
+        xs = [0.0, 0.3, 0.5, 0.6, 0.61, 0.7, 0.75, 0.9, 0.95, 0.999, 1.0]
+        for x in xs:
+            for y in xs:
+                v = yager_residual(p, x, y)
+                assert abs(v - yager_residual_50(p, x, y)) < 1e-12, (x, y)
+                assert (v == 1.0) == (x <= y), (x, y)
+
 
 def yager_residual_50(p, x, y):
     with mpmath.workdps(50):

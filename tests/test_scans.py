@@ -1,0 +1,239 @@
+"""The monotone scans evaluate an operator's raw ``fn`` and clamp it inline,
+and the constructors resolve family, direction and constants once: every
+value and report must stay what the per-call wrappers gave."""
+
+import math
+
+import mpmath
+import pytest
+
+from genimpl.bijections import identity_bijection, power_bijection
+from genimpl.classes import build_intersection_member
+from genimpl.connectives import (
+    BinaryConnective,
+    Negation,
+    generated_tconorm_connective,
+    generated_tnorm_connective,
+    t_drastic,
+    yager_connective,
+)
+from genimpl.generators import (
+    DECREASING,
+    INCREASING,
+    clamp01,
+    neg_log,
+    piecewise_f,
+    power_gp,
+    pseudo_inverse,
+    root,
+    table_generator,
+    yager_f,
+)
+from genimpl.implications import CHAIN_DPS
+from genimpl.properties import (
+    check_implication_axioms,
+    check_negation_axioms,
+    check_tnorm_axioms,
+)
+from genimpl.reports import SampleSpec
+
+PAIRS = SampleSpec().pairs()
+MPF_PAIRS = SampleSpec(grid_n=5, random_count=25, seed=3).pairs()  # 50 points
+
+
+# The per-call formulas each closure replaces, written as they were.
+
+
+def yager_formula(p, x, y):
+    if p == 0.0:
+        return t_drastic(x, y)
+    if math.isinf(p):
+        return min(x, y)
+    if y == 1.0:
+        return x
+    if x == 1.0:
+        return y
+    s = (1.0 - x) ** p + (1.0 - y) ** p
+    if s >= 1.0:
+        return 0.0
+    return max(0.0, 1.0 - root(s, p))
+
+
+def tnorm_formula(f, x, y):
+    v = pseudo_inverse(f, f.fn(x) + f.fn(y))
+    return x if y == 1.0 else y if x == 1.0 else v
+
+
+def tconorm_formula(g, x, y):
+    return pseudo_inverse(g, g.fn(x) + g.fn(y))
+
+
+def intersection_formula(phi, x, y):
+    return clamp01(phi.inverse(min(1.0 - phi.forward(x) + phi.forward(y), 1.0)))
+
+
+TABLE_F = table_generator(DECREASING, [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0)])
+TABLE_G = table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
+
+CASES = [
+    *((f"yager {p}", yager_connective(p), lambda x, y, p=p: yager_formula(p, x, y))
+      for p in (0.0, 0.5, 2.0, 3.7, math.inf)),
+    *((f"T[{f.label}]", generated_tnorm_connective(f),
+       lambda x, y, f=f: tnorm_formula(f, x, y))
+      for f in (yager_f(0.5), yager_f(2.0), yager_f(3.7), TABLE_F)),
+    *((f"S[{g.label}]", generated_tconorm_connective(g),
+       lambda x, y, g=g: tconorm_formula(g, x, y))
+      for g in (power_gp(2.0), neg_log(), piecewise_f(), TABLE_G)),
+    *((f"I_phi[{phi.label}]", build_intersection_member(phi),
+       lambda x, y, phi=phi: intersection_formula(phi, x, y))
+      for phi in (identity_bijection(), power_bijection(0.5), power_bijection(2.0),
+                  power_bijection(3.0))),
+]
+
+
+@pytest.mark.parametrize("name, op, formula", CASES, ids=[c[0] for c in CASES])
+def test_fn_equals_its_formula_bit_for_bit(name, op, formula):
+    assert len(PAIRS) > 10_000
+    for x, y in PAIRS:
+        assert op.fn(x, y) == formula(x, y), (x, y)
+    with mpmath.workdps(CHAIN_DPS):
+        for x, y in MPF_PAIRS:
+            v, want = op.fn(mpmath.mpf(x), mpmath.mpf(y)), formula(mpmath.mpf(x), mpmath.mpf(y))
+            assert v == want and type(v) is type(want), (x, y)
+
+
+# Operators whose raw values leave [0,1] or are NaN: the scans must clamp
+# them exactly as __call__ does.  Each raw map below is symmetric; it is
+# wrapped so that the pointwise laws checked before the scans (I3; T4 and
+# T1) hold, and the scans see it.
+
+NAN = math.nan
+ABOVE, BELOW = 1.0 + 1e-12, -1e-12
+
+RAW = {
+    "above": lambda x, y: ABOVE,
+    "below": lambda x, y: BELOW,
+    "nan": lambda x, y: NAN,
+    # raw, these break I1 and T3 by 1e-8 > tol; clamped, they are constant
+    "above rising": lambda x, y: 1.0 + 1e-8 * (x + y),
+    "below falling": lambda x, y: -1e-8 if x + y > 1.0 else 0.0,
+    "below then above": lambda x, y: BELOW if x + y < 1.0 else ABOVE,
+    "above then below": lambda x, y: ABOVE if x + y < 1.0 else BELOW,
+    "nan then step": lambda x, y: NAN if x + y < 0.6 else BELOW if x + y < 1.2 else ABOVE,
+}
+
+
+def implication_like(raw):
+    """raw, with the corner values I3 asks for."""
+    corners = {(1.0, 0.0): 0.0, (0.0, 0.0): 1.0, (1.0, 1.0): 1.0}
+    return lambda x, y: corners.get((x, y), raw(x, y))
+
+
+def tnorm_like(raw):
+    """raw, with 1 as neutral element (T4)."""
+    return lambda x, y: x if y == 1.0 else y if x == 1.0 else raw(x, y)
+
+
+CLAMP_CASES = [
+    (check, wrap, raw) for check, wrap in ((check_implication_axioms, implication_like),
+                                           (check_tnorm_axioms, tnorm_like))
+    for raw in RAW.values()
+]
+
+
+@pytest.mark.parametrize("check, wrap, raw", CLAMP_CASES, ids=[
+    f"{check.__name__}-{name}" for check in (check_implication_axioms, check_tnorm_axioms)
+    for name in RAW])
+def test_binary_scans_clamp_as_call_does(check, wrap, raw, small_spec):
+    op = BinaryConnective(wrap(raw), "raw")
+    called = BinaryConnective(op.__call__, "raw")  # its fn clamps already
+    report = check(op, small_spec)
+    assert report.property not in ("I3", "T4", "T1")  # the scans ran
+    assert report.to_json() == check(called, small_spec).to_json()
+
+
+UNARY = {
+    "above then below": lambda x: ABOVE if x < 0.5 else BELOW,
+    "nan inside": lambda x: ABOVE if x == 0.0 else BELOW if x == 1.0 else NAN,
+    "rises past the middle": lambda x: (
+        ABOVE if x < 0.2 else BELOW if x < 0.6 else ABOVE if x < 1.0 else BELOW),
+    # raw, this breaks monotonicity by 1e-8 > tol; clamped, it is constant
+    "above rising": lambda x: 1.0 + 1e-8 * x if x < 1.0 else BELOW,
+}
+
+
+@pytest.mark.parametrize("fn", UNARY.values(), ids=UNARY)
+def test_negation_scan_clamps_as_call_does(fn, small_spec):
+    n = Negation(fn, "raw")
+    called = Negation(n.__call__, "raw")
+    report = check_negation_axioms(n, small_spec)
+    assert report.property != "negation-endpoint"
+    assert report.to_json() == check_negation_axioms(called, small_spec).to_json()
+
+
+def test_clamped_values_decide_and_witness(small_spec):
+    s = small_spec
+    # a raw rise above 1 is no rise
+    assert check_implication_axioms(BinaryConnective(
+        implication_like(RAW["above rising"]), "raw"), s).holds
+    assert check_tnorm_axioms(BinaryConnective(tnorm_like(RAW["below falling"]), "raw"),
+                              s).property == "T1-T4"
+    assert check_negation_axioms(Negation(UNARY["above rising"], "raw"), s).holds
+    # the witness carries the clamped values, not the raw ones
+    for report in (
+        check_implication_axioms(BinaryConnective(
+            implication_like(RAW["below then above"]), "raw"), s),
+        check_tnorm_axioms(BinaryConnective(tnorm_like(RAW["above then below"]), "raw"), s),
+        check_negation_axioms(Negation(UNARY["rises past the middle"], "raw"), s),
+    ):
+        assert report.property in ("I1", "T3", "negation-monotonicity")
+        w = report.witness
+        assert {w["value1"], w["value2"]} == {0.0, 1.0}
+
+
+# Evaluation counts: a scan makes exactly one evaluation per cell.
+
+
+class Counting:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def test_evaluations_per_check(small_spec):
+    s = small_spec
+    n1, g = len(s.points_1d()), len(s.grid())
+
+    lk = Counting(lambda x, y: min(1.0 - x + y, 1.0))
+    assert check_implication_axioms(BinaryConnective(lk, "lk"), s).holds
+    assert lk.calls == 3 + 2 * g * n1  # I3 corners, then the I1 and I2 scans
+
+    product = Counting(lambda x, y: x * y)
+    report = check_tnorm_axioms(BinaryConnective(product, "product"), s)
+    assert report.holds and report.details["escalations"] == 0
+    # T4, T1 both ways, the T3 scan, then four float evaluations per triple
+    assert product.calls == n1 + 2 * len(s.pairs()) + g * n1 + 4 * len(s.triples())
+
+    standard = Counting(lambda x: 1 - x)
+    assert check_negation_axioms(Negation(standard, "standard"), s).holds
+    assert standard.calls == 2 + n1
+
+
+def test_scan_stops_at_the_first_breaking_pair(small_spec):
+    # I3 holds; I1 breaks at y = 0 where x passes 0.5, and the scan
+    # evaluates up to that pair and no further
+    def rising(x, y):
+        return y if x == 1.0 else 1.0 - x if x < 0.5 else x
+
+    counting = Counting(rising)
+    report = check_implication_axioms(BinaryConnective(counting, "rising"), small_spec)
+    assert report.property == "I1" and report.witness["y"] == 0.0
+    xs = sorted(small_spec.points_1d())
+    values = [rising(x, 0.0) for x in xs]
+    k = next(k for k in range(1, len(xs))
+             if values[k] > values[k - 1] + small_spec.tolerance)
+    assert counting.calls == 3 + k + 1
+    assert (report.witness["value1"], report.witness["value2"]) == tuple(values[k - 1:k + 1])
