@@ -19,10 +19,12 @@ from .connectives import (
     dual_of,
     generated_tconorm,
     generated_tnorm,
+    lukasiewicz_implication,
     n_ary_power,
     quasi_arithmetic_mean,
     standard_negation,
     yager_negation,
+    yager_residual,
     yager_tnorm,
 )
 from .generators import (
@@ -39,14 +41,12 @@ from .implications import (
     ImplicationCandidate,
     ig_implication,
     ign_implication,
-    lukasiewicz_implication,
     mean_residual,
     natural_negation,
     phi_conjugate,
     piecewise_f_implication,
     residual_numeric,
     sn_implication,
-    yager_residual,
 )
 from .properties import (
     check_implication_axioms,

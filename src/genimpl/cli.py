@@ -3,7 +3,8 @@
 Subcommands::
 
     eval SPEC X Y            evaluate a connective or implication
-    residual SPEC X Y        residual of an operator: from its generator, else bisection
+    residual SPEC X Y        residual of an operator: the closed form a t-norm
+                             carries, else bisection
     verify SPEC PROP [...]   check properties, JSON reports, exit 1 on failure
     surface SPEC -o FILE     write an n x n surface grid as CSV
     compare SPEC SPEC        max |F - G| over the sample set
@@ -55,9 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name, help_ in (("eval", "evaluate an operator at a point"),
-                        ("residual", "residual R[op] of an operator: "
-                                     "f^-1(max(f(y) - f(x), 0)) for a t-norm "
-                                     "generated by a continuous f, else bisection")):
+                        ("residual", "residual R[op] of an operator: in "
+                                     "closed form for a basic, Yager or "
+                                     "generated t-norm, else bisection")):
         p = subs.add_parser(name, help=help_)
         p.add_argument("spec", help=SPEC_HELP)
         p.add_argument("x", type=float)

@@ -1,4 +1,5 @@
-"""T-norms, t-conorms, fuzzy negations, and the quadratic mean.
+"""T-norms with their residuals, t-conorms, fuzzy negations, and the
+quadratic mean.
 
 Both the basic closed forms and the generator-derived constructions are
 provided.  Everything returns values clamped to [0,1] so round-off never
@@ -9,6 +10,7 @@ through connectives and negations is rounded once, at its end.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -38,9 +40,9 @@ class BinaryConnective:
 
     The value keeps the precision of ``fn``'s result (an mpf stays an mpf),
     so a wide chain through a nested operator is not rounded to a double.
-    ``generator`` is set only on a t-norm generated by a generator (every
-    decreasing generator, ``yager_f`` or a table, is continuous), whose
-    residual then has a closed form; every other operator leaves it None.
+    ``residual`` is set only on a t-norm of the catalog: the closed form of
+    its residual sup{t | T(x,t) <= y}, at the precision of its arguments.
+    Every other operator leaves it None.
     ``bounds(x, y_lo, y_hi)`` is set only on a generated implication I^g:
     a double (lo, hi) enclosing fn(x, y) for every y in [y_lo, y_hi],
     which lets EP decide a triple without mpmath.
@@ -48,7 +50,7 @@ class BinaryConnective:
 
     fn: Callable[[float, float], float]
     label: str
-    generator: Generator | None = None
+    residual: Callable[[float, float], float] | None = None
     bounds: Callable[[float, float, float], tuple[float, float]] | None = None
 
     def __call__(self, x: float, y: float) -> float:
@@ -92,28 +94,50 @@ def t_drastic(x: float, y: float) -> float:
     return 0.0 if max(x, y) < 1.0 else min(x, y)
 
 
-_BASIC_TNORMS = {
-    "min": t_minimum,
-    "minimum": t_minimum,
-    "product": t_product,
-    "lukasiewicz": t_lukasiewicz,
-    "drastic": t_drastic,
+# Their residuals; each answers exactly 1 for x <= y.
+
+
+def goedel_implication(x: float, y: float) -> float:
+    return 1.0 if x <= y else y
+
+
+def goguen_implication(x: float, y: float) -> float:
+    return 1.0 if x <= y else y / x
+
+
+def lukasiewicz_implication(x: float, y: float) -> float:
+    return min(1.0 - x + y, 1.0)
+
+
+def drastic_implication(x: float, y: float) -> float:
+    # T_D(x,t) = 0 for every t < 1 when x < 1: the supremum is 1, not attained
+    return 1.0 if x < 1.0 else y
+
+
+# each basic t-norm with its residual
+_BASIC = {
+    "min": (t_minimum, goedel_implication),
+    "minimum": (t_minimum, goedel_implication),
+    "product": (t_product, goguen_implication),
+    "lukasiewicz": (t_lukasiewicz, lukasiewicz_implication),
+    "drastic": (t_drastic, drastic_implication),
 }
 
 
-def _basic_fn(kind: str):
+def _basic_pair(kind: str):
     try:
-        return _BASIC_TNORMS[kind]
+        return _BASIC[kind]
     except KeyError:
         raise ValueError(f"unknown basic t-norm {kind!r}") from None
 
 
 def basic_tnorm(kind: str, x: float, y: float) -> float:
-    return _basic_fn(kind)(x, y)
+    return _basic_pair(kind)[0](x, y)
 
 
 def basic(kind: str) -> BinaryConnective:
-    return BinaryConnective(_basic_fn(kind), f"T_{kind}")
+    fn, residual = _basic_pair(kind)
+    return BinaryConnective(fn, f"T_{kind}", residual)
 
 
 # --------------------------------------------------------------------------
@@ -154,8 +178,25 @@ def generated_tconorm(g: Generator, x: float, y: float) -> float:
     return _generated_tconorm_fn(g)(x, y)
 
 
+def generated_residual(f: Generator, x: float, y: float) -> float:
+    """f^(-1)(max(f(y) - f(x), 0)): the residual of the t-norm generated
+    by a continuous decreasing f, exactly 1.0 for x <= y.
+
+    Answers at the precision of its arguments: an mpf stays an mpf.  The
+    neutral element is handled exactly, R(1,y) = y: for yager_f(p) the
+    round trip f^(-1)(f(y)) loses about ulp/p, all of y at a tiny p.
+    """
+    if x <= y:
+        return 1.0
+    if x == 1.0:
+        return y
+    return pseudo_inverse(f, max(f.fn(y) - f.fn(x), 0.0))
+
+
 def generated_tnorm_connective(f: Generator) -> BinaryConnective:
-    return BinaryConnective(_generated_tnorm_fn(f), f"T[{f.label}]", f)
+    # every decreasing generator, yager_f or a table, is continuous
+    return BinaryConnective(_generated_tnorm_fn(f), f"T[{f.label}]",
+                            functools.partial(generated_residual, f))
 
 
 def generated_tconorm_connective(g: Generator) -> BinaryConnective:
@@ -169,18 +210,18 @@ def dual_of(c: BinaryConnective) -> BinaryConnective:
     )
 
 
-def _yager_fn(p: float) -> Callable[[float, float], float]:
-    """The Yager t-norm at p: drastic at p=0, minimum at p=+inf, the closed
-    form between.  The endpoint parameters dispatch to the exact special
-    cases, once, here; taking floating limits of the closed form there is
-    meaningless.
+def _yager_pair(p: float):
+    """The Yager t-norm at p and its residual: the drastic pair at p=0, the
+    minimum pair at p=+inf, the closed forms between.  The endpoint
+    parameters dispatch to the exact special cases, once, here; taking
+    floating limits of the closed form there is meaningless.
     """
     if not p >= 0:
         raise ValueError("p must be >= 0")
     if p == 0.0:
-        return t_drastic
+        return _BASIC["drastic"]
     if math.isinf(p):
-        return t_minimum
+        return _BASIC["min"]
     inv_p = 1.0 / p  # root(s, p) of a double s
 
     def fn(x: float, y: float) -> float:
@@ -202,18 +243,52 @@ def _yager_fn(p: float) -> Callable[[float, float], float]:
             return max(0.0, 1.0 - m * s ** inv_p)
         return max(0.0, 1.0 - s ** inv_p)
 
+    return fn, _yager_residual_fn(p)
+
+
+def _yager_residual_fn(p: float) -> Callable[[float, float], float]:
+    """The residual of the Yager t-norm at 0 < p < inf, as a closure: p is
+    checked once, here.
+
+    The subtraction of nearly equal powers is clamped at 0 before the
+    root so x <= y yields exactly 1; R(1,y) = y exactly, as in generated_residual.
+    In double, where (1-y)^p underflows at a large p, both powers are taken
+    relative to m = 1 - y: R = 1 - m (1 - ((1-x)/m)^p)^(1/p).
+    """
+    if not 0 < p < math.inf:
+        raise ValueError("p must be finite and positive")
+
+    def fn(x: float, y: float) -> float:
+        a = (1.0 - y) ** p
+        d = a - (1.0 - x) ** p
+        if isinstance(d, float) and a < _SMALLEST_NORMAL and y < 1.0:
+            if x <= y:  # where (1-x)/m >= 1, whose p-th power may overflow
+                return 1.0
+            m = 1.0 - y
+            d = 1.0 - ((1.0 - x) / m) ** p
+            return y if x == 1.0 else clamp01(1.0 - m * root(d, p))
+        if d <= 0.0:
+            return 1.0
+        if x == 1.0:
+            return y
+        return clamp01(1.0 - root(d, p))
+
     return fn
 
 
 def yager_tnorm(p: float, x: float, y: float) -> float:
     """Yager family: drastic at p=0, minimum at p=+inf, closed form between."""
-    return _yager_fn(p)(x, y)
+    return _yager_pair(p)[0](x, y)
+
+
+def yager_residual(p: float, x: float, y: float) -> float:
+    """Closed-form residual of the Yager t-norm, 0 < p < inf."""
+    return _yager_residual_fn(p)(x, y)
 
 
 def yager_connective(p: float) -> BinaryConnective:
-    # generated by (1-x)^p between the drastic (p=0) and minimum (p=inf) ends
-    return BinaryConnective(_yager_fn(p), f"T_Y(p={p:g})",
-                            yager_f(p) if 0 < p < math.inf else None)
+    fn, residual = _yager_pair(p)
+    return BinaryConnective(fn, f"T_Y(p={p:g})", residual)
 
 
 def quasi_arithmetic_mean(x: float, y: float) -> float:

@@ -17,20 +17,21 @@ import math
 
 from .bijections import Bijection
 from .connectives import (
-    _SMALLEST_NORMAL,
     BinaryConnective,
     Negation,
+    _yager_residual_fn,
+    generated_residual,  # noqa: F401  (re-exported: implications.* keeps resolving it)
     generated_tconorm,
+    lukasiewicz_implication,
     standard_negation,
+    yager_residual,  # noqa: F401  (re-exported)
 )
 from .generators import (
     INCREASING,
     Generator,
     clamp01,
     is_mpf,
-    pseudo_inverse,
     require_direction,
-    root,
     wide,
 )
 
@@ -40,8 +41,9 @@ from .generators import (
 CHAIN_DPS = 40
 
 SCAN_POINTS = 4096  # fallback scan when C(x,.) is not monotone
+# halvings at double precision; an mpf bracket gets as many more as its
+# precision has bits beyond a double's 53
 BISECT_ITERS = 100
-_BELOW_ONE = 1.0 - 2.0**-53  # the last double below 1
 
 # an implication candidate is a binary operator like any other; the name
 # says which laws a caller is about to check
@@ -75,10 +77,12 @@ def residual_numeric(c: BinaryConnective, x: float, y: float) -> float:
     rightmost boundary), which bisection on the predicate gives for free.
     When C(x,1) <= y the supremum is 1 and neither is needed; otherwise
     the probe reuses C(x,1) and the bisection the probe's C(x,0), so each
-    is evaluated once.  The bisection halves until the midpoint of the
-    bracket equals one of its ends (or BISECT_ITERS halvings); where
-    C(x,t) <= y still holds at the last double below 1, the supremum is
-    1, not attained (the drastic t-norm), and 1 is returned.
+    is evaluated once.  The bisection runs at the precision of its
+    arguments (an mpf x or y bisects mpf midpoints at the working
+    precision) and halves until the midpoint of the bracket equals one of
+    its ends (or BISECT_ITERS halvings, more for an mpf); when the upper
+    end never left 1, C(x,t) <= y holds for every t below 1, so the
+    supremum is 1, not attained (the drastic t-norm), and 1 is returned.
     """
     top = c(x, 1.0)
     if top <= y:
@@ -88,16 +92,20 @@ def residual_numeric(c: BinaryConnective, x: float, y: float) -> float:
         return _residual_scan(c, x, y)
     if bottom > y:
         return 0.0
-    lo, hi = 0.0, 1.0  # invariant: C(x,lo) <= y < C(x,hi)
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
+    lo, hi, halvings = 0.0, 1.0, BISECT_ITERS  # invariant: C(x,lo) <= y < C(x,hi)
+    if is_mpf(x) or is_mpf(y):
+        mpmath = wide()
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        halvings += mpmath.mp.prec - 53
+    for _ in range(halvings):
+        mid = (lo + hi) / 2
         if mid <= lo or mid >= hi:
             break
         if c(x, mid) <= y:
             lo = mid
         else:
             hi = mid
-    return 1.0 if lo == _BELOW_ONE else lo
+    return 1.0 if hi == 1 else lo
 
 
 def _residual_scan(c: BinaryConnective, x: float, y: float) -> float:
@@ -119,63 +127,14 @@ def _residual_scan(c: BinaryConnective, x: float, y: float) -> float:
     return out
 
 
-def generated_residual(f: Generator, x: float, y: float) -> float:
-    """f^(-1)(max(f(y) - f(x), 0)): the residual of the t-norm generated
-    by a continuous decreasing f, exactly 1.0 for x <= y.
-
-    Answers at the precision of its arguments: an mpf stays an mpf.  The
-    neutral element is handled exactly, R(1,y) = y: for yager_f(p) the
-    round trip f^(-1)(f(y)) loses about ulp/p, all of y at a tiny p.
-    """
-    if x <= y:
-        return 1.0
-    if x == 1.0:
-        return y
-    return pseudo_inverse(f, max(f.fn(y) - f.fn(x), 0.0))
-
-
 def residual_candidate(c: BinaryConnective) -> ImplicationCandidate:
-    """R[C]: in closed form from C's generator when it has one, else by
-    ``residual_numeric``."""
-    f = c.generator
-    if f is not None:
-        return ImplicationCandidate(
-            lambda x, y: generated_residual(f, x, y), f"R[{c.label}]"
-        )
-    return ImplicationCandidate(
-        lambda x, y: residual_numeric(c, x, y), f"R[{c.label}]"
-    )
-
-
-def yager_residual(p: float, x: float, y: float) -> float:
-    """Closed-form residual of the Yager t-norm, p > 0.
-
-    The subtraction of nearly equal powers is clamped at 0 before the
-    root so x <= y yields exactly 1; R(1,y) = y exactly, as in generated_residual.
-    In double, where (1-y)^p underflows at a large p, both powers are taken
-    relative to m = 1 - y: R = 1 - m (1 - ((1-x)/m)^p)^(1/p).
-    """
-    if not 0 < p < math.inf:
-        raise ValueError("p must be finite and positive")
-    a = (1.0 - y) ** p
-    d = a - (1.0 - x) ** p
-    if isinstance(d, float) and a < _SMALLEST_NORMAL and y < 1.0:
-        if x <= y:  # where (1-x)/m >= 1, whose p-th power may overflow
-            return 1.0
-        m = 1.0 - y
-        d = 1.0 - ((1.0 - x) / m) ** p
-        return y if x == 1.0 else clamp01(1.0 - m * root(d, p))
-    if d <= 0.0:
-        return 1.0
-    if x == 1.0:
-        return y
-    return clamp01(1.0 - root(d, p))
+    """R[C]: the closed form C carries, else ``residual_numeric``."""
+    return ImplicationCandidate(c.residual or functools.partial(residual_numeric, c),
+                                f"R[{c.label}]")
 
 
 def yager_residual_candidate(p: float) -> ImplicationCandidate:
-    return ImplicationCandidate(
-        lambda x, y: yager_residual(p, x, y), f"I_TY(p={p:g})"
-    )
+    return ImplicationCandidate(_yager_residual_fn(p), f"I_TY(p={p:g})")
 
 
 def mean_residual(x: float, y: float) -> float:
@@ -261,10 +220,6 @@ def sn_candidate(s: BinaryConnective, n: Negation) -> ImplicationCandidate:
     return ImplicationCandidate(
         lambda x, y: sn_implication(s, n, x, y), f"SN[{s.label},{n.label}]"
     )
-
-
-def lukasiewicz_implication(x: float, y: float) -> float:
-    return min(1.0 - x + y, 1.0)
 
 
 def lukasiewicz_candidate() -> ImplicationCandidate:

@@ -103,7 +103,7 @@ def test_criterion_03_numeric_residual_matches_closed_form():
     worst = 0.0
     for p in (1.0, 2.0, 3.0):
         # residual_numeric itself: residual_candidate of a Yager t-norm
-        # takes the generator's closed form
+        # takes the closed form
         t = yager_connective(p)
         r = compare_surfaces(
             ImplicationCandidate(lambda x, y: residual_numeric(t, x, y), "R_bisect"),

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import genimpl
+import genimpl.specs
 from genimpl.cli import main
+from genimpl.connectives import BinaryConnective
 
 FAST = ["--grid", "11"]
 
@@ -61,6 +63,7 @@ class TestEval:
         ('{"kind": "ig", "g": {"kind": "table", "direction": "increasing",'
          ' "points": [[0, 0.1], [1, 1]]}}', "'table' spec: table must take 0 at x=0"),
         ('{"kind": "yager_residual", "p": Infinity}', "p must be finite and positive"),
+        ('{"kind": "yager_residual", "p": -1}', "'yager_residual' spec: p must be finite"),
         ('{"kind": "phi_conjugate", "phi": {"kind": "power", "a": Infinity}}',
          "exponent must be finite and positive"),
         ('{"kind": "table", "values": [[0, 0], [0, NaN]]}', "table values must be finite"),
@@ -129,6 +132,13 @@ class TestResidual:
             capsys, "residual", f'{{"kind": "yager_tnorm", "p": {p}}}', "1", "0.5"
         )
         assert (code, out) == (0, "0.5\n")
+
+    def test_yager_residual_at_large_p(self, capsys):
+        # through the generator, f(0.6) - f(0.7) underflowed and this read 1
+        code, out, _ = run(
+            capsys, "residual", '{"kind": "yager_tnorm", "p": 1000}', "0.7", "0.6"
+        )
+        assert (code, float(out)) == (0, 0.6)
 
     @pytest.mark.parametrize("x, y", [("0.8", "1.5"), ("nan", "0.4")])
     def test_point_outside_unit_square_exits_2(self, capsys, x, y):
@@ -267,7 +277,6 @@ class TestSurfaceAndCompare:
         ('{"kind": "generated_tnorm", "f": {"kind": "table", '
          '"direction": "decreasing", "points": [[0, 1], [1, -1]]}}', "3",
          "table must take 0 at x=1 when decreasing"),
-        # parses, then fails at its first value
         ('{"kind": "yager_residual", "p": -1}', "3", "p must be finite and positive"),
         ('{"kind": "yager_tnorm", "p": 2}', "1000000", "sample plan above"),
         ('{"kind": "yager_tnorm", "p": 2}', "1", "grid_n must be >= 2"),
@@ -279,6 +288,18 @@ class TestSurfaceAndCompare:
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+        assert not out_csv.exists()
+
+    def test_error_while_evaluating_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        # an operator that parses, then fails at its first value
+        def fails(x, y):
+            raise ValueError("no value here")
+        monkeypatch.setitem(genimpl.specs.OPERATORS, "mean",
+                            lambda d: BinaryConnective(fails, "fails"))
+        out_csv = tmp_path / "partial.csv"
+        code, out, err = run(capsys, "surface", '{"kind": "mean"}', "-n", "3",
+                             "-o", str(out_csv))
+        assert (code, out, err) == (2, "", "error: no value here\n")
         assert not out_csv.exists()
 
     def test_unwritable_output_exits_2_with_one_line(self, capsys, tmp_path):
@@ -412,6 +433,8 @@ class TestMpmathLoading:
         (["residual", '{"kind": "basic", "name": "product"}', "0.8", "0.4"], 0),
         (["verify", '{"kind": "lukasiewicz"}', "NP", "IP"], 0),
         (["eval", '{"kind": "nope"}', "0.5", "0.5"], 2),
+        *((["residual", f'{{"kind": "basic", "name": "{n}"}}', "0.8", "0.4"], 0)
+          for n in ("min", "lukasiewicz", "drastic")),
     ])
     def test_float_runs_do_not_load_it(self, argv, code):
         assert mpmath_after(*argv) == (code, [False, False, False])

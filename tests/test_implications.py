@@ -13,6 +13,7 @@ from genimpl.connectives import (
     generated_tnorm_connective,
     mean_connective,
     standard_negation,
+    table_connective,
     yager_connective,
     yager_negation,
 )
@@ -223,22 +224,71 @@ class TestGeneratedResidual:
             assert isinstance(v, mpmath.mpf)
             assert abs(v - yager_residual_50(2.0, x, y)) < mpmath.mpf(10) ** -35
 
-    def test_others_stay_on_bisection(self, small_spec):
-        for c in (dual_of(yager_connective(2.0)), basic("product"),
-                  yager_connective(0.0), yager_connective(math.inf)):
-            assert c.generator is None
-            r = residual_candidate(c)
-            for x, y in small_spec.pairs()[::7]:
-                assert r(x, y) == residual_numeric(c, x, y)
+    def test_large_p_does_not_underflow(self):
+        # the generator's f(0.6) - f(0.7) underflowed to 0: R(0.7, 0.6) read 1.0
+        r = residual_candidate(yager_connective(1000.0))
+        assert r(0.7, 0.6) == 0.6
 
     def test_table_tnorm_takes_the_closed_form(self, small_spec):
         table_f = table_generator(DECREASING, [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0)])
         c = generated_tnorm_connective(table_f)
-        assert c.generator is table_f
         r = residual_candidate(c)
         for x, y in small_spec.pairs():
             assert r(x, y) == generated_residual(table_f, x, y)
             assert r(x, y) == pytest.approx(residual_numeric(c, x, y), abs=1e-15), (x, y)
+
+
+def _exact_residual(value):
+    """The residual at 50 digits: 1 for x <= y, else ``value(x, y)``."""
+    def exact(x, y):
+        with mpmath.workdps(50):
+            x, y = mpmath.mpf(x), mpmath.mpf(y)
+            return mpmath.mpf(1) if x <= y else value(x, y)
+    return exact
+
+
+GOEDEL = _exact_residual(lambda x, y: y)
+DRASTIC = _exact_residual(lambda x, y: 1 if x < 1 else y)
+
+CLOSED_FORMS = [
+    (basic("min"), GOEDEL),
+    (basic("product"), _exact_residual(lambda x, y: y / x)),
+    (basic("lukasiewicz"), _exact_residual(lambda x, y: 1 - x + y)),
+    (basic("drastic"), DRASTIC),
+    (yager_connective(0.0), DRASTIC),
+    (yager_connective(math.inf), GOEDEL),
+]
+
+
+class TestResidualRouting:
+    """Which operators carry their residual in closed form, and which bisect."""
+
+    @pytest.mark.parametrize("c, exact", CLOSED_FORMS,
+                             ids=[c.label for c, _ in CLOSED_FORMS])
+    def test_closed_form_matches_bisection_on_default_pairs(self, c, exact):
+        r = residual_candidate(c)
+        for x, y in SampleSpec().pairs():
+            got, numeric = r(x, y), residual_numeric(c, x, y)
+            assert abs(got - numeric) <= 2.0**-53, (x, y)
+            if got != numeric:  # then each is within an ulp of the residual
+                assert abs(got - exact(x, y)) < 2.0**-52, (x, y)
+
+    def test_catalog_tnorms_carry_it_others_bisect(self, small_spec):
+        table_f = table_generator(DECREASING, [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0)])
+        carried = [*(basic(n) for n in ("min", "minimum", "product", "lukasiewicz",
+                                        "drastic")),
+                   *(yager_connective(p) for p in (0.0, 0.5, 2.0, math.inf)),
+                   generated_tnorm_connective(yager_f(2.0)),
+                   generated_tnorm_connective(table_f)]
+        for c in carried:
+            assert c.residual is not None and residual_candidate(c).fn is c.residual
+        bisected = [dual_of(yager_connective(2.0)), mean_connective(),
+                    table_connective([[0.0, 0.0], [0.0, 1.0]])]
+        for c in bisected:
+            assert c.residual is None
+            r = residual_candidate(c)
+            for x, y in small_spec.pairs()[::7]:
+                assert r(x, y) == residual_numeric(c, x, y)
 
 
 class TestGeneratedImplications:

@@ -181,8 +181,7 @@ def test_t2_matches_all_wide():
 
 
 # --------------------------------------------------------------------------
-# Where the all-wide path is wrong: false "fails" whose witness does not
-# reproduce against a 50-digit closed form
+# Against a 50-digit closed form
 # --------------------------------------------------------------------------
 
 
@@ -192,21 +191,28 @@ def yager_residual_50(p, x, y):
     return 1 - ((1 - y) ** p - (1 - x) ** p) ** (1 / mpmath.mpf(p))
 
 
-def test_residual_of_yager_ep_all_wide_false_fail():
-    # the bisection residual rounds every point value to a double, so the
-    # all-wide chain mixes a double into its outer step (bisection in
-    # double precision is still open); float-first compares like with like
+# (0.2, 0.4, 0) was a false all-wide "fails" while the bisection ran in
+# double whatever its arguments; an all-wide pass over the whole plan
+# takes minutes, so a few triples stand in for it
+BISECTED_EP_TRIPLES = [(0.2, 0.4, 0.0), (0.5, 0.3, 0.1), (0.9, 0.7, 0.2),
+                       (0.748, 0.073, 0.01), (0.35, 0.9, 0.3), (1.0, 0.6, 0.25)]
+
+
+def test_residual_of_yager_ep_agrees_with_all_wide():
+    # the bisection runs at the precision of its arguments, so each side
+    # of the all-wide chain is the 50-digit value to the chain's precision
     t = yager_connective(2.0)
     i = ImplicationCandidate(lambda x, y: residual_numeric(t, x, y), f"R[{t.label}]")
-    wide = all_wide("EP", ep_sides, i.fn, DEFAULT.triples(), DEFAULT)
-    assert not wide.holds
-    w = wide.witness
-    assert (w["x"], w["y"], w["z"]) == (0.2, 0.4, 0.0)
-    with mpmath.workdps(50):
-        x, y, z = (mpmath.mpf(w[k]) for k in "xyz")
-        r = lambda a, b: yager_residual_50(2, a, b)  # noqa: E731
-        gap = abs(r(x, r(y, z)) - r(y, r(x, z)))
-    assert gap < 1e-40
+    wide = all_wide("EP", ep_sides, i.fn, BISECTED_EP_TRIPLES, DEFAULT)
+    assert wide.holds, wide.witness
+    assert wide.max_discrepancy == 0.0
+    for triple in BISECTED_EP_TRIPLES:
+        with mpmath.workdps(CHAIN_DPS):
+            sides = ep_sides(i.fn, *map(mpmath.mpf, triple))
+        with mpmath.workdps(50):
+            r = lambda a, b: yager_residual_50(2, a, b)  # noqa: E731
+            exact = ep_sides(r, *map(mpmath.mpf, triple))
+            assert all(abs(a - b) < 1e-30 for a, b in zip(sides, exact)), triple
 
     fast = check_property(i, "EP", DEFAULT)
     assert fast.holds, fast.witness

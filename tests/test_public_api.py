@@ -1,5 +1,8 @@
 """The package's public names, pinned: a change to ``genimpl.__all__``
-fails here, and is then recorded with its reason in CHANGES.md."""
+fails here, and is then recorded with its reason in CHANGES.md.  So are
+the fields of the operator type every connective and implication shares."""
+
+import dataclasses
 
 import genimpl
 
@@ -24,3 +27,8 @@ PUBLIC = [
 
 def test_all_is_pinned():
     assert sorted(genimpl.__all__) == PUBLIC
+
+
+def test_operator_fields_are_pinned():
+    fields = [f.name for f in dataclasses.fields(genimpl.BinaryConnective)]
+    assert fields == ["fn", "label", "residual", "bounds"]
