@@ -243,10 +243,10 @@ def _yager_pair(p: float):
             return max(0.0, 1.0 - m * s ** inv_p)
         return max(0.0, 1.0 - s ** inv_p)
 
-    return fn, _yager_residual_fn(p)
+    return fn, yager_residual_fn(p)
 
 
-def _yager_residual_fn(p: float) -> Callable[[float, float], float]:
+def yager_residual_fn(p: float) -> Callable[[float, float], float]:
     """The residual of the Yager t-norm at 0 < p < inf, as a closure: p is
     checked once, here.
 
@@ -283,7 +283,7 @@ def yager_tnorm(p: float, x: float, y: float) -> float:
 
 def yager_residual(p: float, x: float, y: float) -> float:
     """Closed-form residual of the Yager t-norm, 0 < p < inf."""
-    return _yager_residual_fn(p)(x, y)
+    return yager_residual_fn(p)(x, y)
 
 
 def yager_connective(p: float) -> BinaryConnective:

@@ -19,12 +19,12 @@ from .bijections import Bijection
 from .connectives import (
     BinaryConnective,
     Negation,
-    _yager_residual_fn,
     generated_residual,  # noqa: F401  (re-exported: implications.* keeps resolving it)
     generated_tconorm,
     lukasiewicz_implication,
     standard_negation,
     yager_residual,  # noqa: F401  (re-exported)
+    yager_residual_fn,
 )
 from .generators import (
     INCREASING,
@@ -98,7 +98,7 @@ def residual_numeric(c: BinaryConnective, x: float, y: float) -> float:
         lo, hi = mpmath.mpf(0), mpmath.mpf(1)
         halvings += mpmath.mp.prec - 53
     for _ in range(halvings):
-        mid = (lo + hi) / 2
+        mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
         if c(x, mid) <= y:
@@ -134,7 +134,7 @@ def residual_candidate(c: BinaryConnective) -> ImplicationCandidate:
 
 
 def yager_residual_candidate(p: float) -> ImplicationCandidate:
-    return ImplicationCandidate(_yager_residual_fn(p), f"I_TY(p={p:g})")
+    return ImplicationCandidate(yager_residual_fn(p), f"I_TY(p={p:g})")
 
 
 def mean_residual(x: float, y: float) -> float:

@@ -231,6 +231,16 @@ class TestVerify:
         assert code == 0, out
         assert json.loads(out)[0]["verdict"] == "holds-on-samples"
 
+    def test_op_of_a_residual_within_a_double_of_one_holds(self, capsys):
+        # at p = 0.3 the residual at that same point lies within one double
+        # of 1: a bisection of doubles reaches the last double below 1 and
+        # answers 1, one of mpf midpoints stays below 1
+        spec = ('{"kind": "residual", "of": {"kind": "dual", "of": {"kind": "dual",'
+                ' "of": {"kind": "yager_tnorm", "p": 0.3}}}}')
+        code, out, _ = run(capsys, "verify", spec, "OP", "--seed", "5")
+        assert code == 0, out
+        assert json.loads(out)[0]["verdict"] == "holds-on-samples"
+
     def test_unknown_token_exits_2(self, capsys):
         code, out, err = run(
             capsys, "verify", '{"kind": "lukasiewicz"}', "ZZ", *FAST

@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import pytest
 
 from genimpl.bijections import power_bijection
@@ -8,6 +9,7 @@ from genimpl.connectives import (
     BinaryConnective,
     Negation,
     basic,
+    dual_of,
     mean_connective,
     quasi_arithmetic_mean,
     standard_negation,
@@ -16,6 +18,7 @@ from genimpl.connectives import (
 )
 from genimpl.generators import neg_log
 from genimpl.implications import (
+    CHAIN_DPS,
     ImplicationCandidate,
     ig_candidate,
     lukasiewicz_candidate,
@@ -24,6 +27,7 @@ from genimpl.implications import (
     piecewise_f_candidate,
     piecewise_f_implication,
     residual_candidate,
+    residual_numeric,
     yager_residual,
     yager_residual_candidate,
 )
@@ -122,16 +126,20 @@ class TestNamedProperties:
 
     @pytest.mark.parametrize("tnorm", [basic("drastic"), yager_connective(0.0)],
                              ids=["drastic", "yager_tnorm_0"])
-    def test_op_fails_where_the_residual_bisects(self, tnorm, small_spec):
-        # R(x, y) = 1 for every x < 1, a supremum the bisection answers as
-        # exactly 1 at either precision
-        i = residual_candidate(tnorm)
-        report = check_property(i, "OP", small_spec)
+    def test_op_fails_where_the_residual_bisects(self, tnorm):
+        # dual(dual(T_D)) carries no closed form, and R(x, y) = 1 for every
+        # x < 1: a supremum the bisection never leaves hi = 1 for, which it
+        # answers as exactly 1 at either precision
+        i = residual_candidate(dual_of(dual_of(tnorm)))
+        assert i.fn.func is residual_numeric
+        report = check_property(i, "OP", SampleSpec())
         assert not report.holds
         w = report.witness
+        assert (w["x"], w["y"]) == (0.01, 0.0)
         assert w["direction"] == "I(x,y)=1 but x>y"
-        assert w["x"] > w["y"] + small_spec.tolerance
         assert i(w["x"], w["y"]) == w["value"] == 1.0
+        with mpmath.workdps(CHAIN_DPS):
+            assert i(mpmath.mpf(w["x"]), mpmath.mpf(w["y"])) == 1
 
     def test_unknown_property(self, small_spec):
         with pytest.raises(ValueError):
