@@ -20,10 +20,12 @@ import json
 from dataclasses import dataclass, field
 
 from .bijections import Bijection
+from .generators import clamp01
 from .implications import ImplicationCandidate, natural_negation
 from .properties import (
     PropertyReport,
     SampleSpec,
+    _lines,
     _pointwise_law,
     check_negation_axioms,
     check_property,
@@ -126,7 +128,8 @@ def _surface_continuity(i: ImplicationCandidate, s: SampleSpec) -> PropertyRepor
     locally so steep continuous slopes are not mistaken for jumps."""
     g = s.grid()
     threshold = 5.0 / s.grid_n
-    vals = [[i(x, y) for y in g] for x in g]
+    # vals[a][b] = i(g[a], g[b]), clamped as __call__ does
+    vals = [list(map(clamp01, values)) for _, values in _lines(i, g, g)]
     for a in range(len(g)):
         for b in range(1, len(g)):
             dx = abs(vals[b][a] - vals[b - 1][a])
@@ -164,13 +167,17 @@ def build_intersection_member(phi: Bijection) -> ImplicationCandidate:
 
     forward, inverse = phi.forward, phi.inverse
 
-    def fn(x: float, y: float) -> float:
-        # min(v, 1.0) and clamp01, written out; a NaN passes both unchanged
-        v = 1.0 - forward(x) + forward(y)
+    def cell(a: float, b: float, x: float, y: float) -> float:
+        # a = phi(x), b = phi(y); min(v, 1.0) and clamp01, written out; a
+        # NaN passes both unchanged
+        v = 1.0 - a + b
         v = inverse(1.0 if v > 1.0 else v)
         return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
-    return ImplicationCandidate(fn, f"I_phi[{phi.label}]")
+    def fn(x: float, y: float) -> float:
+        return cell(forward(x), forward(y), x, y)
+
+    return ImplicationCandidate(fn, f"I_phi[{phi.label}]", parts=(forward, forward, cell))
 
 
 def check_self_dual_phi(

@@ -46,15 +46,21 @@ class BinaryConnective:
     ``bounds(x, y_lo, y_hi)`` is set only on a generated implication I^g:
     a double (lo, hi) enclosing fn(x, y) for every y in [y_lo, y_hi],
     which lets EP decide a triple without mpmath.
+    ``parts = (u, v, cell)`` is set on an operator built from one-argument
+    terms, such as f^(-1)(f(x) + f(y)): fn(x, y) == cell(u(x), v(y), x, y),
+    bit for bit and type for type, so a scan along one argument evaluates
+    each term once per sample point and only ``cell`` per cell.
     """
 
     fn: Callable[[float, float], float]
     label: str
     residual: Callable[[float, float], float] | None = None
     bounds: Callable[[float, float, float], tuple[float, float]] | None = None
+    parts: tuple[Callable, Callable, Callable] | None = None
 
     def __call__(self, x: float, y: float) -> float:
-        return clamp01(self.fn(x, y))
+        v = self.fn(x, y)
+        return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v  # clamp01, inline
 
 
 @dataclass(frozen=True)
@@ -145,22 +151,6 @@ def basic(kind: str) -> BinaryConnective:
 # --------------------------------------------------------------------------
 
 
-def _generated_tnorm_fn(f: Generator) -> Callable[[float, float], float]:
-    """f^(-1)(f(x) + f(y)) for a decreasing generator f, as a closure: the
-    direction is checked once, here."""
-    require_direction(f, DECREASING, "t-norm")
-    f_fn = f.fn
-
-    def fn(x: float, y: float) -> float:
-        v = pseudo_inverse(f, f_fn(x) + f_fn(y))
-        # neutral element handled exactly, as in yager_tnorm: the round trip
-        # f^(-1)(f(x)) is off by an ulp.  v is computed even then, so a
-        # generator with f(1) < 0 is rejected wherever its sum goes negative
-        return x if y == 1.0 else y if x == 1.0 else v
-
-    return fn
-
-
 def _generated_tconorm_fn(g: Generator) -> Callable[[float, float], float]:
     """g^(-1)(g(x) + g(y)) for an increasing generator g, as a closure."""
     require_direction(g, INCREASING, "t-conorm")
@@ -170,7 +160,7 @@ def _generated_tconorm_fn(g: Generator) -> Callable[[float, float], float]:
 
 def generated_tnorm(f: Generator, x: float, y: float) -> float:
     """f^(-1)(f(x) + f(y)) for a decreasing generator f."""
-    return _generated_tnorm_fn(f)(x, y)
+    return generated_tnorm_connective(f).fn(x, y)
 
 
 def generated_tconorm(g: Generator, x: float, y: float) -> float:
@@ -194,9 +184,24 @@ def generated_residual(f: Generator, x: float, y: float) -> float:
 
 
 def generated_tnorm_connective(f: Generator) -> BinaryConnective:
+    """f^(-1)(f(x) + f(y)) for a decreasing generator f, with parts u = v = f:
+    the direction is checked once, here."""
+    require_direction(f, DECREASING, "t-norm")
+    f_fn = f.fn
+
+    def cell(a: float, b: float, x: float, y: float) -> float:
+        v = pseudo_inverse(f, a + b)
+        # neutral element handled exactly, as in yager_tnorm: the round trip
+        # f^(-1)(f(x)) is off by an ulp.  v is computed even then, so a
+        # generator with f(1) < 0 is rejected wherever its sum goes negative
+        return x if y == 1.0 else y if x == 1.0 else v
+
+    def fn(x: float, y: float) -> float:
+        return cell(f_fn(x), f_fn(y), x, y)
+
     # every decreasing generator, yager_f or a table, is continuous
-    return BinaryConnective(_generated_tnorm_fn(f), f"T[{f.label}]",
-                            functools.partial(generated_residual, f))
+    return BinaryConnective(fn, f"T[{f.label}]", functools.partial(generated_residual, f),
+                            parts=(f_fn, f_fn, cell))
 
 
 def generated_tconorm_connective(g: Generator) -> BinaryConnective:
@@ -210,28 +215,42 @@ def dual_of(c: BinaryConnective) -> BinaryConnective:
     )
 
 
-def _yager_pair(p: float):
-    """The Yager t-norm at p and its residual: the drastic pair at p=0, the
-    minimum pair at p=+inf, the closed forms between.  The endpoint
-    parameters dispatch to the exact special cases, once, here; taking
-    floating limits of the closed form there is meaningless.
+def _power_parts(p: float, cell):
+    """fn(x, y) = cell((1-x)^p, (1-y)^p, x, y) and its parts, the powers
+    written inline in fn so a point evaluation pays one call for ``cell``."""
+
+    def power(t: float) -> float:
+        return (1.0 - t) ** p
+
+    def fn(x: float, y: float) -> float:
+        return cell((1.0 - x) ** p, (1.0 - y) ** p, x, y)
+
+    return fn, (power, power, cell)
+
+
+def yager_connective(p: float) -> BinaryConnective:
+    """The Yager t-norm at p with its residual: the drastic pair at p=0 and
+    the minimum pair at p=+inf, the closed forms with their parts between.
+    The endpoint parameters dispatch to the exact special cases, once,
+    here; taking floating limits of the closed form there is meaningless.
     """
     if not p >= 0:
         raise ValueError("p must be >= 0")
-    if p == 0.0:
-        return _BASIC["drastic"]
-    if math.isinf(p):
-        return _BASIC["min"]
+    label = f"T_Y(p={p:g})"
+    if p == 0.0 or math.isinf(p):
+        fn, residual = _BASIC["drastic" if p == 0.0 else "min"]
+        return BinaryConnective(fn, label, residual)
     inv_p = 1.0 / p  # root(s, p) of a double s
 
-    def fn(x: float, y: float) -> float:
-        # neutral element handled exactly: the p-th root of the p-th power
-        # is off by an ulp, which residual bisection would amplify to ~1e-5
+    def cell(a: float, b: float, x: float, y: float) -> float:
+        # a = (1-x)^p, b = (1-y)^p.  Neutral element handled exactly: the
+        # p-th root of the p-th power is off by an ulp, which residual
+        # bisection would amplify to ~1e-5
         if y == 1.0:
             return x
         if x == 1.0:
             return y
-        s = (1.0 - x) ** p + (1.0 - y) ** p
+        s = a + b
         if s >= 1.0:  # root(s, p) >= 1; at a tiny p the root would overflow
             return 0.0
         if not isinstance(s, float):
@@ -243,12 +262,13 @@ def _yager_pair(p: float):
             return max(0.0, 1.0 - m * s ** inv_p)
         return max(0.0, 1.0 - s ** inv_p)
 
-    return fn, yager_residual_fn(p)
+    fn, parts = _power_parts(p, cell)
+    return BinaryConnective(fn, label, yager_residual_fn(p)[0], parts=parts)
 
 
-def yager_residual_fn(p: float) -> Callable[[float, float], float]:
-    """The residual of the Yager t-norm at 0 < p < inf, as a closure: p is
-    checked once, here.
+def yager_residual_fn(p: float):
+    """The residual of the Yager t-norm at 0 < p < inf, as a closure, with
+    its parts (u, v, cell), u = v = (1-t)^p: p is checked once, here.
 
     The subtraction of nearly equal powers is clamped at 0 before the
     root so x <= y yields exactly 1; R(1,y) = y exactly, as in generated_residual.
@@ -258,9 +278,9 @@ def yager_residual_fn(p: float) -> Callable[[float, float], float]:
     if not 0 < p < math.inf:
         raise ValueError("p must be finite and positive")
 
-    def fn(x: float, y: float) -> float:
-        a = (1.0 - y) ** p
-        d = a - (1.0 - x) ** p
+    def cell(b: float, a: float, x: float, y: float) -> float:
+        # b = (1-x)^p, a = (1-y)^p
+        d = a - b
         if isinstance(d, float) and a < _SMALLEST_NORMAL and y < 1.0:
             if x <= y:  # where (1-x)/m >= 1, whose p-th power may overflow
                 return 1.0
@@ -273,22 +293,17 @@ def yager_residual_fn(p: float) -> Callable[[float, float], float]:
             return y
         return clamp01(1.0 - root(d, p))
 
-    return fn
+    return _power_parts(p, cell)
 
 
 def yager_tnorm(p: float, x: float, y: float) -> float:
     """Yager family: drastic at p=0, minimum at p=+inf, closed form between."""
-    return _yager_pair(p)[0](x, y)
+    return yager_connective(p).fn(x, y)
 
 
 def yager_residual(p: float, x: float, y: float) -> float:
     """Closed-form residual of the Yager t-norm, 0 < p < inf."""
-    return yager_residual_fn(p)(x, y)
-
-
-def yager_connective(p: float) -> BinaryConnective:
-    fn, residual = _yager_pair(p)
-    return BinaryConnective(fn, f"T_Y(p={p:g})", residual)
+    return yager_residual_fn(p)[0](x, y)
 
 
 def quasi_arithmetic_mean(x: float, y: float) -> float:

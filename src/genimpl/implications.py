@@ -20,7 +20,6 @@ from .connectives import (
     BinaryConnective,
     Negation,
     generated_residual,  # noqa: F401  (re-exported: implications.* keeps resolving it)
-    generated_tconorm,
     lukasiewicz_implication,
     standard_negation,
     yager_residual,  # noqa: F401  (re-exported)
@@ -31,6 +30,7 @@ from .generators import (
     Generator,
     clamp01,
     is_mpf,
+    pseudo_inverse,
     require_direction,
     wide,
 )
@@ -134,7 +134,8 @@ def residual_candidate(c: BinaryConnective) -> ImplicationCandidate:
 
 
 def yager_residual_candidate(p: float) -> ImplicationCandidate:
-    return ImplicationCandidate(yager_residual_fn(p), f"I_TY(p={p:g})")
+    fn, parts = yager_residual_fn(p)
+    return ImplicationCandidate(fn, f"I_TY(p={p:g})", parts=parts)
 
 
 def mean_residual(x: float, y: float) -> float:
@@ -151,14 +152,43 @@ def mean_residual_candidate() -> ImplicationCandidate:
 # --------------------------------------------------------------------------
 
 
+def _at_chain_dps(f):
+    """f evaluated at CHAIN_DPS; mpmath is loaded at the first call."""
+
+    def wide_f(*args):
+        with wide().workdps(CHAIN_DPS):
+            return f(*args)
+
+    return wide_f
+
+
+def _ign_chain(g: Generator, n: Negation):
+    """I^g_N = S_g(N(x), y) for strictly increasing g with g(0)=0, as a
+    closure with its parts, all at CHAIN_DPS: u(x) = g(N(X)), v(y) = g(Y)
+    with X, Y the arguments as mpf, and cell = g^(-1)(u + v), rounded once
+    to a double unless the caller passed an mpf.  A point enters the
+    working precision once."""
+    require_direction(g, INCREASING, "implication")
+    g_fn = g.fn
+
+    def u(x):
+        return g_fn(n(wide().mpf(x)))
+
+    def v(y):
+        return g_fn(wide().mpf(y))
+
+    def cell(a, b, x: float, y: float) -> float:
+        w = pseudo_inverse(g, a + b)
+        return w if is_mpf(x) or is_mpf(y) else float(w)
+
+    fn = _at_chain_dps(lambda x, y: cell(u(x), v(y), x, y))
+    return fn, tuple(map(_at_chain_dps, (u, v, cell)))
+
+
 def ign_implication(g: Generator, n: Negation, x: float, y: float) -> float:
     """S_g(N(x), y) for strictly increasing g with g(0)=0, at CHAIN_DPS;
     rounded once to a double unless the caller passed an mpf."""
-    require_direction(g, INCREASING, "implication")
-    mpmath = wide()
-    with mpmath.workdps(CHAIN_DPS):
-        v = generated_tconorm(g, n(mpmath.mpf(x)), mpmath.mpf(y))
-    return v if is_mpf(x) or is_mpf(y) else float(v)
+    return _ign_chain(g, n)[0](x, y)
 
 
 _STANDARD = standard_negation()
@@ -199,16 +229,14 @@ def ig_bounds(g: Generator, x: float, y_lo: float, y_hi: float) -> tuple[float, 
 
 def ig_candidate(g: Generator) -> ImplicationCandidate:
     """I^g, with the float enclosure ``ig_bounds``."""
-    require_direction(g, INCREASING, "implication")
-    return ImplicationCandidate(lambda x, y: ig_implication(g, x, y), f"Ig[{g.label}]",
-                                bounds=functools.partial(ig_bounds, g))
+    fn, parts = _ign_chain(g, _STANDARD)
+    return ImplicationCandidate(fn, f"Ig[{g.label}]", bounds=functools.partial(ig_bounds, g),
+                                parts=parts)
 
 
 def ign_candidate(g: Generator, n: Negation) -> ImplicationCandidate:
-    require_direction(g, INCREASING, "implication")
-    return ImplicationCandidate(
-        lambda x, y: ign_implication(g, n, x, y), f"IgN[{g.label},{n.label}]"
-    )
+    fn, parts = _ign_chain(g, n)
+    return ImplicationCandidate(fn, f"IgN[{g.label},{n.label}]", parts=parts)
 
 
 def sn_implication(s: BinaryConnective, n: Negation, x: float, y: float) -> float:

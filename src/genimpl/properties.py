@@ -58,13 +58,37 @@ def _scan_monotone(prop, s, values, xs, increasing, coords):
     return None
 
 
-def _second_arg_scan(prop, f, s):
-    """Non-decrease of f(x, .) along the sorted samples, for every grid x;
-    f is an operator's raw ``fn``."""
+def _lines(op, points, grid, first=False):
+    """(c, values) for each c of ``grid``: op's raw fn along ``points`` in
+    the second argument, fn(c, y), or with ``first`` in the first, fn(x, c).
+
+    An operator with ``parts`` has the term of every point evaluated once,
+    the term of c once per line, and only ``cell`` per cell; any other
+    evaluates fn per cell.  The values of a line are lazy, so a scan that
+    stops at a breaking pair evaluates no cell past it.
+    """
+    if op.parts is None:
+        fn = op.fn
+        for c in grid:
+            yield c, map(fn, points, repeat(c)) if first else map(fn, repeat(c), points)
+        return
+    u, v, cell = op.parts
+    if first:
+        us = list(map(u, points))
+        for c in grid:
+            yield c, map(cell, us, repeat(v(c)), points, repeat(c))
+    else:
+        vs = list(map(v, points))
+        for c in grid:
+            yield c, map(cell, repeat(u(c)), vs, repeat(c), points)
+
+
+def _second_arg_scan(prop, op, s):
+    """Non-decrease of op(x, .) along the sorted samples, for every grid x."""
     xs = sorted(s.points_1d())
-    for x in s.grid():
+    for x, values in _lines(op, xs, s.grid()):
         report = _scan_monotone(
-            prop, s, map(f, repeat(x), xs), xs, True,
+            prop, s, values, xs, True,
             lambda y1, y2: {"x": x, "y1": y1, "y2": y2},
         )
         if report:
@@ -87,22 +111,22 @@ def check_implication_axioms(
 
     # I1: non-increasing in the first argument along sorted samples
     xs = sorted(s.points_1d())
-    for y in s.grid():
+    for y, values in _lines(i, xs, s.grid(), first=True):
         report = _scan_monotone(
-            "I1", s, map(i.fn, xs, repeat(y)), xs, False,
+            "I1", s, values, xs, False,
             lambda x1, x2: {"x1": x1, "x2": x2, "y": y},
         )
         if report:
             return report
 
-    return _second_arg_scan("I2", i.fn, s) or passing("I1-I3", s)
+    return _second_arg_scan("I2", i, s) or passing("I1-I3", s)
 
 
 def check_second_arg_monotone(
     i: ImplicationCandidate, s: SampleSpec = SampleSpec()
 ) -> PropertyReport:
     """I2 alone (needed by the class probes)."""
-    return _second_arg_scan("I2", i.fn, s) or passing("I2", s)
+    return _second_arg_scan("I2", i, s) or passing("I2", s)
 
 
 def check_property(
@@ -266,7 +290,7 @@ def _tnorm_pair_laws(t: BinaryConnective, s: SampleSpec) -> PropertyReport | Non
             lambda x, y: abs(t(x, y) - t(y, x)),
             lambda x, y: {"x": x, "y": y, "xy": t(x, y), "yx": t(y, x)},
         )
-    return _second_arg_scan("T3", t.fn, s) if report.holds else report
+    return _second_arg_scan("T3", t, s) if report.holds else report
 
 
 # The triple from the six-branch implication's associativity breakdown is

@@ -415,6 +415,14 @@ print(code, *steps)
 """
 
 
+_PARSE_THEN_REPORT_MPMATH = """
+import sys
+from genimpl import specs
+op = specs.parse_implication(specs.load_spec(sys.argv[1]))
+print(op.label.split("[")[0], "mpmath" in sys.modules)
+"""
+
+
 def _env():
     """The environment of a fresh process that imports this genimpl."""
     src = str(Path(genimpl.__file__).resolve().parents[1])
@@ -456,6 +464,19 @@ class TestMpmathLoading:
     ])
     def test_wide_runs_load_it(self, argv, code):
         assert mpmath_after(*argv) == (code, [False, False, True])
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "ig", "g": {"kind": "neg_log"}}',
+        '{"kind": "ig", "g": {"kind": "power_gp", "p": 2}}',
+        '{"kind": "ign", "g": {"kind": "power_gp", "p": 2}, "N": {"kind": "yager_np", "p": 2}}',
+    ])
+    def test_parsing_a_generated_implication_does_not_load_it(self, spec):
+        # its 40-digit chain and parts resolve mpmath when evaluated, not when built
+        out = subprocess.run(
+            [sys.executable, "-c", _PARSE_THEN_REPORT_MPMATH, spec],
+            env=_env(), capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.split()
+        assert out == ["IgN" if '"ign"' in spec else "Ig", "False"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,4 +31,4 @@ def test_all_is_pinned():
 
 def test_operator_fields_are_pinned():
     fields = [f.name for f in dataclasses.fields(genimpl.BinaryConnective)]
-    assert fields == ["fn", "label", "residual", "bounds"]
+    assert fields == ["fn", "label", "residual", "bounds", "parts"]

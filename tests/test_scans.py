@@ -1,21 +1,25 @@
-"""The monotone scans evaluate an operator's raw ``fn`` and clamp it inline,
-and the constructors resolve family, direction and constants once: every
-value and report must stay what the per-call wrappers gave."""
+"""The monotone scans evaluate an operator's raw ``fn``, or its ``parts``,
+and clamp inline, and the constructors resolve family, direction and
+constants once: every value and report must stay what the per-call
+wrappers gave."""
 
+import dataclasses
 import math
 
 import mpmath
 import pytest
 
 from genimpl.bijections import identity_bijection, power_bijection
-from genimpl.classes import build_intersection_member
+from genimpl.classes import build_intersection_member, conjugate_lk_probe
 from genimpl.connectives import (
     BinaryConnective,
     Negation,
     generated_tconorm_connective,
     generated_tnorm_connective,
     t_drastic,
+    table_negation,
     yager_connective,
+    yager_negation,
 )
 from genimpl.generators import (
     DECREASING,
@@ -29,8 +33,14 @@ from genimpl.generators import (
     table_generator,
     yager_f,
 )
-from genimpl.implications import CHAIN_DPS
+from genimpl.implications import (
+    CHAIN_DPS,
+    ig_candidate,
+    ign_candidate,
+    yager_residual_candidate,
+)
 from genimpl.properties import (
+    _lines,
     check_implication_axioms,
     check_negation_axioms,
     check_tnorm_axioms,
@@ -236,4 +246,130 @@ def test_scan_stops_at_the_first_breaking_pair(small_spec):
     k = next(k for k in range(1, len(xs))
              if values[k] > values[k - 1] + small_spec.tolerance)
     assert counting.calls == 3 + k + 1
+    assert (report.witness["value1"], report.witness["value2"]) == tuple(values[k - 1:k + 1])
+
+
+# Operators with parts: fn(x, y) == cell(u(x), v(y), x, y).  The float
+# ones are checked on the default plan, the 40-digit chains on a small one.
+
+SMALL = SampleSpec(grid_n=21, random_count=50, seed=7)
+PHIS = (identity_bijection(), power_bijection(0.5), power_bijection(2.0),
+        power_bijection(3.0))
+YAGER_P = (0.5, 2.0, 3.7, 1000.0)  # at 1000 both powers underflow and cell scales them
+# I1 fails: the table negation rises between 0.4 and 0.6
+ILL_NEGATED = ign_candidate(neg_log(), table_negation([(0, 1), (0.4, 0.2), (0.6, 0.6), (1, 0)]))
+
+PARTED = [
+    *((yager_connective(p), SampleSpec()) for p in YAGER_P),
+    *((generated_tnorm_connective(f), SampleSpec())
+      for f in (yager_f(0.5), yager_f(2.0), TABLE_F)),
+    *((yager_residual_candidate(p), SampleSpec()) for p in YAGER_P),
+    *((build_intersection_member(phi), SampleSpec()) for phi in PHIS),
+    *((ig_candidate(g), SMALL) for g in (neg_log(), power_gp(2.0), TABLE_G)),
+    (ign_candidate(power_gp(2.0), yager_negation(2.0)), SMALL),
+    (ILL_NEGATED, SMALL),
+]
+PARTED_IDS = [op.label for op, _ in PARTED]
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+@pytest.mark.parametrize("op, s", PARTED, ids=PARTED_IDS)
+def test_parts_give_fn_bit_for_bit(op, s):
+    assert op.parts is not None
+    xs, grid = sorted(s.points_1d()), s.grid()
+    for x, values in _lines(op, xs, grid):  # a row: fn(x, .)
+        assert typed(values) == typed(op.fn(x, y) for y in xs), x
+    for y, values in _lines(op, xs, grid, first=True):  # a column: fn(., y)
+        assert typed(values) == typed(op.fn(x, y) for x in xs), y
+    u, v, cell = op.parts
+    with mpmath.workdps(CHAIN_DPS):
+        for x, y in MPF_PAIRS:
+            x, y = mpmath.mpf(x), mpmath.mpf(y)
+            got, want = cell(u(x), v(y), x, y), op.fn(x, y)
+            assert got == want and type(got) is type(want), (x, y)
+
+
+def bumped_product():
+    """A t-norm-like operator with parts that breaks T3 (and I2): a product
+    with a bump on 0.5 < x + y < 0.6, symmetric, with neutral element 1."""
+    def cell(a, b, x, y):
+        return x if y == 1.0 else y if x == 1.0 else a * b + (0.01 if 0.5 < x + y < 0.6 else 0.0)
+
+    def ident(t):
+        return t
+
+    return BinaryConnective(lambda x, y: cell(x, y, x, y), "bumped", parts=(ident, ident, cell))
+
+
+BUMPED = bumped_product()
+PHI_CONJUGATES = [op for op, _ in PARTED if op.label.startswith("I_phi")]
+
+
+@pytest.mark.parametrize("op, s", [*PARTED, (BUMPED, SMALL)], ids=[*PARTED_IDS, "bumped"])
+def test_reports_equal_without_parts(op, s):
+    plain = dataclasses.replace(op, parts=None)
+    for check in (check_implication_axioms, check_tnorm_axioms):
+        assert check(op, s).to_json() == check(plain, s).to_json(), check.__name__
+
+
+def test_failing_scans_with_parts():
+    assert check_implication_axioms(ILL_NEGATED, SMALL).property == "I1"
+    assert check_tnorm_axioms(BUMPED, SMALL).property == "T3"
+    assert check_implication_axioms(BUMPED, SMALL).property == "I3"
+
+
+@pytest.mark.parametrize("op, s", [*((op, SampleSpec()) for op in PHI_CONJUGATES),
+                                   (ig_candidate(neg_log()), SMALL)],
+                         ids=[*(op.label for op in PHI_CONJUGATES), "ig(neg_log)"])
+def test_surface_probe_equal_without_parts(op, s):
+    # the class probe's surface grid goes through the same rows as the scans
+    plain = dataclasses.replace(op, parts=None)
+    assert conjugate_lk_probe(op, s).to_json() == conjugate_lk_probe(plain, s).to_json()
+
+
+def counted(op):
+    """op with a Counting wrapper on fn and on each of its parts."""
+    return BinaryConnective(Counting(op.fn), op.label, parts=tuple(map(Counting, op.parts)))
+
+
+def test_evaluations_per_check_with_parts(small_spec):
+    s = small_spec
+    n1, g = len(s.points_1d()), len(s.grid())
+
+    lk = counted(build_intersection_member(identity_bijection()))
+    assert check_implication_axioms(lk, s).holds
+    u, v, cell = lk.parts
+    assert lk.fn.calls == 3  # the I3 corners; no fn call inside a scan
+    # I1: u per sorted point, v per grid line; I2: v per sorted point, u per grid line
+    assert u.calls == v.calls == n1 + g
+    assert cell.calls == 2 * g * n1
+
+    yager = counted(yager_connective(2.0))
+    report = check_tnorm_axioms(yager, s)
+    assert report.holds
+    u, v, cell = yager.parts
+    # T4, T1 both ways, then four float evaluations per triple and four
+    # wide ones per escalated triple; the T3 scan runs on the parts alone
+    escalations = report.details["escalations"]
+    assert yager.fn.calls == n1 + 2 * len(s.pairs()) + 4 * (len(s.triples()) + escalations)
+    assert (v.calls, u.calls, cell.calls) == (n1, g, g * n1)
+
+
+def test_scan_with_parts_stops_at_the_first_breaking_pair():
+    # I1 of ILL_NEGATED breaks on some grid line; the scan evaluates each
+    # line up to its first breaking pair and no cell past it
+    s = SMALL
+    op = counted(ILL_NEGATED)
+    report = check_implication_axioms(op, s)
+    assert report.to_json() == check_implication_axioms(ILL_NEGATED, s).to_json()
+    xs, tol = sorted(s.points_1d()), s.tolerance
+    lines = s.grid().index(report.witness["y"])
+    values = [clamp01(ILL_NEGATED.fn(x, report.witness["y"])) for x in xs]
+    k = next(k for k in range(1, len(xs)) if values[k] > values[k - 1] + tol)
+    u, v, cell = op.parts
+    assert op.fn.calls == 3
+    assert (u.calls, v.calls, cell.calls) == (len(xs), lines + 1, lines * len(xs) + k + 1)
     assert (report.witness["value1"], report.witness["value2"]) == tuple(values[k - 1:k + 1])
