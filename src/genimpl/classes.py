@@ -124,40 +124,28 @@ def _right_continuity(i: ImplicationCandidate, s: SampleSpec) -> PropertyReport:
 
 
 def _surface_continuity(i: ImplicationCandidate, s: SampleSpec) -> PropertyReport:
-    """Grid-jump heuristic along both axes; offending intervals are refined
-    locally so steep continuous slopes are not mistaken for jumps."""
+    """Grid-jump heuristic along both axes, the step in x before the step
+    in y at each grid cell; offending intervals are refined locally so
+    steep continuous slopes are not mistaken for jumps."""
     g = s.grid()
     threshold = 5.0 / s.grid_n
-    # vals[a][b] = i(g[a], g[b]), clamped as __call__ does
-    vals = [list(map(clamp01, values)) for _, values in _lines(i, g, g)]
-    for a in range(len(g)):
-        for b in range(1, len(g)):
-            dx = abs(vals[b][a] - vals[b - 1][a])
-            if dx > threshold:
-                y = g[a]
-                jump, lo, hi = refine_jump(
-                    lambda t: i(t, y), g[b - 1], g[b]
-                )
+    # rows[a][b] = i(g[a], g[b]) = columns[b][a], clamped as __call__ does
+    rows = [list(map(clamp01, values)) for _, values in _lines(i, g, g)]
+    columns = list(zip(*rows))
+    line = [0.0] * (2 * len(g))
+    for a, c in enumerate(g):
+        # line[2b] = i(g[b], c), line[2b + 1] = i(c, g[b]): entries two
+        # apart are a step in x (k even) or in y (k odd) from g[b - 1] to g[b]
+        line[::2] = columns[a]
+        line[1::2] = rows[a]
+        for k in range(2, len(line)):
+            if abs(line[k] - line[k - 2]) > threshold:
+                f = (lambda t: i(c, t)) if k % 2 else (lambda t: i(t, c))
+                jump, lo, hi = refine_jump(f, g[k // 2 - 1], g[k // 2])
                 if jump > threshold:
-                    return failing(
-                        "surface-continuity", s,
-                        {"x1": lo, "x2": hi, "y": y,
-                         "value1": i(lo, y), "value2": i(hi, y)},
-                        jump,
-                    )
-            dy = abs(vals[a][b] - vals[a][b - 1])
-            if dy > threshold:
-                x = g[a]
-                jump, lo, hi = refine_jump(
-                    lambda t: i(x, t), g[b - 1], g[b]
-                )
-                if jump > threshold:
-                    return failing(
-                        "surface-continuity", s,
-                        {"x": x, "y1": lo, "y2": hi,
-                         "value1": i(x, lo), "value2": i(x, hi)},
-                        jump,
-                    )
+                    w = {"x": c, "y1": lo, "y2": hi} if k % 2 else {"x1": lo, "x2": hi, "y": c}
+                    return failing("surface-continuity", s,
+                                   {**w, "value1": f(lo), "value2": f(hi)}, jump)
     return passing("surface-continuity", s)
 
 

@@ -130,32 +130,21 @@ _BASIC = {
 }
 
 
-def _basic_pair(kind: str):
-    try:
-        return _BASIC[kind]
-    except KeyError:
-        raise ValueError(f"unknown basic t-norm {kind!r}") from None
-
-
 def basic_tnorm(kind: str, x: float, y: float) -> float:
-    return _basic_pair(kind)[0](x, y)
+    return basic(kind).fn(x, y)
 
 
 def basic(kind: str) -> BinaryConnective:
-    fn, residual = _basic_pair(kind)
+    try:
+        fn, residual = _BASIC[kind]
+    except KeyError:
+        raise ValueError(f"unknown basic t-norm {kind!r}") from None
     return BinaryConnective(fn, f"T_{kind}", residual)
 
 
 # --------------------------------------------------------------------------
 # Generated connectives
 # --------------------------------------------------------------------------
-
-
-def _generated_tconorm_fn(g: Generator) -> Callable[[float, float], float]:
-    """g^(-1)(g(x) + g(y)) for an increasing generator g, as a closure."""
-    require_direction(g, INCREASING, "t-conorm")
-    g_fn = g.fn
-    return lambda x, y: pseudo_inverse(g, g_fn(x) + g_fn(y))
 
 
 def generated_tnorm(f: Generator, x: float, y: float) -> float:
@@ -165,7 +154,7 @@ def generated_tnorm(f: Generator, x: float, y: float) -> float:
 
 def generated_tconorm(g: Generator, x: float, y: float) -> float:
     """g^(-1)(g(x) + g(y)) for an increasing generator g."""
-    return _generated_tconorm_fn(g)(x, y)
+    return generated_tconorm_connective(g).fn(x, y)
 
 
 def generated_residual(f: Generator, x: float, y: float) -> float:
@@ -205,7 +194,11 @@ def generated_tnorm_connective(f: Generator) -> BinaryConnective:
 
 
 def generated_tconorm_connective(g: Generator) -> BinaryConnective:
-    return BinaryConnective(_generated_tconorm_fn(g), f"S[{g.label}]")
+    """g^(-1)(g(x) + g(y)) for an increasing generator g: the direction is
+    checked once, here."""
+    require_direction(g, INCREASING, "t-conorm")
+    g_fn = g.fn
+    return BinaryConnective(lambda x, y: pseudo_inverse(g, g_fn(x) + g_fn(y)), f"S[{g.label}]")
 
 
 def dual_of(c: BinaryConnective) -> BinaryConnective:
@@ -215,8 +208,8 @@ def dual_of(c: BinaryConnective) -> BinaryConnective:
     )
 
 
-def _power_parts(p: float, cell):
-    """fn(x, y) = cell((1-x)^p, (1-y)^p, x, y) and its parts, the powers
+def _power_operator(p: float, cell, label: str, residual=None) -> BinaryConnective:
+    """fn(x, y) = cell((1-x)^p, (1-y)^p, x, y) with its parts, the powers
     written inline in fn so a point evaluation pays one call for ``cell``."""
 
     def power(t: float) -> float:
@@ -225,7 +218,7 @@ def _power_parts(p: float, cell):
     def fn(x: float, y: float) -> float:
         return cell((1.0 - x) ** p, (1.0 - y) ** p, x, y)
 
-    return fn, (power, power, cell)
+    return BinaryConnective(fn, label, residual, parts=(power, power, cell))
 
 
 def yager_connective(p: float) -> BinaryConnective:
@@ -262,13 +255,12 @@ def yager_connective(p: float) -> BinaryConnective:
             return max(0.0, 1.0 - m * s ** inv_p)
         return max(0.0, 1.0 - s ** inv_p)
 
-    fn, parts = _power_parts(p, cell)
-    return BinaryConnective(fn, label, yager_residual_fn(p)[0], parts=parts)
+    return _power_operator(p, cell, label, yager_residual_candidate(p).fn)
 
 
-def yager_residual_fn(p: float):
-    """The residual of the Yager t-norm at 0 < p < inf, as a closure, with
-    its parts (u, v, cell), u = v = (1-t)^p: p is checked once, here.
+def yager_residual_candidate(p: float) -> BinaryConnective:
+    """The residual of the Yager t-norm at 0 < p < inf, with its parts
+    (u, v, cell), u = v = (1-t)^p: p is checked once, here.
 
     The subtraction of nearly equal powers is clamped at 0 before the
     root so x <= y yields exactly 1; R(1,y) = y exactly, as in generated_residual.
@@ -293,7 +285,7 @@ def yager_residual_fn(p: float):
             return y
         return clamp01(1.0 - root(d, p))
 
-    return _power_parts(p, cell)
+    return _power_operator(p, cell, f"I_TY(p={p:g})")
 
 
 def yager_tnorm(p: float, x: float, y: float) -> float:
@@ -303,7 +295,7 @@ def yager_tnorm(p: float, x: float, y: float) -> float:
 
 def yager_residual(p: float, x: float, y: float) -> float:
     """Closed-form residual of the Yager t-norm, 0 < p < inf."""
-    return yager_residual_fn(p)[0](x, y)
+    return yager_residual_candidate(p).fn(x, y)
 
 
 def quasi_arithmetic_mean(x: float, y: float) -> float:

@@ -12,6 +12,7 @@ of the t-conorm generated by g; I^g is I^g_N at the standard negation.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -23,7 +24,7 @@ from .connectives import (
     lukasiewicz_implication,
     standard_negation,
     yager_residual,  # noqa: F401  (re-exported)
-    yager_residual_fn,
+    yager_residual_candidate,  # noqa: F401  (re-exported)
 )
 from .generators import (
     INCREASING,
@@ -39,6 +40,24 @@ from .generators import (
 # takes a p-th root next to a saturation point, which amplifies the last
 # ulp of a double to ~1e-5, so the chain runs wider and rounds at the end
 CHAIN_DPS = 40
+
+
+def chain_eval(f, *args):
+    """f of the arguments as mpf, at CHAIN_DPS; mpmath is loaded at the first call."""
+    mpmath = wide()
+    with mpmath.workdps(CHAIN_DPS):
+        return f(*map(mpmath.mpf, args))
+
+
+def _at_chain_dps(f):
+    """f evaluated at CHAIN_DPS; mpmath is loaded at the first call."""
+
+    def wide_f(*args):
+        with wide().workdps(CHAIN_DPS):
+            return f(*args)
+
+    return wide_f
+
 
 SCAN_POINTS = 4096  # fallback scan when C(x,.) is not monotone
 # halvings at double precision; an mpf bracket gets as many more as its
@@ -133,11 +152,6 @@ def residual_candidate(c: BinaryConnective) -> ImplicationCandidate:
                                 f"R[{c.label}]")
 
 
-def yager_residual_candidate(p: float) -> ImplicationCandidate:
-    fn, parts = yager_residual_fn(p)
-    return ImplicationCandidate(fn, f"I_TY(p={p:g})", parts=parts)
-
-
 def mean_residual(x: float, y: float) -> float:
     """Residual of the quadratic mean; fails I(0,0)=1, so not an implication."""
     return math.sqrt(min(max(2.0 * y * y - x * x, 0.0), 1.0))
@@ -152,22 +166,12 @@ def mean_residual_candidate() -> ImplicationCandidate:
 # --------------------------------------------------------------------------
 
 
-def _at_chain_dps(f):
-    """f evaluated at CHAIN_DPS; mpmath is loaded at the first call."""
-
-    def wide_f(*args):
-        with wide().workdps(CHAIN_DPS):
-            return f(*args)
-
-    return wide_f
-
-
-def _ign_chain(g: Generator, n: Negation):
-    """I^g_N = S_g(N(x), y) for strictly increasing g with g(0)=0, as a
-    closure with its parts, all at CHAIN_DPS: u(x) = g(N(X)), v(y) = g(Y)
-    with X, Y the arguments as mpf, and cell = g^(-1)(u + v), rounded once
-    to a double unless the caller passed an mpf.  A point enters the
-    working precision once."""
+def ign_candidate(g: Generator, n: Negation) -> ImplicationCandidate:
+    """I^g_N = S_g(N(x), y) for strictly increasing g with g(0)=0, with its
+    parts, all at CHAIN_DPS: u(x) = g(N(X)), v(y) = g(Y) with X, Y the
+    arguments as mpf, and cell = g^(-1)(u + v), rounded once to a double
+    unless the caller passed an mpf.  A point enters the working precision
+    once."""
     require_direction(g, INCREASING, "implication")
     g_fn = g.fn
 
@@ -181,14 +185,15 @@ def _ign_chain(g: Generator, n: Negation):
         w = pseudo_inverse(g, a + b)
         return w if is_mpf(x) or is_mpf(y) else float(w)
 
-    fn = _at_chain_dps(lambda x, y: cell(u(x), v(y), x, y))
-    return fn, tuple(map(_at_chain_dps, (u, v, cell)))
+    return ImplicationCandidate(_at_chain_dps(lambda x, y: cell(u(x), v(y), x, y)),
+                                f"IgN[{g.label},{n.label}]",
+                                parts=tuple(map(_at_chain_dps, (u, v, cell))))
 
 
 def ign_implication(g: Generator, n: Negation, x: float, y: float) -> float:
     """S_g(N(x), y) for strictly increasing g with g(0)=0, at CHAIN_DPS;
     rounded once to a double unless the caller passed an mpf."""
-    return _ign_chain(g, n)[0](x, y)
+    return ign_candidate(g, n).fn(x, y)
 
 
 _STANDARD = standard_negation()
@@ -228,15 +233,9 @@ def ig_bounds(g: Generator, x: float, y_lo: float, y_hi: float) -> tuple[float, 
 
 
 def ig_candidate(g: Generator) -> ImplicationCandidate:
-    """I^g, with the float enclosure ``ig_bounds``."""
-    fn, parts = _ign_chain(g, _STANDARD)
-    return ImplicationCandidate(fn, f"Ig[{g.label}]", bounds=functools.partial(ig_bounds, g),
-                                parts=parts)
-
-
-def ign_candidate(g: Generator, n: Negation) -> ImplicationCandidate:
-    fn, parts = _ign_chain(g, n)
-    return ImplicationCandidate(fn, f"IgN[{g.label},{n.label}]", parts=parts)
+    """I^g: I^g_N at the standard negation, with the float enclosure ``ig_bounds``."""
+    return dataclasses.replace(ign_candidate(g, _STANDARD), label=f"Ig[{g.label}]",
+                               bounds=functools.partial(ig_bounds, g))
 
 
 def sn_implication(s: BinaryConnective, n: Negation, x: float, y: float) -> float:
@@ -245,9 +244,7 @@ def sn_implication(s: BinaryConnective, n: Negation, x: float, y: float) -> floa
 
 
 def sn_candidate(s: BinaryConnective, n: Negation) -> ImplicationCandidate:
-    return ImplicationCandidate(
-        lambda x, y: sn_implication(s, n, x, y), f"SN[{s.label},{n.label}]"
-    )
+    return ImplicationCandidate(lambda x, y: s(n(x), y), f"SN[{s.label},{n.label}]")
 
 
 def lukasiewicz_candidate() -> ImplicationCandidate:
@@ -258,15 +255,15 @@ def phi_conjugate(
     i: ImplicationCandidate, phi: Bijection, x: float, y: float
 ) -> float:
     """phi^-1(I(phi(x), phi(y)))."""
-    return clamp01(phi.inverse(i(phi.forward(x), phi.forward(y))))
+    return phi_conjugate_candidate(i, phi).fn(x, y)
 
 
 def phi_conjugate_candidate(
     i: ImplicationCandidate, phi: Bijection
 ) -> ImplicationCandidate:
-    return ImplicationCandidate(
-        lambda x, y: phi_conjugate(i, phi, x, y), f"conj[{i.label},{phi.label}]"
-    )
+    forward, inverse = phi.forward, phi.inverse
+    return ImplicationCandidate(lambda x, y: clamp01(inverse(i(forward(x), forward(y)))),
+                                f"conj[{i.label},{phi.label}]")
 
 
 def piecewise_f_implication(x: float, y: float) -> float:

@@ -8,12 +8,13 @@ points, so re-evaluating them standalone reproduces the discrepancy.
 
 from __future__ import annotations
 
+import functools
 from itertools import repeat
 from typing import Callable
 
 from .connectives import BinaryConnective, Negation
-from .generators import clamp01, wide
-from .implications import CHAIN_DPS, ImplicationCandidate
+from .generators import clamp01
+from .implications import ImplicationCandidate, chain_eval
 from .reports import PropertyReport, SampleSpec, failing, passing
 
 # OP's reverse direction: exact-1 tests are brittle in floating point,
@@ -24,6 +25,10 @@ OP_SLACK = 10.0
 # this share of the tolerance is re-evaluated at CHAIN_DPS, and only that
 # wide evaluation can fail it.
 ESCALATE_SHARE = 1 / 16
+
+# refine_jump subdivides an interval into REFINE_POINTS cells, REFINE_ROUNDS times
+REFINE_ROUNDS = 3
+REFINE_POINTS = 16
 
 
 def _pointwise_law(prop, s, points, gap, witness):
@@ -83,13 +88,15 @@ def _lines(op, points, grid, first=False):
             yield c, map(cell, repeat(u(c)), vs, repeat(c), points)
 
 
-def _second_arg_scan(prop, op, s):
-    """Non-decrease of op(x, .) along the sorted samples, for every grid x."""
+def _scan(prop, op, s, first=False):
+    """Monotonicity of op along the sorted samples, on every grid line:
+    non-decrease of op(x, .), or with ``first`` non-increase of op(., y)."""
     xs = sorted(s.points_1d())
-    for x, values in _lines(op, xs, s.grid()):
+    for c, values in _lines(op, xs, s.grid(), first):
         report = _scan_monotone(
-            prop, s, values, xs, True,
-            lambda y1, y2: {"x": x, "y1": y1, "y2": y2},
+            prop, s, values, xs, not first,
+            (lambda x1, x2: {"x1": x1, "x2": x2, "y": c}) if first
+            else lambda y1, y2: {"x": c, "y1": y1, "y2": y2},
         )
         if report:
             return report
@@ -108,25 +115,14 @@ def check_implication_axioms(
     )
     if not report.holds:
         return report
-
-    # I1: non-increasing in the first argument along sorted samples
-    xs = sorted(s.points_1d())
-    for y, values in _lines(i, xs, s.grid(), first=True):
-        report = _scan_monotone(
-            "I1", s, values, xs, False,
-            lambda x1, x2: {"x1": x1, "x2": x2, "y": y},
-        )
-        if report:
-            return report
-
-    return _second_arg_scan("I2", i, s) or passing("I1-I3", s)
+    return _scan("I1", i, s, first=True) or _scan("I2", i, s) or passing("I1-I3", s)
 
 
 def check_second_arg_monotone(
     i: ImplicationCandidate, s: SampleSpec = SampleSpec()
 ) -> PropertyReport:
     """I2 alone (needed by the class probes)."""
-    return _second_arg_scan("I2", i, s) or passing("I2", s)
+    return _scan("I2", i, s) or passing("I2", s)
 
 
 def check_property(
@@ -194,12 +190,7 @@ def _nested_law(prop, sides, fn, triples, s, keys=("x", "y", "z"), holds_as=None
             d = max(l_hi - r_lo, r_hi - l_lo)
         if not d <= escalate_above:  # a NaN escalates too
             escalations += 1
-            mpmath = wide()
-            with mpmath.workdps(CHAIN_DPS):
-                left, right = sides(
-                    fn, mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
-                )
-                left, right = float(left), float(right)
+            left, right = map(float, chain_eval(functools.partial(sides, fn), a, b, c))
             d = abs(left - right)
             if d > s.tolerance:
                 witness = dict(zip(keys, (a, b, c)), left=left, right=right)
@@ -236,10 +227,7 @@ def _check_op(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport
         # reverse direction: a continuous I comes within tol of 1 just past
         # the diagonal, so the hit stands only if the unrounded wide value
         # is 1; x - y then exceeds 10*tol > tol
-        mpmath = wide()
-        with mpmath.workdps(CHAIN_DPS):
-            w = i(mpmath.mpf(x), mpmath.mpf(y))
-        return x - y if w >= 1 else 0.0
+        return x - y if chain_eval(i, x, y) >= 1 else 0.0
 
     def witness(x, y):
         direction = "x<=y but I(x,y)<1" if x <= y else "I(x,y)=1 but x>y"
@@ -290,7 +278,7 @@ def _tnorm_pair_laws(t: BinaryConnective, s: SampleSpec) -> PropertyReport | Non
             lambda x, y: abs(t(x, y) - t(y, x)),
             lambda x, y: {"x": x, "y": y, "xy": t(x, y), "yx": t(y, x)},
         )
-    return _second_arg_scan("T3", t, s) if report.holds else report
+    return _scan("T3", t, s) if report.holds else report
 
 
 # The triple from the six-branch implication's associativity breakdown is
@@ -332,9 +320,7 @@ def compare_surfaces(
     return report
 
 
-def refine_jump(
-    f: Callable[[float], float], a: float, b: float, rounds: int = 3, k: int = 16
-) -> tuple[float, float, float]:
+def refine_jump(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
     """Largest adjacent jump of f inside [a,b] after recursive subdivision.
 
     A steep-but-continuous stretch (e.g. a square-root cusp) shrinks its
@@ -342,8 +328,8 @@ def refine_jump(
     Returns (jump, left_x, right_x) for the final subinterval.
     """
     lo, hi = a, b
-    for _ in range(rounds):
-        xs = [lo + (hi - lo) * i / k for i in range(k + 1)]
+    for _ in range(REFINE_ROUNDS):
+        xs = [lo + (hi - lo) * i / REFINE_POINTS for i in range(REFINE_POINTS + 1)]
         vals = [f(x) for x in xs]
         best, bi = -1.0, 0
         for i in range(1, len(xs)):

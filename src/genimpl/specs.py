@@ -28,19 +28,16 @@ class SpecError(ValueError):
     """Malformed or unknown operator spec."""
 
 
-def load_spec(arg: str) -> dict:
-    """Inline JSON, or a path to a JSON file."""
+def load_spec(arg: str):
+    """Inline JSON, or a path to a JSON file; the parser checks its shape."""
     text = arg
     p = Path(arg)
     if not arg.lstrip().startswith("{") and p.is_file():
         text = p.read_text()
     try:
-        d = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecError(f"spec is not valid JSON: {e}") from None
-    if not isinstance(d, dict) or "kind" not in d:
-        raise SpecError("spec must be a JSON object with a 'kind' field")
-    return d
 
 
 def _kind(d: dict) -> str:

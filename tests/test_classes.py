@@ -1,21 +1,28 @@
+import json
+
 import pytest
 
 from genimpl.bijections import identity_bijection, power_bijection
 from genimpl.classes import (
     CONSISTENT,
     EXCLUDED,
+    _right_continuity,
+    _surface_continuity,
     build_intersection_member,
     check_self_dual_phi,
     conjugate_lk_probe,
     r_probe,
     sn_probe,
 )
+from genimpl.connectives import basic
 from genimpl.implications import (
     ImplicationCandidate,
     lukasiewicz_candidate,
     piecewise_f_candidate,
+    residual_candidate,
     yager_residual_candidate,
 )
+from genimpl.reports import SampleSpec
 from genimpl.specs import parse_implication
 
 
@@ -108,3 +115,32 @@ class TestSelfDualPhi:
         report = check_self_dual_phi(power_bijection(2.0), small_spec)
         assert not report.holds
         assert report.witness is not None
+
+
+# The exact witnesses of the continuity probes on the default plan, key
+# order included: x-direction jumps are looked for before y-direction ones
+# at each grid cell, and refine_jump narrows the offending interval.
+CONTINUITY_WITNESSES = [
+    ("x-step piecewise_f", _surface_continuity, piecewise_f_candidate(),
+     '{"x1": 0.49999755859375, "x2": 0.5, "y": 0.03, '
+     '"value1": 0.5600024414062501, "value2": 0.5}', 0.06000244140625011),
+    ("y-step", _surface_continuity,
+     ImplicationCandidate(lambda x, y: 0.5 * x if y < 0.5 else 0.5 + 0.5 * x, "y-step"),
+     '{"x": 0.0, "y1": 0.49999755859375, "y2": 0.5, "value1": 0.0, "value2": 0.5}', 0.5),
+    # I_GD jumps in x and in y at the origin; the x-direction comes first
+    ("both-steps goedel", _surface_continuity, residual_candidate(basic("min")),
+     '{"x1": 0.0, "x2": 2.44140625e-06, "y": 0.0, "value1": 1.0, "value2": 0.0}', 1.0),
+    ("right-step", _right_continuity,
+     ImplicationCandidate(lambda x, y: 1.0 if y > 0.5 else 0.0, "right-step"),
+     '{"x": 0.0, "y": 0.5, "diffs": [1.0, 1.0, 1.0]}', 1.0),
+]
+
+
+@pytest.mark.parametrize("probe, op, witness, jump",
+                         [c[1:] for c in CONTINUITY_WITNESSES],
+                         ids=[c[0] for c in CONTINUITY_WITNESSES])
+def test_continuity_witness_is_pinned(probe, op, witness, jump):
+    report = probe(op, SampleSpec())
+    assert not report.holds
+    assert json.dumps(report.witness) == witness
+    assert report.max_discrepancy == jump

@@ -78,6 +78,8 @@ class TestEval:
          ' "points": [[0, 0], [1, 1]]}}', "'table' spec: table points must be strictly decreasing"),
         ('{"kind": "ig", "g": {"kind": "table", "direction": "up", "points": [[0, 0], [1, 1]]}}',
          "'table' spec: bad direction 'up'"),
+        *((spec, "spec must be a JSON object with a 'kind' field")
+          for spec in ('[1, 2]', '{"name": "min"}', '"kind"', '{"kind": "dual", "of": {}}')),
     ])
     def test_malformed_spec_exits_2_with_one_line(self, capsys, spec, message):
         code, out, err = run(capsys, "eval", spec, "0.5", "0.5")

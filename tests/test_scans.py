@@ -4,7 +4,9 @@ constants once: every value and report must stay what the per-call
 wrappers gave."""
 
 import dataclasses
+import functools
 import math
+import sys
 
 import mpmath
 import pytest
@@ -14,12 +16,18 @@ from genimpl.classes import build_intersection_member, conjugate_lk_probe
 from genimpl.connectives import (
     BinaryConnective,
     Negation,
+    basic,
+    basic_tnorm,
+    dual_of,
+    generated_tconorm,
     generated_tconorm_connective,
     generated_tnorm_connective,
+    standard_negation,
     t_drastic,
     table_negation,
     yager_connective,
     yager_negation,
+    yager_residual,
 )
 from genimpl.generators import (
     DECREASING,
@@ -36,7 +44,15 @@ from genimpl.generators import (
 from genimpl.implications import (
     CHAIN_DPS,
     ig_candidate,
+    ig_implication,
     ign_candidate,
+    ign_implication,
+    lukasiewicz_candidate,
+    phi_conjugate,
+    phi_conjugate_candidate,
+    residual_candidate,
+    sn_candidate,
+    sn_implication,
     yager_residual_candidate,
 )
 from genimpl.properties import (
@@ -82,6 +98,38 @@ def intersection_formula(phi, x, y):
     return clamp01(phi.inverse(min(1.0 - phi.forward(x) + phi.forward(y), 1.0)))
 
 
+def yager_residual_formula(p, x, y):
+    b, a = (1.0 - x) ** p, (1.0 - y) ** p
+    d = a - b
+    if isinstance(d, float) and a < sys.float_info.min and y < 1.0:
+        if x <= y:
+            return 1.0
+        m = 1.0 - y
+        d = 1.0 - ((1.0 - x) / m) ** p
+        return y if x == 1.0 else clamp01(1.0 - m * root(d, p))
+    if d <= 0.0:
+        return 1.0
+    if x == 1.0:
+        return y
+    return clamp01(1.0 - root(d, p))
+
+
+def sn_formula(s, n, x, y):
+    return s(n(x), y)
+
+
+def conjugate_formula(i, phi, x, y):
+    return clamp01(phi.inverse(i(phi.forward(x), phi.forward(y))))
+
+
+BASIC_FORMULAS = {
+    "min": (lambda x, y: min(x, y), lambda x, y: 1.0 if x <= y else y),
+    "product": (lambda x, y: x * y, lambda x, y: 1.0 if x <= y else y / x),
+    "lukasiewicz": (lambda x, y: max(0.0, x - (1.0 - y)), lambda x, y: min(1.0 - x + y, 1.0)),
+    "drastic": (t_drastic, lambda x, y: 1.0 if x < 1.0 else y),
+}
+
+
 TABLE_F = table_generator(DECREASING, [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0)])
 TABLE_G = table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
 
@@ -98,6 +146,33 @@ CASES = [
        lambda x, y, phi=phi: intersection_formula(phi, x, y))
       for phi in (identity_bijection(), power_bijection(0.5), power_bijection(2.0),
                   power_bijection(3.0))),
+    *((f"I_TY({p})", yager_residual_candidate(p),
+       lambda x, y, p=p: yager_residual_formula(p, x, y))
+      for p in (0.5, 2.0, 3.7, 1000.0)),
+    *((f"yager_residual({p})", BinaryConnective(functools.partial(yager_residual, p), ""),
+       lambda x, y, p=p: yager_residual_formula(p, x, y))
+      for p in (0.5, 1000.0)),
+    *((f"basic {kind}", basic(kind), tnorm) for kind, (tnorm, _) in BASIC_FORMULAS.items()),
+    *((f"R[basic {kind}]", residual_candidate(basic(kind)), residual)
+      for kind, (_, residual) in BASIC_FORMULAS.items()),
+    ("basic_tnorm product", BinaryConnective(functools.partial(basic_tnorm, "product"), ""),
+     BASIC_FORMULAS["product"][0]),
+    ("generated_tconorm", BinaryConnective(functools.partial(generated_tconorm, TABLE_G), ""),
+     lambda x, y: tconorm_formula(TABLE_G, x, y)),
+    *((f"SN[{s.label},{n.label}]", sn_candidate(s, n),
+       lambda x, y, s=s, n=n: sn_formula(s, n, x, y))
+      for s in (dual_of(basic("min")), generated_tconorm_connective(neg_log()))
+      for n in (standard_negation(), yager_negation(2.0))),
+    ("sn_implication", BinaryConnective(functools.partial(
+        sn_implication, dual_of(basic("product")), standard_negation()), ""),
+     lambda x, y: sn_formula(dual_of(basic("product")), standard_negation(), x, y)),
+    *((f"conj[{i.label},{phi.label}]", phi_conjugate_candidate(i, phi),
+       lambda x, y, i=i, phi=phi: conjugate_formula(i, phi, x, y))
+      for i in (lukasiewicz_candidate(), yager_residual_candidate(2.0))
+      for phi in (power_bijection(0.5), power_bijection(3.0))),
+    ("phi_conjugate", BinaryConnective(functools.partial(
+        phi_conjugate, lukasiewicz_candidate(), power_bijection(2.0)), ""),
+     lambda x, y: conjugate_formula(lukasiewicz_candidate(), power_bijection(2.0), x, y)),
 ]
 
 
@@ -110,6 +185,35 @@ def test_fn_equals_its_formula_bit_for_bit(name, op, formula):
         for x, y in MPF_PAIRS:
             v, want = op.fn(mpmath.mpf(x), mpmath.mpf(y)), formula(mpmath.mpf(x), mpmath.mpf(y))
             assert v == want and type(v) is type(want), (x, y)
+
+
+# I^g is I^g_N at the standard negation: the same chain, part for part,
+# and it alone carries the float enclosure.
+
+IG_GENERATORS = (power_gp(2.0), TABLE_G)
+
+
+@pytest.mark.parametrize("g", IG_GENERATORS, ids=[g.label for g in IG_GENERATORS])
+def test_ig_is_ign_at_the_standard_negation(g):
+    ig, ign = ig_candidate(g), ign_candidate(g, standard_negation())
+    assert ig.label == f"Ig[{g.label}]" and ign.label == f"IgN[{g.label},N_standard]"
+    assert ig.bounds is not None and ign.bounds is None
+    lo, hi = ig.bounds(0.3, 0.2, 0.4)
+    assert lo <= ig.fn(0.3, 0.2) <= ig.fn(0.3, 0.4) <= hi
+    point = functools.partial(ig_implication, g)
+    point_n = functools.partial(ign_implication, g, standard_negation())
+    for x, y in PAIRS:
+        got = ig.fn(x, y)
+        assert type(got) is float and got == ign.fn(x, y), (x, y)
+    (u, v, cell), (u_n, v_n, cell_n) = ig.parts, ign.parts
+    pairs = [*PAIRS[::100], *((mpmath.mpf(x), mpmath.mpf(y)) for x, y in MPF_PAIRS)]
+    for x, y in pairs:
+        want = ig.fn(x, y)
+        for got in (point(x, y), point_n(x, y)):
+            assert got == want and type(got) is type(want), (x, y)
+        for want, got in ((u_n(x), u(x)), (v_n(y), v(y)), (ign.fn(x, y), ig.fn(x, y)),
+                          (cell_n(u(x), v(y), x, y), cell(u(x), v(y), x, y))):
+            assert got == want and type(got) is type(want), (x, y)
 
 
 # Operators whose raw values leave [0,1] or are NaN: the scans must clamp
