@@ -227,9 +227,19 @@ def ig_bounds(g: Generator, x: float, y_lo: float, y_hi: float) -> tuple[float, 
     the float chain at y_lo and at y_hi, each moved outward, as I^g is
     nondecreasing in g's sum.  Needs g's ``fn`` and ``inverse`` accurate to
     a few ulp in double, as the catalog's and the tables' are.
+
+    The lower end is at least max(y_lo, 1 - x) - ARG_SLACK, since
+    g^(-1)(g(a) + g(y)) >= max(a, y) for a strictly increasing g.  Where
+    g^(-1) is steep next to g(1) (power_gp 2 at (0, 0), at (1, 1), or at
+    x = 1 with y next to 1) the chain's slack alone leaves the lower end
+    ~3e-7 below a value that is exactly 1 or y.  ARG_SLACK covers the
+    rounding of 1 - x and a wide value just below a double y (power_gp 0.1
+    at (1, 0.05) is ~1e-40 below 0.05).
     """
     a = 1.0 - x
-    return _ig_end(g, a, y_lo, -1.0), _ig_end(g, a, y_hi, 1.0)
+    lo = _ig_end(g, a, y_lo, -1.0)
+    floor = (a if a > y_lo else y_lo) - ARG_SLACK  # max, inline: 4 calls per EP triple
+    return lo if lo > floor else floor, _ig_end(g, a, y_hi, 1.0)
 
 
 def ig_candidate(g: Generator) -> ImplicationCandidate:

@@ -61,9 +61,13 @@ class SampleSpec:
     def pairs(self) -> list[tuple[float, float]]:
         g = self.grid()
         out = [(x, y) for x in g for y in g]
-        rng = random.Random(self.seed)
-        out += [(rng.random(), rng.random()) for _ in range(self.random_count)]
+        out += self.random_pairs()
         return out
+
+    def random_pairs(self) -> list[tuple[float, float]]:
+        """The seeded tail of ``pairs()``."""
+        rng = random.Random(self.seed)
+        return [(rng.random(), rng.random()) for _ in range(self.random_count)]
 
     def triples(self) -> list[tuple[float, float, float]]:
         n = self.triple_grid_n

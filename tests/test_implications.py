@@ -28,6 +28,7 @@ from genimpl.generators import (
     yager_f,
 )
 from genimpl.implications import (
+    ARG_SLACK,
     CHAIN_DPS,
     ImplicationCandidate,
     generated_residual,
@@ -372,6 +373,23 @@ class TestIgBounds:
         lo, hi = ig_bounds(g, x, y_lo, y_hi)
         for y in (y_lo, 0.5 * (y_lo + y_hi), y_hi):
             assert lo <= wide_ig(g, x, y) <= hi, (g.label, x, y)
+
+    # (x, y_lo, y_hi) for power_gp 2, where g^(-1)(s) = 1 - sqrt(1 - s)
+    # saturates at g(1) = 1: x = 0 and y = 1 give 1, x = 1 gives y, and at
+    # (0.6, 0.2) g(0.4) + g(0.2) = 1 exactly; then one y interval.  The
+    # chain's slack alone left the lower end 3.4e-7 low at (0, 0), (1, 1)
+    # and x = 1 with y next to 1, and 1e-13 low elsewhere at x = 0, y = 1
+    SATURATION = [(0.0, 0.3, 0.3), (0.0, 0.0, 0.0), (1.0, 0.3, 0.3), (1.0, 0.0, 0.0),
+                  (1.0, 0.9999999, 0.9999999), (1.0, 1.0, 1.0), (0.4, 1.0, 1.0),
+                  (0.6, 0.2, 0.2), (0.5, 0.1, 1.0)]
+
+    @pytest.mark.parametrize("x, y_lo, y_hi", SATURATION)
+    def test_lower_end_is_at_least_max_of_arguments(self, x, y_lo, y_hi):
+        g = power_gp(2.0)
+        lo, hi = ig_bounds(g, x, y_lo, y_hi)
+        assert lo >= max(y_lo, 1.0 - x) - ARG_SLACK
+        for y in (y_lo, 0.5 * (y_lo + y_hi), y_hi):
+            assert lo <= wide_ig(g, x, y) <= hi, y
 
     def test_every_ig_gets_bounds(self):
         for g in INCREASING_GENERATORS:

@@ -32,6 +32,7 @@ from genimpl.implications import (
     yager_residual_candidate,
 )
 from genimpl.properties import (
+    _check_t1,
     check_implication_axioms,
     check_negation_axioms,
     check_property,
@@ -41,7 +42,7 @@ from genimpl.properties import (
     probe_continuity,
     refine_jump,
 )
-from genimpl.reports import SampleSpec
+from genimpl.reports import SampleSpec, failing, passing
 
 
 class TestImplicationAxioms:
@@ -161,6 +162,51 @@ class TestTnormAxioms:
         report = check_tnorm_axioms(c, small_spec)
         assert not report.holds
         assert report.property in ("T1", "T4")
+
+
+def t1_over_all_pairs(t, s):
+    """T1 over every pair of ``s.pairs()``, both orders."""
+    worst = 0.0
+    for x, y in s.pairs():
+        d = abs(t(x, y) - t(y, x))
+        if d > s.tolerance:
+            return failing("T1", s, {"x": x, "y": y, "xy": t(x, y), "yx": t(y, x)}, d)
+        worst = max(worst, d)
+    return passing("T1", s, worst)
+
+
+def _skew_off_grid(grid):
+    on_grid = set(grid)
+
+    def fn(x, y):
+        # product on grid pairs; off the grid, larger first adds 1e-6
+        return x * y + (1e-6 if x > y and x not in on_grid else 0.0)
+
+    return BinaryConnective(fn, "skew-off-grid")
+
+
+@pytest.mark.parametrize("seed", [1, 5, 42])
+@pytest.mark.parametrize("make, fails_on", [
+    (lambda s: BinaryConnective(lambda x, y: x * y * y, "xyy"), "grid"),
+    (lambda s: _skew_off_grid(s.grid()), "random"),
+    (lambda s: basic("product"), None),
+    (lambda s: yager_connective(2.0), None),
+], ids=["xyy", "skew-off-grid", "product", "yager2"])
+def test_t1_once_per_unordered_grid_pair(seed, make, fails_on):
+    s = SampleSpec(seed=seed)
+    t = make(s)
+    report = _check_t1(t, s)
+    assert report.as_dict() == t1_over_all_pairs(t, s).as_dict()
+    if fails_on is None:
+        assert report.holds
+        return
+    w = report.witness
+    if fails_on == "grid":
+        assert (w["x"], w["y"]) == (0.01, 0.02)
+    else:
+        assert w["x"] not in s.grid()
+    axioms = check_tnorm_axioms(t, s)
+    assert (axioms.property, axioms.witness) == ("T1", w)
 
 
 class TestAssociativityCounterexample:
@@ -322,6 +368,11 @@ class TestReportReplay:
 
 
 class TestSampleSpec:
+    def test_random_pairs_are_the_tail_of_pairs(self, small_spec):
+        g = small_spec.grid_n
+        assert small_spec.pairs()[g * g:] == small_spec.random_pairs()
+        assert len(small_spec.random_pairs()) == small_spec.random_count
+
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tolerance"):

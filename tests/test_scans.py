@@ -328,8 +328,10 @@ def test_evaluations_per_check(small_spec):
     product = Counting(lambda x, y: x * y)
     report = check_tnorm_axioms(BinaryConnective(product, "product"), s)
     assert report.holds and report.details["escalations"] == 0
-    # T4, T1 both ways, the T3 scan, then four float evaluations per triple
-    assert product.calls == n1 + 2 * len(s.pairs()) + g * n1 + 4 * len(s.triples())
+    # T4, T1 both ways on each unordered grid pair off the diagonal and
+    # each random pair, the T3 scan, then four float evaluations per triple
+    t1_pairs = g * (g - 1) // 2 + s.random_count
+    assert product.calls == n1 + 2 * t1_pairs + g * n1 + 4 * len(s.triples())
 
     standard = Counting(lambda x: 1 - x)
     assert check_negation_axioms(Negation(standard, "standard"), s).holds
@@ -455,10 +457,12 @@ def test_evaluations_per_check_with_parts(small_spec):
     report = check_tnorm_axioms(yager, s)
     assert report.holds
     u, v, cell = yager.parts
-    # T4, T1 both ways, then four float evaluations per triple and four
+    # T4, T1 both ways on each unordered grid pair off the diagonal and
+    # each random pair, then four float evaluations per triple and four
     # wide ones per escalated triple; the T3 scan runs on the parts alone
     escalations = report.details["escalations"]
-    assert yager.fn.calls == n1 + 2 * len(s.pairs()) + 4 * (len(s.triples()) + escalations)
+    t1_pairs = g * (g - 1) // 2 + s.random_count
+    assert yager.fn.calls == n1 + 2 * t1_pairs + 4 * (len(s.triples()) + escalations)
     assert (v.calls, u.calls, cell.calls) == (n1, g, g * n1)
 
 
