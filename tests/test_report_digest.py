@@ -1,11 +1,17 @@
 """Verdicts and witnesses pinned in report_digest.json.
 
 A change that makes a check cheaper must leave each report's property,
-verdict and witness as they were.  The digest holds T1-T4 on the
-nested-laws connectives (and a table that fails T1) and EP on five
-generated implications, at seeds 1, 5 and 42, on the nested-laws
-triple plan.  ``max_discrepancy`` is not pinned: a passing EP report on
-``ig`` bounds it from a float enclosure, and a tighter enclosure moves it.
+verdict and witness as they were.  The digest holds, at seeds 1, 5 and
+42 on the nested-laws triple plan: T1-T4 on the nested-laws connectives,
+on the Yager t-norm at p = 1000 (both powers underflow), on a table
+generator's t-norm and on a table that fails T1; EP on five generated
+implications; I1-I3 on three phi-conjugates of the Lukasiewicz
+implication, on the Yager residual at p = 2 and at p = 1000 (its scaled
+branch) and on an I^g_N whose negation rises, so I1 fails; and OP on
+the residual of the Yager t-norm at p = 2.  ``max_discrepancy`` is
+pinned too, so a value that moves by an ulp shows in a passing report;
+not for EP on ``ig``, where a passing report bounds it from a float
+enclosure, and a tighter enclosure moves it.
 
 Regenerate only when a verdict or witness is meant to change:
 
@@ -17,7 +23,7 @@ import pathlib
 
 import pytest
 
-from genimpl.properties import check_property, check_tnorm_axioms
+from genimpl.properties import check_implication_axioms, check_property, check_tnorm_axioms
 from genimpl.reports import SampleSpec
 from genimpl.specs import parse_connective, parse_implication
 
@@ -31,6 +37,10 @@ TNORMS = {
     # x * y^2 on an 11 x 11 table: T4 holds, T1 fails on a grid pair
     "table(x y^2)": {"kind": "table",
                      "values": [[i * j * j / 1000 for j in range(11)] for i in range(11)]},
+    "yager_tnorm 1000": {"kind": "yager_tnorm", "p": 1000},
+    "generated_tnorm(table)": {"kind": "generated_tnorm",
+                               "f": {"kind": "table", "direction": "decreasing",
+                                     "points": [[0, 1], [0.5, 0.3], [1, 0]]}},
 }
 IG_GENERATORS = {
     "power_gp 2": {"kind": "power_gp", "p": 2},
@@ -40,6 +50,18 @@ IG_GENERATORS = {
     "table": {"kind": "table", "direction": "increasing",
               "points": [[0, 0], [0.5, 0.3], [1, 1]]},
 }
+
+
+IMPLICATIONS = {
+    **{f"phi_conjugate(power {a})": {"kind": "phi_conjugate", "phi": {"kind": "power", "a": a}}
+       for a in (0.5, 2, 3)},
+    **{f"yager_residual {p}": {"kind": "yager_residual", "p": p} for p in (2, 1000)},
+    # the table negation rises between 0.4 and 0.6: I1 fails
+    "ign(neg_log, rising table)": {
+        "kind": "ign", "g": {"kind": "neg_log"},
+        "N": {"kind": "table", "points": [[0, 1], [0.4, 0.2], [0.6, 0.6], [1, 0]]}},
+}
+OP_OF = {"residual(yager_tnorm 2)": {"kind": "residual", "of": {"kind": "yager_tnorm", "p": 2}}}
 
 
 def cases():
@@ -53,22 +75,31 @@ def cases():
             yield (f"EP ig({name}) seed={seed}",
                    lambda g=g, s=s: check_property(parse_implication({"kind": "ig", "g": g}),
                                                    "EP", s))
+        for name, spec in IMPLICATIONS.items():
+            yield (f"I1-I3 {name} seed={seed}",
+                   lambda spec=spec, s=s: check_implication_axioms(parse_implication(spec), s))
+        for name, spec in OP_OF.items():
+            yield (f"OP {name} seed={seed}",
+                   lambda spec=spec, s=s: check_property(parse_implication(spec), "OP", s))
 
 
-def digest(report) -> dict:
-    return {"property": report.property, "verdict": report.verdict,
-            "witness": report.witness}
+def digest(key, report) -> dict:
+    d = {"property": report.property, "verdict": report.verdict,
+         "witness": report.witness}
+    if not key.startswith("EP ig("):
+        d["max_discrepancy"] = report.max_discrepancy
+    return d
 
 
 def test_reports_match_the_digest():
     want = json.loads(DIGEST.read_text())
-    got = {key: digest(check()) for key, check in cases()}
+    got = {key: digest(key, check()) for key, check in cases()}
     assert got.keys() == want.keys()
     for key in want:
         assert got[key] == want[key], key
 
 
-@pytest.mark.parametrize("prop", ["T1", "EP"])
+@pytest.mark.parametrize("prop", ["T1", "EP", "I1"])
 def test_digest_has_a_failing_report(prop):
     # the pins cover a witness, not only passing verdicts
     want = json.loads(DIGEST.read_text())
@@ -76,5 +107,5 @@ def test_digest_has_a_failing_report(prop):
 
 
 if __name__ == "__main__":
-    DIGEST.write_text(json.dumps({key: digest(check()) for key, check in cases()},
+    DIGEST.write_text(json.dumps({key: digest(key, check()) for key, check in cases()},
                                  indent=1) + "\n")
