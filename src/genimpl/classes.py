@@ -154,12 +154,17 @@ def build_intersection_member(phi: Bijection) -> ImplicationCandidate:
     Lukasiewicz implication, with natural negation phi^-1(1 - phi(x))."""
 
     forward, inverse = phi.forward, phi.inverse
+    # the value wherever 1 - phi(x) + phi(y) > 1; at exactly 1 an mpf still
+    # goes through inverse, which keeps its precision
+    top = clamp01(inverse(1.0))
 
     def cell(a: float, b: float, x: float, y: float) -> float:
         # a = phi(x), b = phi(y); min(v, 1.0) and clamp01, written out; a
         # NaN passes both unchanged
         v = 1.0 - a + b
-        v = inverse(1.0 if v > 1.0 else v)
+        if v > 1.0:
+            return top
+        v = inverse(v)
         return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
     def fn(x: float, y: float) -> float:

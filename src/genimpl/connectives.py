@@ -233,7 +233,8 @@ def yager_connective(p: float) -> BinaryConnective:
     if p == 0.0 or math.isinf(p):
         fn, residual = _BASIC["drastic" if p == 0.0 else "min"]
         return BinaryConnective(fn, label, residual)
-    inv_p = 1.0 / p  # root(s, p) of a double s
+    # root(s, p) of a double s, and the module constant, bound to the closure
+    inv_p, smallest_normal = 1.0 / p, _SMALLEST_NORMAL
 
     def cell(a: float, b: float, x: float, y: float) -> float:
         # a = (1-x)^p, b = (1-y)^p.  Neutral element handled exactly: the
@@ -248,12 +249,14 @@ def yager_connective(p: float) -> BinaryConnective:
             return 0.0
         if not isinstance(s, float):
             return max(0.0, 1.0 - root(s, p))
-        if s < _SMALLEST_NORMAL:
+        if s < smallest_normal:
             # both powers underflow at a large p: scale by m = max(1-x, 1-y)
             m = max(1.0 - x, 1.0 - y)
             s = ((1.0 - x) / m) ** p + ((1.0 - y) / m) ** p
-            return max(0.0, 1.0 - m * s ** inv_p)
-        return max(0.0, 1.0 - s ** inv_p)
+            v = 1.0 - m * s ** inv_p
+        else:
+            v = 1.0 - s ** inv_p
+        return v if v > 0.0 else 0.0  # max(0.0, v), inline: a NaN gives 0.0 too
 
     return _power_operator(p, cell, label, yager_residual_candidate(p).fn)
 
@@ -269,21 +272,27 @@ def yager_residual_candidate(p: float) -> BinaryConnective:
     """
     if not 0 < p < math.inf:
         raise ValueError("p must be finite and positive")
+    # root(d, p) of a double d, and the module constant, bound to the closure
+    inv_p, smallest_normal = 1.0 / p, _SMALLEST_NORMAL
 
     def cell(b: float, a: float, x: float, y: float) -> float:
         # b = (1-x)^p, a = (1-y)^p
         d = a - b
-        if isinstance(d, float) and a < _SMALLEST_NORMAL and y < 1.0:
+        double = isinstance(d, float)
+        if double and a < smallest_normal and y < 1.0:
             if x <= y:  # where (1-x)/m >= 1, whose p-th power may overflow
                 return 1.0
+            if x == 1.0:
+                return y
             m = 1.0 - y
-            d = 1.0 - ((1.0 - x) / m) ** p
-            return y if x == 1.0 else clamp01(1.0 - m * root(d, p))
-        if d <= 0.0:
+            v = 1.0 - m * (1.0 - ((1.0 - x) / m) ** p) ** inv_p
+        elif d <= 0.0:
             return 1.0
-        if x == 1.0:
+        elif x == 1.0:
             return y
-        return clamp01(1.0 - root(d, p))
+        else:
+            v = 1.0 - (d ** inv_p if double else root(d, p))
+        return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v  # clamp01, inline
 
     return _power_operator(p, cell, f"I_TY(p={p:g})")
 

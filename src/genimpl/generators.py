@@ -117,11 +117,12 @@ def pseudo_inverse(g: Generator, y: float) -> float:
     stays an mpf, so an extended-precision chain through a generated
     connective is not rounded to a double after its inner step.
     """
-    if y != y or y < 0.0:
+    if not y >= 0.0:  # NaN included
         raise DomainError(f"y={y!r} outside [0,+inf]")
     v = g.inverse(y)
-    wide_y = not isinstance(y, float) and is_mpf(y)
-    return clamp01(v if wide_y else float(v))
+    if isinstance(y, float) or not is_mpf(y):
+        v = float(v)
+    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v  # clamp01, inline
 
 
 def verify_generator(g: Generator, samples: int = 101) -> PropertyReport:
@@ -164,6 +165,7 @@ def yager_f(p: float) -> Generator:
     """Decreasing generator (1-x)^p of the Yager t-norm family, p > 0."""
     if not p > 0 or math.isinf(p):
         raise ValueError("p must be finite and positive")
+    inv_p = 1.0 / p  # root(y, p) of a double y
 
     def fn(x):
         return (1.0 - x) ** p
@@ -171,6 +173,8 @@ def yager_f(p: float) -> Generator:
     def inv(y):
         if y >= 1.0:
             return 0.0
+        if isinstance(y, float):
+            return 1.0 - y ** inv_p
         return 1.0 - root(y, p)
 
     return Generator(DECREASING, fn, inv, f"yager_f(p={p:g})")
@@ -180,6 +184,7 @@ def power_gp(p: float) -> Generator:
     """Increasing generator 1-(1-x)^p; pairs with the negation N_p."""
     if not p > 0 or math.isinf(p):
         raise ValueError("p must be finite and positive")
+    inv_p = 1.0 / p  # root(t, p) of a double t
 
     def fn(x):
         return 1.0 - (1.0 - x) ** p
@@ -189,6 +194,8 @@ def power_gp(p: float) -> Generator:
             return 1.0
         if y <= 0.0:
             return 0.0
+        if isinstance(y, float):
+            return 1.0 - (1.0 - y) ** inv_p
         return 1.0 - root(1.0 - y, p)
 
     return Generator(INCREASING, fn, inv, f"power_gp(p={p:g})")

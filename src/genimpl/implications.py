@@ -213,13 +213,34 @@ ARG_SLACK = 2.0**-50
 VALUE_SLACK = 2.0**-44
 
 
-def _ig_end(g: Generator, a: float, y: float, side: float) -> float:
-    """g^(-1)(g(a) + g(y)) in double, pushed outward on ``side`` (+1 up, -1 down)."""
-    s = g.fn(clamp01(a + side * ARG_SLACK)) + g.fn(clamp01(y + side * ARG_SLACK))
+def _ig_end(fn, inverse, a: float, y: float, side: float) -> float:
+    """g^(-1)(g(a) + g(y)) in double for g's ``fn`` and ``inverse``, pushed
+    outward on ``side`` (+1 up, -1 down).  Each clamp01 and max is written
+    out: the enclosure runs four times per EP triple."""
+    a += side * ARG_SLACK
+    y += side * ARG_SLACK
+    s = (fn(0.0 if a < 0.0 else 1.0 if a > 1.0 else a)
+         + fn(0.0 if y < 0.0 else 1.0 if y > 1.0 else y))
     if s < math.inf:  # g(1) = inf saturates either way: inf - inf is NaN
-        s = max(s + side * (s * VALUE_SLACK + VALUE_SLACK), 0.0)
-    v = g.inverse(s)
-    return clamp01(v + side * (v * VALUE_SLACK + VALUE_SLACK))
+        s += side * (s * VALUE_SLACK + VALUE_SLACK)
+        if s < 0.0:
+            s = 0.0
+    v = inverse(s)
+    v += side * (v * VALUE_SLACK + VALUE_SLACK)
+    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+
+def _ig_enclosure(g: Generator):
+    """ig_bounds(g, ...) with g's fn and inverse bound once."""
+    fn, inverse = g.fn, g.inverse
+
+    def bounds(x: float, y_lo: float, y_hi: float) -> tuple[float, float]:
+        a = 1.0 - x
+        lo = _ig_end(fn, inverse, a, y_lo, -1.0)
+        floor = (a if a > y_lo else y_lo) - ARG_SLACK  # max, inline: 4 calls per EP triple
+        return lo if lo > floor else floor, _ig_end(fn, inverse, a, y_hi, 1.0)
+
+    return bounds
 
 
 def ig_bounds(g: Generator, x: float, y_lo: float, y_hi: float) -> tuple[float, float]:
@@ -236,16 +257,13 @@ def ig_bounds(g: Generator, x: float, y_lo: float, y_hi: float) -> tuple[float, 
     rounding of 1 - x and a wide value just below a double y (power_gp 0.1
     at (1, 0.05) is ~1e-40 below 0.05).
     """
-    a = 1.0 - x
-    lo = _ig_end(g, a, y_lo, -1.0)
-    floor = (a if a > y_lo else y_lo) - ARG_SLACK  # max, inline: 4 calls per EP triple
-    return lo if lo > floor else floor, _ig_end(g, a, y_hi, 1.0)
+    return _ig_enclosure(g)(x, y_lo, y_hi)
 
 
 def ig_candidate(g: Generator) -> ImplicationCandidate:
     """I^g: I^g_N at the standard negation, with the float enclosure ``ig_bounds``."""
     return dataclasses.replace(ign_candidate(g, _STANDARD), label=f"Ig[{g.label}]",
-                               bounds=functools.partial(ig_bounds, g))
+                               bounds=_ig_enclosure(g))
 
 
 def sn_implication(s: BinaryConnective, n: Negation, x: float, y: float) -> float:

@@ -9,7 +9,7 @@ points, so re-evaluating them standalone reproduces the discrepancy.
 from __future__ import annotations
 
 import functools
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from typing import Callable
 
 from .connectives import BinaryConnective, Negation
@@ -29,6 +29,12 @@ ESCALATE_SHARE = 1 / 16
 # refine_jump subdivides an interval into REFINE_POINTS cells, REFINE_ROUNDS times
 REFINE_ROUNDS = 3
 REFINE_POINTS = 16
+
+
+def _pairs(s: SampleSpec):
+    """The pairs of ``s.pairs()``, in its order, streamed: no list is built."""
+    g = s.grid()
+    return chain(product(g, repeat=2), s.random_pairs())
 
 
 def _pointwise_law(prop, s, points, gap, witness):
@@ -233,12 +239,12 @@ def _check_op(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport
         direction = "x<=y but I(x,y)<1" if x <= y else "I(x,y)=1 but x>y"
         return {"x": x, "y": y, "value": i(x, y), "direction": direction}
 
-    return _pointwise_law("OP", s, s.pairs(), gap, witness)
+    return _pointwise_law("OP", s, _pairs(s), gap, witness)
 
 
 def _check_cp(i: ImplicationCandidate, s: SampleSpec, n: Negation) -> PropertyReport:
     return _pointwise_law(
-        "CP", s, s.pairs(),
+        "CP", s, _pairs(s),
         lambda x, y: abs(i(x, y) - i(n(y), n(x))),
         lambda x, y: {"x": x, "y": y, "left": i(x, y), "right": i(n(y), n(x)),
                       "negation": n.label},
@@ -282,14 +288,31 @@ def _check_t1(t: BinaryConnective, s: SampleSpec) -> PropertyReport:
     the report of the same check over ``s.pairs()``.  The gap is symmetric,
     so in that order a grid pair below the diagonal never fails first (its
     mirror came earlier), and a pair on the diagonal has gap 0 (or NaN,
-    which neither fails nor enters the maximum)."""
+    which neither fails nor enters the maximum).  Each point carries
+    (x, y, T(x, y), T(y, x)); the witness evaluates T again."""
     g = s.grid()
-    upper = ((x, y) for k, x in enumerate(g) for y in g[k + 1:])
+    if t.parts is None:
+        upper = ((x, y, t(x, y), t(y, x)) for k, x in enumerate(g) for y in g[k + 1:])
+    else:
+        upper = _upper_grid_values(t.parts, g)
     return _pointwise_law(
-        "T1", s, chain(upper, s.random_pairs()),
-        lambda x, y: abs(t(x, y) - t(y, x)),
-        lambda x, y: {"x": x, "y": y, "xy": t(x, y), "yx": t(y, x)},
+        "T1", s, chain(upper, ((x, y, t(x, y), t(y, x)) for x, y in s.random_pairs())),
+        lambda x, y, xy, yx: abs(xy - yx),
+        lambda x, y, xy, yx: {"x": x, "y": y, "xy": t(x, y), "yx": t(y, x)},
     )
+
+
+def _upper_grid_values(parts, g):
+    """(x, y, T(x, y), T(y, x)) for each grid pair x < y, from T's parts:
+    the terms u and v once per grid point and only ``cell`` per pair, each
+    value clamped as ``__call__`` clamps it."""
+    u, v, cell = parts
+    us, vs = list(map(u, g)), list(map(v, g))
+    for k, (x, ux, vx) in enumerate(zip(g, us, vs), 1):
+        for y, uy, vy in zip(g[k:], us[k:], vs[k:]):
+            xy, yx = cell(ux, vy, x, y), cell(uy, vx, y, x)
+            yield (x, y, 0.0 if xy < 0.0 else 1.0 if xy > 1.0 else xy,
+                   0.0 if yx < 0.0 else 1.0 if yx > 1.0 else yx)
 
 
 # The triple from the six-branch implication's associativity breakdown is
@@ -316,7 +339,7 @@ def compare_surfaces(
     """Max |F - G| over the sample pairs, with the argmax point."""
     worst = -1.0
     arg = None
-    for x, y in s.pairs():
+    for x, y in _pairs(s):
         vf, vg = f(x, y), g(x, y)
         d = abs(vf - vg)
         if d > worst:

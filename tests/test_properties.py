@@ -31,6 +31,7 @@ from genimpl.implications import (
     yager_residual,
     yager_residual_candidate,
 )
+from genimpl import properties
 from genimpl.properties import (
     _check_t1,
     check_implication_axioms,
@@ -185,13 +186,20 @@ def _skew_off_grid(grid):
     return BinaryConnective(fn, "skew-off-grid")
 
 
+def _xyy_with_parts():
+    """x * y^2 through parts u(x) = x, v(y) = y^2, cell = u * v."""
+    return BinaryConnective(lambda x, y: x * (y * y), "xyy-parts",
+                            parts=(lambda x: x, lambda y: y * y, lambda a, b, x, y: a * b))
+
+
 @pytest.mark.parametrize("seed", [1, 5, 42])
 @pytest.mark.parametrize("make, fails_on", [
     (lambda s: BinaryConnective(lambda x, y: x * y * y, "xyy"), "grid"),
+    (lambda s: _xyy_with_parts(), "grid"),
     (lambda s: _skew_off_grid(s.grid()), "random"),
     (lambda s: basic("product"), None),
     (lambda s: yager_connective(2.0), None),
-], ids=["xyy", "skew-off-grid", "product", "yager2"])
+], ids=["xyy", "xyy-parts", "skew-off-grid", "product", "yager2"])
 def test_t1_once_per_unordered_grid_pair(seed, make, fails_on):
     s = SampleSpec(seed=seed)
     t = make(s)
@@ -207,6 +215,45 @@ def test_t1_once_per_unordered_grid_pair(seed, make, fails_on):
         assert w["x"] not in s.grid()
     axioms = check_tnorm_axioms(t, s)
     assert (axioms.property, axioms.witness) == ("T1", w)
+
+
+# OP, CP and compare_surfaces stream the pairs of ``s.pairs()`` instead of
+# building its list: each report must be the one a loop over the list gives.
+
+STREAMED = {
+    "OP lukasiewicz": lambda s: check_property(lukasiewicz_candidate(), "OP", s),
+    "OP piecewise_f": lambda s: check_property(piecewise_f_candidate(), "OP", s),
+    "CP lukasiewicz": lambda s: check_property(lukasiewicz_candidate(), "CP", s,
+                                               standard_negation()),
+    "CP goedel": lambda s: check_property(residual_candidate(basic("min")), "CP", s,
+                                          standard_negation()),
+    "compare yager 1 lukasiewicz": lambda s: compare_surfaces(
+        yager_connective(1.0), basic("lukasiewicz"), s),
+    "compare product min": lambda s: compare_surfaces(basic("product"), basic("min"), s),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 5, 42])
+@pytest.mark.parametrize("check", STREAMED.values(), ids=STREAMED)
+def test_streamed_pairs_give_the_listed_report(seed, check, monkeypatch):
+    s = SampleSpec(seed=seed)
+    assert list(properties._pairs(s)) == s.pairs()
+    with monkeypatch.context() as m:
+        m.setattr(properties, "_pairs", lambda s: s.pairs())
+        listed = check(s)
+    with monkeypatch.context() as m:
+        def no_list(self):
+            raise AssertionError("pairs() builds the whole list")
+
+        m.setattr(SampleSpec, "pairs", no_list)
+        streamed = check(s)
+    assert streamed.to_json() == listed.to_json()
+
+
+def test_streamed_checks_pass_and_fail():
+    s = SampleSpec()
+    verdicts = {name: check(s).holds for name, check in STREAMED.items()}
+    assert verdicts == {name: "lukasiewicz" in name for name in STREAMED}
 
 
 class TestAssociativityCounterexample:

@@ -457,13 +457,15 @@ def test_evaluations_per_check_with_parts(small_spec):
     report = check_tnorm_axioms(yager, s)
     assert report.holds
     u, v, cell = yager.parts
-    # T4, T1 both ways on each unordered grid pair off the diagonal and
-    # each random pair, then four float evaluations per triple and four
-    # wide ones per escalated triple; the T3 scan runs on the parts alone
+    # fn: T4, T1 both ways on each random pair, then four float
+    # evaluations per triple and four wide ones per escalated triple.
+    # T1 on the grid runs on the parts: u and v once per grid point and
+    # cell both ways on each unordered pair off the diagonal; the T3 scan
+    # takes v per sorted point, u per grid line and cell per cell
     escalations = report.details["escalations"]
-    t1_pairs = g * (g - 1) // 2 + s.random_count
-    assert yager.fn.calls == n1 + 2 * t1_pairs + 4 * (len(s.triples()) + escalations)
-    assert (v.calls, u.calls, cell.calls) == (n1, g, g * n1)
+    assert yager.fn.calls == n1 + 2 * s.random_count + 4 * (len(s.triples()) + escalations)
+    assert (u.calls, v.calls) == (g + g, g + n1)
+    assert cell.calls == 2 * (g * (g - 1) // 2) + g * n1
 
 
 def test_scan_with_parts_stops_at_the_first_breaking_pair():
