@@ -15,21 +15,19 @@ from .connectives import (
     Negation,
     archimedean_witness,
     basic,
-    basic_tnorm,
     dual_of,
-    generated_tconorm,
-    generated_tnorm,
+    generated_tconorm_connective,
+    generated_tnorm_connective,
     lukasiewicz_implication,
     n_ary_power,
     quasi_arithmetic_mean,
     standard_negation,
+    yager_connective,
     yager_negation,
-    yager_residual,
-    yager_tnorm,
+    yager_residual_candidate,
 )
 from .generators import (
     Generator,
-    eval_generator,
     neg_log,
     piecewise_f,
     power_gp,
@@ -39,14 +37,14 @@ from .generators import (
 )
 from .implications import (
     ImplicationCandidate,
-    ig_implication,
-    ign_implication,
+    ig_candidate,
+    ign_candidate,
     mean_residual,
     natural_negation,
-    phi_conjugate,
+    phi_conjugate_candidate,
     piecewise_f_implication,
     residual_numeric,
-    sn_implication,
+    sn_candidate,
 )
 from .properties import (
     check_implication_axioms,

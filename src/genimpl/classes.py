@@ -23,18 +23,15 @@ from .bijections import Bijection
 from .generators import clamp01
 from .implications import ImplicationCandidate, natural_negation
 from .properties import (
-    PropertyReport,
-    SampleSpec,
     _lines,
     _pointwise_law,
     check_negation_axioms,
     check_property,
     check_second_arg_monotone,
-    failing,
-    passing,
     probe_continuity,
     refine_jump,
 )
+from .reports import PropertyReport, SampleSpec, failing, passing
 
 CONSISTENT = "consistent-with-membership"
 EXCLUDED = "excluded"

@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+from .bijections import Bijection
 from .generators import (
     DECREASING,
     INCREASING,
@@ -130,10 +131,6 @@ _BASIC = {
 }
 
 
-def basic_tnorm(kind: str, x: float, y: float) -> float:
-    return basic(kind).fn(x, y)
-
-
 def basic(kind: str) -> BinaryConnective:
     try:
         fn, residual = _BASIC[kind]
@@ -145,16 +142,6 @@ def basic(kind: str) -> BinaryConnective:
 # --------------------------------------------------------------------------
 # Generated connectives
 # --------------------------------------------------------------------------
-
-
-def generated_tnorm(f: Generator, x: float, y: float) -> float:
-    """f^(-1)(f(x) + f(y)) for a decreasing generator f."""
-    return generated_tnorm_connective(f).fn(x, y)
-
-
-def generated_tconorm(g: Generator, x: float, y: float) -> float:
-    """g^(-1)(g(x) + g(y)) for an increasing generator g."""
-    return generated_tconorm_connective(g).fn(x, y)
 
 
 def generated_residual(f: Generator, x: float, y: float) -> float:
@@ -180,7 +167,7 @@ def generated_tnorm_connective(f: Generator) -> BinaryConnective:
 
     def cell(a: float, b: float, x: float, y: float) -> float:
         v = pseudo_inverse(f, a + b)
-        # neutral element handled exactly, as in yager_tnorm: the round trip
+        # neutral element handled exactly, as in yager_connective: the round trip
         # f^(-1)(f(x)) is off by an ulp.  v is computed even then, so a
         # generator with f(1) < 0 is rejected wherever its sum goes negative
         return x if y == 1.0 else y if x == 1.0 else v
@@ -297,16 +284,6 @@ def yager_residual_candidate(p: float) -> BinaryConnective:
     return _power_operator(p, cell, f"I_TY(p={p:g})")
 
 
-def yager_tnorm(p: float, x: float, y: float) -> float:
-    """Yager family: drastic at p=0, minimum at p=+inf, closed form between."""
-    return yager_connective(p).fn(x, y)
-
-
-def yager_residual(p: float, x: float, y: float) -> float:
-    """Closed-form residual of the Yager t-norm, 0 < p < inf."""
-    return yager_residual_candidate(p).fn(x, y)
-
-
 def quasi_arithmetic_mean(x: float, y: float) -> float:
     """Quadratic mean sqrt((x^2 + y^2)/2); not a t-norm (fails T4)."""
     return math.sqrt(0.5 * (x * x + y * y))
@@ -357,11 +334,10 @@ def yager_negation(p: float) -> Negation:
     return Negation(lambda x: pseudo_inverse(f, f.fn(0.0) - f.fn(x)), f"N_p(p={p:g})")
 
 
-def phi_negation(forward: Callable[[float], float],
-                 inverse: Callable[[float], float],
-                 label: str = "phi") -> Negation:
+def phi_negation(phi: Bijection) -> Negation:
     """N(x) = phi^-1(1 - phi(x)) for an increasing bijection phi."""
-    return Negation(lambda x: inverse(1.0 - forward(x)), f"N_{label}")
+    forward, inverse = phi.forward, phi.inverse
+    return Negation(lambda x: inverse(1.0 - forward(x)), f"N_{phi.label}")
 
 
 def dual_negation(n: Negation) -> Negation:

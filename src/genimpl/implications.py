@@ -20,11 +20,8 @@ from .bijections import Bijection
 from .connectives import (
     BinaryConnective,
     Negation,
-    generated_residual,  # noqa: F401  (re-exported: implications.* keeps resolving it)
     lukasiewicz_implication,
     standard_negation,
-    yager_residual,  # noqa: F401  (re-exported)
-    yager_residual_candidate,  # noqa: F401  (re-exported)
 )
 from .generators import (
     INCREASING,
@@ -190,18 +187,7 @@ def ign_candidate(g: Generator, n: Negation) -> ImplicationCandidate:
                                 parts=tuple(map(_at_chain_dps, (u, v, cell))))
 
 
-def ign_implication(g: Generator, n: Negation, x: float, y: float) -> float:
-    """S_g(N(x), y) for strictly increasing g with g(0)=0, at CHAIN_DPS;
-    rounded once to a double unless the caller passed an mpf."""
-    return ign_candidate(g, n).fn(x, y)
-
-
 _STANDARD = standard_negation()
-
-
-def ig_implication(g: Generator, x: float, y: float) -> float:
-    """g^(-1)(g(1-x) + g(y)): I^g_N at the standard negation."""
-    return ign_implication(g, _STANDARD, x, y)
 
 
 # The double enclosure of I^g: each generator argument moves outward by
@@ -231,20 +217,8 @@ def _ig_end(fn, inverse, a: float, y: float, side: float) -> float:
 
 
 def _ig_enclosure(g: Generator):
-    """ig_bounds(g, ...) with g's fn and inverse bound once."""
-    fn, inverse = g.fn, g.inverse
-
-    def bounds(x: float, y_lo: float, y_hi: float) -> tuple[float, float]:
-        a = 1.0 - x
-        lo = _ig_end(fn, inverse, a, y_lo, -1.0)
-        floor = (a if a > y_lo else y_lo) - ARG_SLACK  # max, inline: 4 calls per EP triple
-        return lo if lo > floor else floor, _ig_end(fn, inverse, a, y_hi, 1.0)
-
-    return bounds
-
-
-def ig_bounds(g: Generator, x: float, y_lo: float, y_hi: float) -> tuple[float, float]:
-    """A double (lo, hi) with lo <= I^g(x, y) <= hi for every y in [y_lo, y_hi]:
+    """bounds(x, y_lo, y_hi): a double (lo, hi) with lo <= I^g(x, y) <= hi for
+    every y in [y_lo, y_hi], with g's fn and inverse bound once.  It takes
     the float chain at y_lo and at y_hi, each moved outward, as I^g is
     nondecreasing in g's sum.  Needs g's ``fn`` and ``inverse`` accurate to
     a few ulp in double, as the catalog's and the tables' are.
@@ -257,21 +231,25 @@ def ig_bounds(g: Generator, x: float, y_lo: float, y_hi: float) -> tuple[float, 
     rounding of 1 - x and a wide value just below a double y (power_gp 0.1
     at (1, 0.05) is ~1e-40 below 0.05).
     """
-    return _ig_enclosure(g)(x, y_lo, y_hi)
+    fn, inverse = g.fn, g.inverse
+
+    def bounds(x: float, y_lo: float, y_hi: float) -> tuple[float, float]:
+        a = 1.0 - x
+        lo = _ig_end(fn, inverse, a, y_lo, -1.0)
+        floor = (a if a > y_lo else y_lo) - ARG_SLACK  # max, inline: 4 calls per EP triple
+        return lo if lo > floor else floor, _ig_end(fn, inverse, a, y_hi, 1.0)
+
+    return bounds
 
 
 def ig_candidate(g: Generator) -> ImplicationCandidate:
-    """I^g: I^g_N at the standard negation, with the float enclosure ``ig_bounds``."""
+    """I^g: I^g_N at the standard negation, with ``_ig_enclosure`` as its bounds."""
     return dataclasses.replace(ign_candidate(g, _STANDARD), label=f"Ig[{g.label}]",
                                bounds=_ig_enclosure(g))
 
 
-def sn_implication(s: BinaryConnective, n: Negation, x: float, y: float) -> float:
-    """(S,N)-implication S(N(x), y)."""
-    return s(n(x), y)
-
-
 def sn_candidate(s: BinaryConnective, n: Negation) -> ImplicationCandidate:
+    """(S,N)-implication S(N(x), y)."""
     return ImplicationCandidate(lambda x, y: s(n(x), y), f"SN[{s.label},{n.label}]")
 
 
@@ -279,16 +257,10 @@ def lukasiewicz_candidate() -> ImplicationCandidate:
     return ImplicationCandidate(lukasiewicz_implication, "I_LK")
 
 
-def phi_conjugate(
-    i: ImplicationCandidate, phi: Bijection, x: float, y: float
-) -> float:
-    """phi^-1(I(phi(x), phi(y)))."""
-    return phi_conjugate_candidate(i, phi).fn(x, y)
-
-
 def phi_conjugate_candidate(
     i: ImplicationCandidate, phi: Bijection
 ) -> ImplicationCandidate:
+    """phi^-1(I(phi(x), phi(y)))."""
     forward, inverse = phi.forward, phi.inverse
     return ImplicationCandidate(lambda x, y: clamp01(inverse(i(forward(x), forward(y)))),
                                 f"conj[{i.label},{phi.label}]")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import bijections, connectives, generators, implications
 from .classes import build_intersection_member
-from .connectives import BinaryConnective, Negation
+from .connectives import BinaryConnective
 
 
 class SpecError(ValueError):
@@ -76,11 +76,6 @@ def _parse_p(v) -> float:
     return float(v)
 
 
-def _phi_negation(d: dict) -> Negation:
-    phi = parse_bijection(d["phi"])
-    return connectives.phi_negation(phi.forward, phi.inverse, phi.label)
-
-
 def _phi_conjugate(d: dict) -> BinaryConnective:
     if d.get("base", "lukasiewicz") != "lukasiewicz":
         raise SpecError("only the lukasiewicz base is supported")
@@ -107,7 +102,7 @@ GENERATORS = {
 NEGATIONS = {
     "standard": lambda d: connectives.standard_negation(),
     "yager_np": lambda d: connectives.yager_negation(float(d["p"])),
-    "phi": _phi_negation,
+    "phi": lambda d: connectives.phi_negation(parse_bijection(d["phi"])),
     "dual": lambda d: connectives.dual_negation(parse_negation(d["of"])),
     "table": lambda d: connectives.table_negation(d["points"]),
 }
@@ -129,7 +124,7 @@ OPERATORS = {
         parse_generator(d["g"])),
     "table": _table_connective,
     # implication candidates
-    "yager_residual": lambda d: implications.yager_residual_candidate(float(d["p"])),
+    "yager_residual": lambda d: connectives.yager_residual_candidate(float(d["p"])),
     "lukasiewicz": lambda d: implications.lukasiewicz_candidate(),
     "mean_residual": lambda d: implications.mean_residual_candidate(),
     "piecewise_f": lambda d: implications.piecewise_f_candidate(),

@@ -23,12 +23,11 @@ from genimpl.connectives import (
     basic,
     generated_tnorm_connective,
     mean_connective,
-    standard_negation,
     t_drastic,
     t_minimum,
     yager_connective,
     yager_negation,
-    yager_tnorm,
+    yager_residual_candidate,
 )
 from genimpl.generators import neg_log, power_gp, yager_f
 from genimpl.implications import (
@@ -42,7 +41,6 @@ from genimpl.implications import (
     piecewise_f_candidate,
     piecewise_f_implication,
     residual_numeric,
-    yager_residual_candidate,
 )
 from genimpl.properties import (
     check_implication_axioms,
@@ -202,9 +200,10 @@ def test_criterion_08_class_separation():
 
 def test_criterion_09_family_endpoints_and_generated_form():
     g = FULL.grid()
+    drastic, minimum = yager_connective(0.0), yager_connective(math.inf)
     exact = all(
-        yager_tnorm(0.0, x, y) == t_drastic(x, y)
-        and yager_tnorm(math.inf, x, y) == t_minimum(x, y)
+        drastic.fn(x, y) == t_drastic(x, y)
+        and minimum.fn(x, y) == t_minimum(x, y)
         for x in g
         for y in g
     )

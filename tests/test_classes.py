@@ -14,13 +14,12 @@ from genimpl.classes import (
     r_probe,
     sn_probe,
 )
-from genimpl.connectives import basic
+from genimpl.connectives import basic, yager_residual_candidate
 from genimpl.implications import (
     ImplicationCandidate,
     lukasiewicz_candidate,
     piecewise_f_candidate,
     residual_candidate,
-    yager_residual_candidate,
 )
 from genimpl.reports import SampleSpec
 from genimpl.specs import parse_implication

@@ -7,9 +7,7 @@ from hypothesis import example, given, strategies as st
 from genimpl.connectives import (
     archimedean_witness,
     basic,
-    basic_tnorm,
     dual_of,
-    generated_tnorm,
     generated_tnorm_connective,
     mean_connective,
     n_ary_power,
@@ -22,7 +20,6 @@ from genimpl.connectives import (
     table_connective,
     yager_connective,
     yager_negation,
-    yager_tnorm,
 )
 from genimpl.generators import yager_f
 from genimpl.implications import residual_numeric
@@ -41,9 +38,9 @@ class TestBasicTnorms:
         assert t_drastic(1.0, 0.4) == 0.4
 
     def test_dispatch(self):
-        assert basic_tnorm("product", 0.5, 0.5) == 0.25
+        assert basic("product").fn(0.5, 0.5) == 0.25
         with pytest.raises(ValueError):
-            basic_tnorm("nope", 0.5, 0.5)
+            basic("nope")
 
     @pytest.mark.parametrize("kind", ["min", "product", "lukasiewicz", "drastic"])
     def test_axioms(self, kind, small_spec):
@@ -52,33 +49,33 @@ class TestBasicTnorms:
 
 class TestYagerFamily:
     def test_interior_value(self):
-        assert yager_tnorm(2.0, 0.5, 0.5) == pytest.approx(
+        assert yager_connective(2.0).fn(0.5, 0.5) == pytest.approx(
             1.0 - math.sqrt(0.5)
         )
 
     def test_p_zero_is_drastic(self):
-        assert yager_tnorm(0.0, 0.9, 0.9) == 0.0
-        assert yager_tnorm(0.0, 1.0, 0.4) == 0.4
+        assert yager_connective(0.0).fn(0.9, 0.9) == 0.0
+        assert yager_connective(0.0).fn(1.0, 0.4) == 0.4
 
     def test_p_infinity_is_minimum(self):
-        assert yager_tnorm(math.inf, 0.3, 0.7) == 0.3
+        assert yager_connective(math.inf).fn(0.3, 0.7) == 0.3
 
     @given(unit)
     def test_neutral_element_exact(self, x):
-        assert yager_tnorm(3.0, x, 1.0) == x
-        assert yager_tnorm(3.0, 1.0, x) == x
+        assert yager_connective(3.0).fn(x, 1.0) == x
+        assert yager_connective(3.0).fn(1.0, x) == x
 
     def test_matches_generated_form(self, small_spec):
         t = generated_tnorm_connective(yager_f(2.0))
         for x in small_spec.grid():
             for y in small_spec.grid():
                 assert t(x, y) == pytest.approx(
-                    yager_tnorm(2.0, x, y), abs=1e-9
+                    yager_connective(2.0).fn(x, y), abs=1e-9
                 )
 
     def test_rejects_negative_p(self):
         with pytest.raises(ValueError):
-            yager_tnorm(-1.0, 0.5, 0.5)
+            yager_connective(-1.0)
 
     @pytest.mark.parametrize("p", [-1.0, math.nan])
     def test_connective_rejects_bad_p_when_built(self, p):
@@ -89,18 +86,17 @@ class TestYagerFamily:
     def test_large_p_does_not_underflow(self, p):
         # (1-x)^p + (1-y)^p is below the smallest normal double for
         # x, y >= 0.6 at these p; it used to read 0.0 and give T = 1
-        assert yager_tnorm(1000.0, 0.6, 0.6) == pytest.approx(0.5997226450149677, abs=1e-15)
+        assert yager_connective(1000.0).fn(0.6, 0.6) == pytest.approx(0.5997226450149677, abs=1e-15)
         xs = [0.0, 0.3, 0.5, 0.6, 0.61, 0.7, 0.75, 0.9, 0.95, 0.999, 1.0]
         for x in xs:
             for y in xs:
-                v = yager_tnorm(p, x, y)
+                v = yager_connective(p).fn(x, y)
                 with mpmath.workdps(50):
                     a, b = 1 - mpmath.mpf(x), 1 - mpmath.mpf(y)
                     exact = max(0, 1 - (a ** p + b ** p) ** (1 / mpmath.mpf(p)))
                 assert abs(v - exact) < 1e-12, (x, y)
                 if min(x, y) >= 0.5:  # below, 1 - (1-x) itself rounds up by an ulp
                     assert v <= min(x, y), (x, y)
-                assert yager_connective(p).fn(x, y) == v
 
 
 class TestGeneratedTnorm:
@@ -111,10 +107,10 @@ class TestGeneratedTnorm:
         # sample points of yager_f(2) when 1 goes through the generator;
         # C(0.01, 1) came out as 0.010000000000000009, and the bisection
         # residual then stopped just short of 1 at x = y
-        f = yager_f(2.0)
-        assert generated_tnorm(f, x, 1.0) == x
-        assert generated_tnorm(f, 1.0, x) == x
-        assert residual_numeric(generated_tnorm_connective(f), x, x) == 1.0
+        t = generated_tnorm_connective(yager_f(2.0))
+        assert t.fn(x, 1.0) == x
+        assert t.fn(1.0, x) == x
+        assert residual_numeric(t, x, x) == 1.0
 
 
 class TestDual:

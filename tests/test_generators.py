@@ -9,7 +9,6 @@ from genimpl.generators import (
     INCREASING,
     DomainError,
     Generator,
-    eval_generator,
     linear_table,
     neg_log,
     piecewise_f,
@@ -223,7 +222,7 @@ class TestVerifyGenerator:
 class TestDomain:
     def test_eval_rejects_outside_unit_interval(self):
         with pytest.raises(DomainError):
-            eval_generator(yager_f(2.0), 1.5)
+            yager_f(2.0)(1.5)
 
     def test_pseudo_inverse_rejects_negative(self):
         with pytest.raises(DomainError):

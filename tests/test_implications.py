@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from genimpl.bijections import identity_bijection, power_bijection
 from genimpl.connectives import (
@@ -10,12 +10,15 @@ from genimpl.connectives import (
     basic,
     dual_negation,
     dual_of,
+    generated_residual,
     generated_tnorm_connective,
+    lukasiewicz_implication,
     mean_connective,
     standard_negation,
     table_connective,
     yager_connective,
     yager_negation,
+    yager_residual_candidate,
 )
 from genimpl.generators import (
     DECREASING,
@@ -31,23 +34,16 @@ from genimpl.implications import (
     ARG_SLACK,
     CHAIN_DPS,
     ImplicationCandidate,
-    generated_residual,
-    ig_bounds,
     ig_candidate,
-    ig_implication,
     ign_candidate,
-    ign_implication,
     lukasiewicz_candidate,
-    lukasiewicz_implication,
     mean_residual,
     natural_negation,
-    phi_conjugate,
+    phi_conjugate_candidate,
     piecewise_f_implication,
     residual_candidate,
     residual_numeric,
-    sn_implication,
-    yager_residual,
-    yager_residual_candidate,
+    sn_candidate,
 )
 from genimpl.properties import check_implication_axioms, check_property
 from genimpl.reports import SampleSpec
@@ -107,19 +103,19 @@ class TestResidualNumeric:
 
 class TestYagerResidual:
     def test_value(self):
-        assert yager_residual(2.0, 0.5, 0.2) == pytest.approx(
+        assert yager_residual_candidate(2.0).fn(0.5, 0.2) == pytest.approx(
             1.0 - math.sqrt(0.39), abs=1e-12
         )
 
     @given(unit, unit)
     def test_ordering_half(self, x, y):
         if x <= y:
-            assert yager_residual(3.0, x, y) == 1.0
+            assert yager_residual_candidate(3.0).fn(x, y) == 1.0
 
     def test_p_one_is_lukasiewicz(self):
         for x in (0.0, 0.3, 0.9):
             for y in (0.1, 0.5, 1.0):
-                assert yager_residual(1.0, x, y) == pytest.approx(
+                assert yager_residual_candidate(1.0).fn(x, y) == pytest.approx(
                     lukasiewicz_implication(x, y), abs=1e-12
                 )
 
@@ -128,21 +124,21 @@ class TestYagerResidual:
         for x in small_spec.grid():
             for y in small_spec.grid():
                 assert residual_numeric(t, x, y) == pytest.approx(
-                    yager_residual(2.0, x, y), abs=1e-6
+                    yager_residual_candidate(2.0).fn(x, y), abs=1e-6
                 )
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            yager_residual(0.0, 0.5, 0.5)
+            yager_residual_candidate(0.0)
 
     @pytest.mark.parametrize("p", [800.0, 1000.0])
     def test_large_p_does_not_underflow(self, p):
         # (1-y)^p underflows for y >= 0.6 at these p; R(0.7, 0.6) read 1.0
-        assert yager_residual(1000.0, 0.7, 0.6) == 0.6
+        assert yager_residual_candidate(1000.0).fn(0.7, 0.6) == 0.6
         xs = [0.0, 0.3, 0.5, 0.6, 0.61, 0.7, 0.75, 0.9, 0.95, 0.999, 1.0]
         for x in xs:
             for y in xs:
-                v = yager_residual(p, x, y)
+                v = yager_residual_candidate(p).fn(x, y)
                 assert abs(v - yager_residual_50(p, x, y)) < 1e-12, (x, y)
                 assert (v == 1.0) == (x <= y), (x, y)
 
@@ -212,7 +208,7 @@ class TestGeneratedResidual:
     def test_equals_yager_closed_form(self, small_spec):
         r = residual_candidate(yager_connective(2.0))
         for x, y in small_spec.pairs():
-            assert r(x, y) == yager_residual(2.0, x, y)
+            assert r(x, y) == yager_residual_candidate(2.0).fn(x, y)
         assert r(0.748, 0.073) == 0.10790975792804458
 
     def test_answers_at_precision_of_arguments(self):
@@ -295,7 +291,7 @@ class TestResidualRouting:
 class TestGeneratedImplications:
     @given(unit, unit)
     def test_neg_log_gives_reichenbach(self, x, y):
-        got = ig_implication(neg_log(), x, y)
+        got = ig_candidate(neg_log()).fn(x, y)
         assert got == pytest.approx(1.0 - x + x * y, abs=1e-9)
 
     def test_standard_negation_recovers_plain_form(self):
@@ -305,19 +301,20 @@ class TestGeneratedImplications:
         table_g = table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
         for g in (power_gp(0.5), power_gp(2.0), power_gp(3.7), neg_log(),
                   piecewise_f(), table_g):
+            ig, ign = ig_candidate(g), ign_candidate(g, n)
             for x, y in SampleSpec(grid_n=11).pairs():
                 with mpmath.workdps(CHAIN_DPS):
                     s = g.fn(1 - mpmath.mpf(x)) + g.fn(mpmath.mpf(y))
                     plain = float(pseudo_inverse(g, s))
-                assert ig_implication(g, x, y) == plain, (g.label, x, y)
-                assert ign_implication(g, n, x, y) == plain, (g.label, x, y)
+                assert ig.fn(x, y) == plain, (g.label, x, y)
+                assert ign.fn(x, y) == plain, (g.label, x, y)
 
     def test_negation_not_rounded_inside_the_chain(self, small_spec):
         # N(x) = (1 - x^3)^(1/3) enters g at the chain's precision; a value
         # rounded to a double first is off by up to 7e-6 at p = 3.7, which
         # fails CP against N itself
         n = dual_negation(yager_negation(3.0))
-        assert ign_implication(power_gp(2.0), n, 0.05, 0.0) == 0.9999583315971017
+        assert ign_candidate(power_gp(2.0), n).fn(0.05, 0.0) == 0.9999583315971017
         i = ign_candidate(power_gp(3.7), n)
         assert i(0.1, 0.0) == 0.999666555493786
         assert check_property(i, "CP", small_spec, n).holds
@@ -325,27 +322,28 @@ class TestGeneratedImplications:
     def test_ign_matches_yager_residual(self):
         g = power_gp(2.0)
         n = yager_negation(2.0)
-        assert ign_implication(g, n, 0.5, 0.2) == pytest.approx(
-            yager_residual(2.0, 0.5, 0.2), abs=1e-12
+        assert ign_candidate(g, n).fn(0.5, 0.2) == pytest.approx(
+            yager_residual_candidate(2.0).fn(0.5, 0.2), abs=1e-12
         )
 
     def test_rejects_decreasing_generator(self):
         with pytest.raises(DirectionError):
-            ig_implication(yager_f(2.0), 0.5, 0.5)
+            ig_candidate(yager_f(2.0))
 
     @pytest.mark.parametrize("g", [neg_log(), power_gp(2.0)])
     def test_answers_at_precision_of_arguments(self, g):
         # g(0.1) + g(0.1) < g(1), so the sum is not saturated
-        assert type(ig_implication(g, 0.9, 0.1)) is float
-        v = ig_implication(g, mpmath.mpf("0.9"), mpmath.mpf("0.1"))
+        assert type(ig_candidate(g).fn(0.9, 0.1)) is float
+        v = ig_candidate(g).fn(mpmath.mpf("0.9"), mpmath.mpf("0.1"))
         assert isinstance(v, mpmath.mpf)
-        assert float(v) == pytest.approx(ig_implication(g, 0.9, 0.1), abs=1e-15)
+        assert float(v) == pytest.approx(ig_candidate(g).fn(0.9, 0.1), abs=1e-15)
 
 
+POWER_P = (0.1, 0.5, 1.0, 2.0, 3.7, 20.0, 1000.0)
 # every catalog increasing generator, and tables: a plain one, a steep
 # one (slope 5e5, then a range past 1) and a near-flat one (slope 2e-9)
 INCREASING_GENERATORS = [
-    *(power_gp(p) for p in (0.1, 0.5, 1.0, 2.0, 3.7, 20.0, 1000.0)),
+    *map(power_gp, POWER_P),
     neg_log(),
     piecewise_f(),
     table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)]),
@@ -354,23 +352,41 @@ INCREASING_GENERATORS = [
 ]
 
 
+# p of each power_gp(p) above, by label, for the closed form in wide_ig
+POWER_GP_P = {power_gp(p).label: p for p in POWER_P}
+
+
 def wide_ig(g, x, y):
-    """I^g(x, y) at CHAIN_DPS, unrounded."""
+    """I^g(x, y) at CHAIN_DPS, unrounded.  For power_gp(p) it is the closed
+    form 1 - max(x^p + (1-y)^p - 1, 0)^(1/p) with both additions exact:
+    the 40-digit chain adds x^p to a sum near 1, which loses x^p near
+    saturation (at p = 20, x = 0.0322, y = 0 it reads 6e-15 below 1 - x).
+    mpmath.fsum rounds as well (1.0 at p = 1000, (0.5, 0)).  Every other
+    generator takes the chain."""
     with mpmath.workdps(CHAIN_DPS):
-        return ig_implication(g, mpmath.mpf(x), mpmath.mpf(y))
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        p = POWER_GP_P.get(g.label)
+        if p is None:
+            return ig_candidate(g).fn(x, y)
+        s = mpmath.fadd(mpmath.fadd(x**p, (1 - y) ** p, exact=True), -1, exact=True)
+        return 1 - max(s, 0) ** (1 / mpmath.mpf(p))
 
 
 class TestIgBounds:
     @pytest.mark.parametrize("g", INCREASING_GENERATORS, ids=lambda g: g.label)
     def test_encloses_wide_value_on_plan_pairs(self, g):
+        bounds = ig_candidate(g).bounds
         for x, y in SampleSpec(grid_n=41, random_count=400).pairs():
-            lo, hi = ig_bounds(g, x, y, y)
+            lo, hi = bounds(x, y, y)
             assert lo <= wide_ig(g, x, y) <= hi, (x, y)
 
     @given(st.sampled_from(INCREASING_GENERATORS), unit, unit, unit)
+    @example(power_gp(20.0), 0.03218994569537182, 0.0, 0.0)
+    @example(power_gp(20.0), 0.01171875, 0.0, 0.0)
+    @example(power_gp(1000.0), 0.5, 0.0, 0.0)
     def test_encloses_wide_values_over_an_interval(self, g, x, y1, y2):
         y_lo, y_hi = sorted((y1, y2))
-        lo, hi = ig_bounds(g, x, y_lo, y_hi)
+        lo, hi = ig_candidate(g).bounds(x, y_lo, y_hi)
         for y in (y_lo, 0.5 * (y_lo + y_hi), y_hi):
             assert lo <= wide_ig(g, x, y) <= hi, (g.label, x, y)
 
@@ -386,7 +402,7 @@ class TestIgBounds:
     @pytest.mark.parametrize("x, y_lo, y_hi", SATURATION)
     def test_lower_end_is_at_least_max_of_arguments(self, x, y_lo, y_hi):
         g = power_gp(2.0)
-        lo, hi = ig_bounds(g, x, y_lo, y_hi)
+        lo, hi = ig_candidate(g).bounds(x, y_lo, y_hi)
         assert lo >= max(y_lo, 1.0 - x) - ARG_SLACK
         for y in (y_lo, 0.5 * (y_lo + y_hi), y_hi):
             assert lo <= wide_ig(g, x, y) <= hi, y
@@ -400,7 +416,7 @@ class TestIgBounds:
 class TestSNImplication:
     @given(unit, unit)
     def test_kleene_dienes(self, x, y):
-        got = sn_implication(basic("min"), standard_negation(), x, y)
+        got = sn_candidate(basic("min"), standard_negation()).fn(x, y)
         # S = min is not a t-conorm; use the dual of product for a real one
         assert got == min(1.0 - x, y)
 
@@ -411,7 +427,7 @@ class TestSNImplication:
         n = standard_negation()
         for x in (0.2, 0.7):
             for y in (0.3, 0.9):
-                assert sn_implication(s, n, x, y) == pytest.approx(
+                assert sn_candidate(s, n).fn(x, y) == pytest.approx(
                     lukasiewicz_implication(x, y), abs=1e-12
                 )
 
@@ -422,13 +438,13 @@ class TestPhiConjugate:
         phi = identity_bijection()
         for x in (0.0, 0.4, 1.0):
             for y in (0.2, 0.8):
-                assert phi_conjugate(ilk, phi, x, y) == ilk(x, y)
+                assert phi_conjugate_candidate(ilk, phi).fn(x, y) == ilk(x, y)
 
     def test_square_conjugate_value(self):
         ilk = lukasiewicz_candidate()
         phi = power_bijection(2.0)
         # phi^-1(min(1 - x^2 + y^2, 1))
-        assert phi_conjugate(ilk, phi, 0.8, 0.2) == pytest.approx(
+        assert phi_conjugate_candidate(ilk, phi).fn(0.8, 0.2) == pytest.approx(
             math.sqrt(1.0 - 0.64 + 0.04), abs=1e-12
         )
 
@@ -440,7 +456,7 @@ class TestPiecewiseImplication:
         for x in small_spec.points_1d():
             for y in (0.0, 0.2, 0.45, 0.5, 0.55, 0.8, 1.0):
                 assert piecewise_f_implication(x, y) == pytest.approx(
-                    ign_implication(g, n, x, y), abs=1e-9
+                    ign_candidate(g, n).fn(x, y), abs=1e-9
                 )
 
     def test_plateau_branch(self):
@@ -465,7 +481,7 @@ class TestNaturalNegation:
     def test_yager_negation_is_residual_at_zero(self, p, small_spec):
         n = yager_negation(p)
         for x in small_spec.points_1d():
-            assert n(x) == yager_residual(p, x, 0.0), x
+            assert n(x) == yager_residual_candidate(p).fn(x, 0.0), x
 
 
 class TestMeanResidual:

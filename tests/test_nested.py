@@ -22,8 +22,8 @@ from genimpl.generators import power_gp, pseudo_inverse
 from genimpl.implications import (
     CHAIN_DPS,
     ImplicationCandidate,
-    ig_implication,
-    ign_implication,
+    ig_candidate,
+    ign_candidate,
     residual_numeric,
 )
 from genimpl.properties import (
@@ -144,6 +144,26 @@ def test_ep_matches_all_wide(spec):
     assert fast.details["escalations"] >= (0 if fast.holds else 1)
 
 
+# Residuals by bisection, whose all-wide triples bisect at CHAIN_DPS: an
+# all-wide pass over the default plan takes minutes, so a 5^3 + 40 triple
+# plan stands in for it.  The mean's residual fails EP on an escalated triple.
+BISECTION_PLAN = SampleSpec(triple_grid_n=5, triple_random_count=40)
+
+
+@pytest.mark.parametrize("of, holds", [
+    ({"kind": "table", "values": PRODUCT_TABLE}, True),
+    ({"kind": "mean"}, False),
+], ids=_id)
+def test_ep_of_a_bisected_residual_matches_all_wide(of, holds):
+    i = parse_implication({"kind": "residual", "of": of})
+    assert i.fn.func is residual_numeric
+    fast = check_property(i, "EP", BISECTION_PLAN)
+    wide = all_wide("EP", ep_sides, i.fn, BISECTION_PLAN.triples(), BISECTION_PLAN)
+    assert_same(fast, wide, BISECTION_PLAN)
+    assert fast.holds is holds
+    assert fast.details["escalations"] >= (0 if holds else 1)
+
+
 @pytest.mark.parametrize("g, most_escalations", [
     ({"kind": "neg_log"}, 0),
     # p = 2 escalates 6 triples, each through a point where g(1 - x) + g(y)
@@ -250,6 +270,6 @@ def test_pseudo_inverse_keeps_precision_of_argument():
     assert isinstance(pseudo_inverse(g, 0.5), float)
     assert isinstance(pseudo_inverse(g, 0), float)
     # a generated implication still answers a float at a float point
-    assert isinstance(ig_implication(g, 0.3, 0.6), float)
-    assert isinstance(ign_implication(g, yager_negation(2.0), 0.3, 0.6), float)
+    assert isinstance(ig_candidate(g).fn(0.3, 0.6), float)
+    assert isinstance(ign_candidate(g, yager_negation(2.0)).fn(0.3, 0.6), float)
 

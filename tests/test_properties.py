@@ -15,6 +15,7 @@ from genimpl.connectives import (
     standard_negation,
     yager_connective,
     yager_negation,
+    yager_residual_candidate,
 )
 from genimpl.generators import neg_log
 from genimpl.implications import (
@@ -28,8 +29,6 @@ from genimpl.implications import (
     piecewise_f_implication,
     residual_candidate,
     residual_numeric,
-    yager_residual,
-    yager_residual_candidate,
 )
 from genimpl import properties
 from genimpl.properties import (
@@ -365,8 +364,8 @@ POINTWISE_WITNESSES = {
         ),
         "CP", {"x": 0.05, "y": 0.0, "left": 0.6877501000800801,
                "right": 0.95, "negation": "N_standard"},
-        lambda w: abs(yager_residual(2.0, w["x"], w["y"])
-                      - yager_residual(2.0, 1.0 - w["y"], 1.0 - w["x"])),
+        lambda w: abs(yager_residual_candidate(2.0).fn(w["x"], w["y"])
+                      - yager_residual_candidate(2.0).fn(1.0 - w["y"], 1.0 - w["x"])),
     ),
     "T4": (
         lambda s: check_tnorm_axioms(mean_connective(), s),

@@ -9,19 +9,19 @@ import genimpl
 PUBLIC = [
     "Bijection", "BinaryConnective", "ClassProbeResult", "Generator",
     "ImplicationCandidate", "Negation", "PropertyReport", "SampleSpec",
-    "archimedean_witness", "basic", "basic_tnorm", "bijections",
-    "build_intersection_member", "check_implication_axioms", "check_property",
-    "check_self_dual_phi", "check_tnorm_axioms", "classes", "compare_surfaces",
-    "conjugate_lk_probe", "connectives", "dual_of", "eval_generator",
-    "find_associativity_counterexample", "generated_tconorm", "generated_tnorm",
-    "generators", "identity_bijection", "ig_implication", "ign_implication",
-    "implications", "lukasiewicz_implication", "mean_residual", "n_ary_power",
-    "natural_negation", "neg_log", "phi_conjugate", "piecewise_f",
-    "piecewise_f_implication", "power_bijection", "power_gp", "probe_continuity",
-    "properties", "pseudo_inverse", "quasi_arithmetic_mean", "r_probe", "reports",
-    "residual_numeric", "sn_implication", "sn_probe", "standard_negation",
-    "verify_generator", "yager_f", "yager_negation", "yager_residual",
-    "yager_tnorm",
+    "archimedean_witness", "basic", "bijections", "build_intersection_member",
+    "check_implication_axioms", "check_property", "check_self_dual_phi",
+    "check_tnorm_axioms", "classes", "compare_surfaces", "conjugate_lk_probe",
+    "connectives", "dual_of", "find_associativity_counterexample",
+    "generated_tconorm_connective", "generated_tnorm_connective", "generators",
+    "identity_bijection", "ig_candidate", "ign_candidate", "implications",
+    "lukasiewicz_implication", "mean_residual", "n_ary_power",
+    "natural_negation", "neg_log", "phi_conjugate_candidate", "piecewise_f",
+    "piecewise_f_implication", "power_bijection", "power_gp",
+    "probe_continuity", "properties", "pseudo_inverse", "quasi_arithmetic_mean",
+    "r_probe", "reports", "residual_numeric", "sn_candidate", "sn_probe",
+    "standard_negation", "verify_generator", "yager_connective", "yager_f",
+    "yager_negation", "yager_residual_candidate",
 ]
 
 

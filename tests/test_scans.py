@@ -4,7 +4,6 @@ constants once: every value and report must stay what the per-call
 wrappers gave."""
 
 import dataclasses
-import functools
 import math
 import sys
 
@@ -17,9 +16,7 @@ from genimpl.connectives import (
     BinaryConnective,
     Negation,
     basic,
-    basic_tnorm,
     dual_of,
-    generated_tconorm,
     generated_tconorm_connective,
     generated_tnorm_connective,
     standard_negation,
@@ -27,7 +24,7 @@ from genimpl.connectives import (
     table_negation,
     yager_connective,
     yager_negation,
-    yager_residual,
+    yager_residual_candidate,
 )
 from genimpl.generators import (
     DECREASING,
@@ -44,16 +41,11 @@ from genimpl.generators import (
 from genimpl.implications import (
     CHAIN_DPS,
     ig_candidate,
-    ig_implication,
     ign_candidate,
-    ign_implication,
     lukasiewicz_candidate,
-    phi_conjugate,
     phi_conjugate_candidate,
     residual_candidate,
     sn_candidate,
-    sn_implication,
-    yager_residual_candidate,
 )
 from genimpl.properties import (
     _lines,
@@ -149,29 +141,27 @@ CASES = [
     *((f"I_TY({p})", yager_residual_candidate(p),
        lambda x, y, p=p: yager_residual_formula(p, x, y))
       for p in (0.5, 2.0, 3.7, 1000.0)),
-    *((f"yager_residual({p})", BinaryConnective(functools.partial(yager_residual, p), ""),
+    *((f"yager_residual({p})", yager_residual_candidate(p),
        lambda x, y, p=p: yager_residual_formula(p, x, y))
       for p in (0.5, 1000.0)),
     *((f"basic {kind}", basic(kind), tnorm) for kind, (tnorm, _) in BASIC_FORMULAS.items()),
     *((f"R[basic {kind}]", residual_candidate(basic(kind)), residual)
       for kind, (_, residual) in BASIC_FORMULAS.items()),
-    ("basic_tnorm product", BinaryConnective(functools.partial(basic_tnorm, "product"), ""),
+    ("basic_tnorm product", basic("product"),
      BASIC_FORMULAS["product"][0]),
-    ("generated_tconorm", BinaryConnective(functools.partial(generated_tconorm, TABLE_G), ""),
+    ("generated_tconorm", generated_tconorm_connective(TABLE_G),
      lambda x, y: tconorm_formula(TABLE_G, x, y)),
     *((f"SN[{s.label},{n.label}]", sn_candidate(s, n),
        lambda x, y, s=s, n=n: sn_formula(s, n, x, y))
       for s in (dual_of(basic("min")), generated_tconorm_connective(neg_log()))
       for n in (standard_negation(), yager_negation(2.0))),
-    ("sn_implication", BinaryConnective(functools.partial(
-        sn_implication, dual_of(basic("product")), standard_negation()), ""),
+    ("sn_implication", sn_candidate(dual_of(basic("product")), standard_negation()),
      lambda x, y: sn_formula(dual_of(basic("product")), standard_negation(), x, y)),
     *((f"conj[{i.label},{phi.label}]", phi_conjugate_candidate(i, phi),
        lambda x, y, i=i, phi=phi: conjugate_formula(i, phi, x, y))
       for i in (lukasiewicz_candidate(), yager_residual_candidate(2.0))
       for phi in (power_bijection(0.5), power_bijection(3.0))),
-    ("phi_conjugate", BinaryConnective(functools.partial(
-        phi_conjugate, lukasiewicz_candidate(), power_bijection(2.0)), ""),
+    ("phi_conjugate", phi_conjugate_candidate(lukasiewicz_candidate(), power_bijection(2.0)),
      lambda x, y: conjugate_formula(lukasiewicz_candidate(), power_bijection(2.0), x, y)),
 ]
 
@@ -200,8 +190,7 @@ def test_ig_is_ign_at_the_standard_negation(g):
     assert ig.bounds is not None and ign.bounds is None
     lo, hi = ig.bounds(0.3, 0.2, 0.4)
     assert lo <= ig.fn(0.3, 0.2) <= ig.fn(0.3, 0.4) <= hi
-    point = functools.partial(ig_implication, g)
-    point_n = functools.partial(ign_implication, g, standard_negation())
+    point, point_n = ig_candidate(g).fn, ign_candidate(g, standard_negation()).fn
     for x, y in PAIRS:
         got = ig.fn(x, y)
         assert type(got) is float and got == ign.fn(x, y), (x, y)
