@@ -175,22 +175,15 @@ def yager_f(p: float) -> Generator:
 
 
 def power_gp(p: float) -> Generator:
-    """Increasing generator 1-(1-x)^p; pairs with the negation N_p."""
-    if not p > 0 or math.isinf(p):
-        raise ValueError("p must be finite and positive")
-    inv_p = 1.0 / p  # root(t, p) of a double t
+    """Increasing generator 1-(1-x)^p: g = f(0) - f for f = yager_f(p); pairs with N_p."""
+    f = yager_f(p)
+    f_fn, f_inv = f.fn, f.inverse
 
     def fn(x):
-        return 1.0 - (1.0 - x) ** p
+        return 1.0 - f_fn(x)
 
     def inv(y):
-        if y >= 1.0:
-            return 1.0
-        if y <= 0.0:
-            return 0.0
-        if isinstance(y, float):
-            return 1.0 - (1.0 - y) ** inv_p
-        return 1.0 - root(1.0 - y, p)
+        return 1.0 if y >= 1.0 else f_inv(1.0 - y)
 
     return Generator(INCREASING, fn, inv, f"power_gp(p={p:g})")
 

@@ -39,13 +39,6 @@ from .generators import (
 CHAIN_DPS = 40
 
 
-def chain_eval(f, *args):
-    """f of the arguments as mpf, at CHAIN_DPS; mpmath is loaded at the first call."""
-    mpmath = wide()
-    with mpmath.workdps(CHAIN_DPS):
-        return f(*map(mpmath.mpf, args))
-
-
 def _at_chain_dps(f):
     """f evaluated at CHAIN_DPS; mpmath is loaded at the first call."""
 
@@ -54,6 +47,11 @@ def _at_chain_dps(f):
             return f(*args)
 
     return wide_f
+
+
+def chain_eval(f, *args):
+    """f of the arguments as mpf, at CHAIN_DPS; mpmath is loaded at the first call."""
+    return _at_chain_dps(lambda: f(*map(wide().mpf, args)))()
 
 
 SCAN_POINTS = 4096  # fallback scan when C(x,.) is not monotone

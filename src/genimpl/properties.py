@@ -137,11 +137,13 @@ def check_property(
     s: SampleSpec = SampleSpec(),
     negation: Negation | None = None,
 ) -> PropertyReport:
-    """One of NP, EP, IP, OP, CP (CP needs the negation to test against)."""
+    """One of NP, EP, IP, OP, CP (only CP, which needs it, takes a negation)."""
     if prop not in _IMPLICATION_CHECKS:
         raise ValueError(f"unknown property {prop!r}")
     if prop == "CP" and negation is None:
         raise ValueError("CP requires a negation")
+    if prop != "CP" and negation is not None:
+        raise ValueError(f"{prop} takes no negation")
     return _IMPLICATION_CHECKS[prop](i, s, negation)
 
 
@@ -255,7 +257,6 @@ _IMPLICATION_CHECKS = {
     "NP": _check_np, "EP": _check_ep, "IP": _check_ip, "OP": _check_op,
     "CP": _check_cp,
 }
-IMPLICATION_PROPERTIES = tuple(_IMPLICATION_CHECKS)
 
 
 def check_tnorm_axioms(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from pathlib import Path
+import os
 
 from . import bijections, connectives, generators, implications
 from .classes import build_intersection_member
@@ -31,11 +31,14 @@ class SpecError(ValueError):
 def load_spec(arg: str):
     """Inline JSON, or a path to a JSON file; the parser checks its shape."""
     text = arg
-    p = Path(arg)
-    if not arg.lstrip().startswith("{") and p.is_file():
-        text = p.read_text()
     try:
+        # os.path.isfile is False, not OSError, for a name too long for a file
+        if not arg.lstrip().startswith("{") and os.path.isfile(arg):
+            with open(arg) as fh:
+                text = fh.read()
         return json.loads(text)
+    except OSError as e:
+        raise SpecError(f"cannot read spec file: {e}") from None
     except json.JSONDecodeError as e:
         raise SpecError(f"spec is not valid JSON: {e}") from None
 
@@ -68,12 +71,6 @@ def _parser(role: str, builders: dict):
             raise SpecError(f"{kind!r} spec: {e}") from None
 
     return parse
-
-
-def _parse_p(v) -> float:
-    if v in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(v)
 
 
 def _phi_conjugate(d: dict) -> BinaryConnective:
@@ -115,7 +112,7 @@ BIJECTIONS = {
 OPERATORS = {
     # connectives
     "basic": lambda d: connectives.basic(d["name"]),
-    "yager_tnorm": lambda d: connectives.yager_connective(_parse_p(d["p"])),
+    "yager_tnorm": lambda d: connectives.yager_connective(float(d["p"])),
     "mean": lambda d: connectives.mean_connective(),
     "dual": lambda d: connectives.dual_of(parse_binary(d["of"])),
     "generated_tnorm": lambda d: connectives.generated_tnorm_connective(

@@ -80,6 +80,9 @@ class TestEval:
          "'table' spec: bad direction 'up'"),
         *((spec, "spec must be a JSON object with a 'kind' field")
           for spec in ('[1, 2]', '{"name": "min"}', '"kind"', '{"kind": "dual", "of": {}}')),
+        # longer than a file name may be, so not taken for one
+        pytest.param("[" + "1, " * 99 + "1]", "spec must be a JSON object with a 'kind' field",
+                     id="300-character array"),
     ])
     def test_malformed_spec_exits_2_with_one_line(self, capsys, spec, message):
         code, out, err = run(capsys, "eval", spec, "0.5", "0.5")
@@ -87,6 +90,14 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["inf", "+inf", "infinity", "Infinity", " inf "])
+    def test_yager_at_infinite_p_is_the_minimum(self, capsys, p):
+        code, out, _ = run(
+            capsys, "eval", json.dumps({"kind": "yager_tnorm", "p": p}), "0.3", "0.7"
+        )
+        assert code == 0
+        assert float(out) == 0.3
 
     @pytest.mark.parametrize("x, y", [
         ("2", "0.3"), ("nan", "0.3"), ("0.3", "-0.1"), ("0.3", "inf"),
@@ -250,6 +261,17 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: unknown property 'ZZ'\n"
+
+    @pytest.mark.parametrize("token, message", [
+        ("CP", "CP requires a negation"),
+        ('NP:{"kind": "standard"}', "NP takes no negation"),
+        ('XX:{"kind": "standard"}', "unknown property 'XX'"),
+    ])
+    def test_malformed_law_exits_2_with_one_line(self, capsys, token, message):
+        code, out, err = run(capsys, "verify", '{"kind": "lukasiewicz"}', token, *FAST)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_unknown_token_after_a_known_one_exits_2(self, capsys):
         code, out, err = run(

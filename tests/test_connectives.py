@@ -73,10 +73,6 @@ class TestYagerFamily:
                     yager_connective(2.0).fn(x, y), abs=1e-9
                 )
 
-    def test_rejects_negative_p(self):
-        with pytest.raises(ValueError):
-            yager_connective(-1.0)
-
     @pytest.mark.parametrize("p", [-1.0, math.nan])
     def test_connective_rejects_bad_p_when_built(self, p):
         with pytest.raises(ValueError, match="p must be >= 0"):

@@ -1,12 +1,13 @@
-"""No dead imports and no dead private names in the package: a stdlib-only
-stand-in for a linter's unused-import rule (F401).
+"""No dead imports and no dead module-level names in the package: a
+stdlib-only stand-in for a linter's unused-import rule (F401).
 
 An import is dead when its module never reads the name it binds.  Only
 the names of ``genimpl.__all__`` that ``__init__`` imports are kept as
 re-exports: a ``# noqa: F401`` mark does not keep an import, so each name
-has one import path, the module that defines it.  A private
-module-level name (one leading underscore, such as a constant or a
-helper) is dead when no module of the package reads it.
+has one import path, the module that defines it.  A module-level name
+(a constant, a helper, a class) is dead when no module of the package
+reads it, unless ``genimpl.__all__`` exports it or ``KEPT_PUBLIC`` names
+it with its reason.
 """
 
 import ast
@@ -18,6 +19,14 @@ import genimpl
 
 PACKAGE = pathlib.Path(genimpl.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+# public names that nothing in the package reads and genimpl does not
+# export, each with the reason it is kept; both are aliases of
+# specs.parse_binary named after a role
+KEPT_PUBLIC = {
+    "parse_connective": "perfbench's tracer and job list look it up by name",
+    "parse_implication": "perfbench's tracer and job list look it up by name",
+}
 
 
 def parse(path):
@@ -55,8 +64,9 @@ def dead_imports(path) -> list[str]:
     return dead
 
 
-def private_definitions(tree) -> list[tuple[int, str]]:
-    """(line, name) of each module-level private def, class or assignment."""
+def definitions(tree) -> list[tuple[int, str]]:
+    """(line, name) of each module-level def, class or assignment, dunder
+    names such as ``__all__`` left out."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -67,9 +77,18 @@ def private_definitions(tree) -> list[tuple[int, str]]:
             targets = [node.target.id]
         else:
             continue
-        found += [(node.lineno, name) for name in targets
-                  if name.startswith("_") and not name.startswith("__")]
+        found += [(node.lineno, name) for name in targets if not name.startswith("__")]
     return found
+
+
+def dead_names(trees, private: bool) -> list[str]:
+    """The private, or the public, module-level names of the parsed modules
+    that none of them reads, less the exported and the kept ones."""
+    read = set().union(*map(read_names, trees.values()))
+    kept = read | set(genimpl.__all__) | set(KEPT_PUBLIC)
+    return [f"{path.name}:{line} {name}" for path, tree in trees.items()
+            for line, name in definitions(tree)
+            if name.startswith("_") == private and name not in kept]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -78,11 +97,11 @@ def test_no_dead_import(path):
 
 
 def test_no_dead_private_name():
-    trees = {path: parse(path) for path in MODULES}
-    read = set().union(*map(read_names, trees.values()))
-    dead = [f"{path.name}:{line} {name}" for path, tree in trees.items()
-            for line, name in private_definitions(tree) if name not in read]
-    assert dead == []
+    assert dead_names({path: parse(path) for path in MODULES}, private=True) == []
+
+
+def test_no_dead_public_name():
+    assert dead_names({path: parse(path) for path in MODULES}, private=False) == []
 
 
 def test_the_check_sees_a_dead_import_and_a_dead_constant(tmp_path):
@@ -97,10 +116,13 @@ def test_the_check_sees_a_dead_import_and_a_dead_constant(tmp_path):
         "import sys\n"
         "_SMALLEST_NORMAL = sys.float_info.min\n"
         "_USED = 1\n"
+        "LAW_NAMES = ('NP', 'EP')\n"
+        "power_gp = parse_implication = None\n"
         "def f(v):\n"
         "    return wide(v) + _USED\n"
     )
     assert dead_imports(module) == ["module.py:2 clamp01", "module.py:3 root"]
-    tree = parse(module)
-    assert [name for _, name in private_definitions(tree)
-            if name not in read_names(tree)] == ["_SMALLEST_NORMAL"]
+    trees = {module: parse(module)}
+    assert dead_names(trees, private=True) == ["module.py:7 _SMALLEST_NORMAL"]
+    # power_gp is exported and parse_implication kept; f is public and unread
+    assert dead_names(trees, private=False) == ["module.py:9 LAW_NAMES", "module.py:11 f"]

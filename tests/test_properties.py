@@ -146,6 +146,11 @@ class TestNamedProperties:
         with pytest.raises(ValueError):
             check_property(lukasiewicz_candidate(), "XX", small_spec)
 
+    def test_negation_on_a_law_other_than_cp(self, small_spec):
+        with pytest.raises(ValueError, match="NP takes no negation"):
+            check_property(lukasiewicz_candidate(), "NP", small_spec,
+                           negation=standard_negation())
+
 
 class TestTnormAxioms:
     def test_product_passes(self, small_spec):

@@ -141,16 +141,9 @@ CASES = [
     *((f"I_TY({p})", yager_residual_candidate(p),
        lambda x, y, p=p: yager_residual_formula(p, x, y))
       for p in (0.5, 2.0, 3.7, 1000.0)),
-    *((f"yager_residual({p})", yager_residual_candidate(p),
-       lambda x, y, p=p: yager_residual_formula(p, x, y))
-      for p in (0.5, 1000.0)),
     *((f"basic {kind}", basic(kind), tnorm) for kind, (tnorm, _) in BASIC_FORMULAS.items()),
     *((f"R[basic {kind}]", residual_candidate(basic(kind)), residual)
       for kind, (_, residual) in BASIC_FORMULAS.items()),
-    ("basic_tnorm product", basic("product"),
-     BASIC_FORMULAS["product"][0]),
-    ("generated_tconorm", generated_tconorm_connective(TABLE_G),
-     lambda x, y: tconorm_formula(TABLE_G, x, y)),
     *((f"SN[{s.label},{n.label}]", sn_candidate(s, n),
        lambda x, y, s=s, n=n: sn_formula(s, n, x, y))
       for s in (dual_of(basic("min")), generated_tconorm_connective(neg_log()))
