@@ -2,14 +2,7 @@
 property-verification engine with witness-carrying reports."""
 
 from .bijections import Bijection, identity_bijection, power_bijection
-from .classes import (
-    ClassProbeResult,
-    build_intersection_member,
-    check_self_dual_phi,
-    conjugate_lk_probe,
-    r_probe,
-    sn_probe,
-)
+from .classes import ClassProbeResult, conjugate_lk_probe, r_probe, sn_probe
 from .connectives import (
     BinaryConnective,
     Negation,
@@ -37,6 +30,7 @@ from .generators import (
 )
 from .implications import (
     ImplicationCandidate,
+    build_intersection_member,
     ig_candidate,
     ign_candidate,
     mean_residual,
@@ -49,6 +43,7 @@ from .implications import (
 from .properties import (
     check_implication_axioms,
     check_property,
+    check_self_dual_phi,
     check_tnorm_axioms,
     compare_surfaces,
     find_associativity_counterexample,

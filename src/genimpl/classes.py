@@ -19,12 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .bijections import Bijection
 from .generators import clamp01
 from .implications import ImplicationCandidate, natural_negation
 from .properties import (
-    _lines,
-    _pointwise_law,
     check_negation_axioms,
     check_property,
     check_second_arg_monotone,
@@ -103,14 +100,16 @@ def conjugate_lk_probe(
 
 def _right_continuity(i: ImplicationCandidate, s: SampleSpec) -> PropertyReport:
     """Forward differences with shrinking offsets; a difference that stays
-    above RC_JUMP without shrinking marks a jump from the right."""
+    above RC_JUMP without shrinking marks a jump from the right.  Each grid
+    line i(x, .) is one sweep over y and y + h for every offset h."""
     g = s.grid()
-    for x in g:
-        for y in g:
-            if y + RC_OFFSETS[0] > 1.0:
-                continue
-            base = i(x, y)
-            diffs = [abs(i(x, y + h) - base) for h in RC_OFFSETS]
+    ys = [y for y in g if y + RC_OFFSETS[0] <= 1.0]
+    points = [t for y in ys for t in (y, *(y + h for h in RC_OFFSETS))]
+    for x, values in i.lines(points, g):
+        values = map(clamp01, values)
+        # one lazy iterator zipped with itself: the values at y, then y + h
+        for y, base, *shifted in zip(ys, *[values] * (1 + len(RC_OFFSETS))):
+            diffs = [abs(v - base) for v in shifted]
             if diffs[-1] > RC_JUMP and diffs[-1] > 0.5 * diffs[0]:
                 return failing(
                     "right-continuity", s,
@@ -126,8 +125,7 @@ def _surface_continuity(i: ImplicationCandidate, s: SampleSpec) -> PropertyRepor
     steep continuous slopes are not mistaken for jumps."""
     g = s.grid()
     threshold = 5.0 / s.grid_n
-    # rows[a][b] = i(g[a], g[b]) = columns[b][a], clamped as __call__ does
-    rows = [list(map(clamp01, values)) for _, values in _lines(i, g, g)]
+    rows = i.table(g)  # rows[a][b] = i(g[a], g[b]) = columns[b][a]
     columns = list(zip(*rows))
     line = [0.0] * (2 * len(g))
     for a, c in enumerate(g):
@@ -144,40 +142,3 @@ def _surface_continuity(i: ImplicationCandidate, s: SampleSpec) -> PropertyRepor
                     return failing("surface-continuity", s,
                                    {**w, "value1": f(lo), "value2": f(hi)}, jump)
     return passing("surface-continuity", s)
-
-
-def build_intersection_member(phi: Bijection) -> ImplicationCandidate:
-    """I(x,y) = phi^-1(min(1 - phi(x) + phi(y), 1)): the conjugate of the
-    Lukasiewicz implication, with natural negation phi^-1(1 - phi(x))."""
-
-    forward, inverse = phi.forward, phi.inverse
-    # the value wherever 1 - phi(x) + phi(y) > 1; at exactly 1 an mpf still
-    # goes through inverse, which keeps its precision
-    top = clamp01(inverse(1.0))
-
-    def cell(a: float, b: float, x: float, y: float) -> float:
-        # a = phi(x), b = phi(y); min(v, 1.0) and clamp01, written out; a
-        # NaN passes both unchanged
-        v = 1.0 - a + b
-        if v > 1.0:
-            return top
-        v = inverse(v)
-        return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-
-    def fn(x: float, y: float) -> float:
-        return cell(forward(x), forward(y), x, y)
-
-    return ImplicationCandidate(fn, f"I_phi[{phi.label}]", parts=(forward, forward, cell))
-
-
-def check_self_dual_phi(
-    phi: Bijection, s: SampleSpec = SampleSpec()
-) -> PropertyReport:
-    """phi(x) + phi(1-x) = 1 on samples: the condition under which the
-    conjugate's natural negation collapses to the standard negation."""
-    return _pointwise_law(
-        "phi-self-dual", s, zip(s.points_1d()),
-        lambda x: abs(phi.forward(x) + phi.forward(1.0 - x) - 1.0),
-        lambda x: {"x": x, "phi_x": phi.forward(x),
-                   "phi_1mx": phi.forward(1.0 - x)},
-    )

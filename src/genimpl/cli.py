@@ -118,19 +118,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _law_check(token: str):
+    """The check a ``verify`` token names, as a function of (op, s); a bad
+    law name or negation spec raises here, before any check runs."""
+    if token == "axioms":
+        return properties.check_implication_axioms
+    if token == "tnorm":
+        return properties.check_tnorm_axioms
+    prop, _, neg_spec = token.partition(":")
+    neg = parse_negation(load_spec(neg_spec)) if neg_spec else None
+    properties.validate_law(prop, neg)
+    return lambda op, s: properties.check_property(op, prop, s, neg)
+
+
 def cmd_verify(args) -> int:
     op = parse_binary(load_spec(args.spec))
     s = _sample_spec(args)
-    reports = []
-    for token in args.properties:
-        if token == "axioms":
-            reports.append(properties.check_implication_axioms(op, s))
-        elif token == "tnorm":
-            reports.append(properties.check_tnorm_axioms(op, s))
-        else:
-            prop, _, neg_spec = token.partition(":")
-            neg = parse_negation(load_spec(neg_spec)) if neg_spec else None
-            reports.append(properties.check_property(op, prop, s, neg))
+    checks = [_law_check(token) for token in args.properties]
+    reports = [check(op, s) for check in checks]
     print(json.dumps([r.as_dict() for r in reports], indent=2))
     return 0 if all(r.holds for r in reports) else 1
 
@@ -139,7 +144,8 @@ def cmd_surface(args) -> int:
     op = parse_binary(load_spec(args.spec))
     g = SampleSpec(grid_n=args.n).grid()
     # every value first, so an error while evaluating leaves no file behind
-    rows = [f"{x:.17g},{y:.17g},{op(x, y):.17g}\n" for x in g for y in g]
+    rows = [f"{x:.17g},{y:.17g},{v:.17g}\n"
+            for x, row in zip(g, op.table(g)) for y, v in zip(g, row)]
     try:
         with open(args.output, "w", newline="") as fh:
             fh.write("x,y,value\n")

@@ -14,6 +14,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 from .bijections import Bijection
@@ -49,8 +50,9 @@ class BinaryConnective:
     which lets EP decide a triple without mpmath.
     ``parts = (u, v, cell)`` is set on an operator built from one-argument
     terms, such as f^(-1)(f(x) + f(y)): fn(x, y) == cell(u(x), v(y), x, y),
-    bit for bit and type for type, so a scan along one argument evaluates
-    each term once per sample point and only ``cell`` per cell.
+    bit for bit and type for type, so the grid sweeps ``lines`` and
+    ``table`` evaluate each term once per sample point and only ``cell``
+    per cell.
     """
 
     fn: Callable[[float, float], float]
@@ -62,6 +64,36 @@ class BinaryConnective:
     def __call__(self, x: float, y: float) -> float:
         v = self.fn(x, y)
         return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v  # clamp01, inline
+
+    def lines(self, points, grid, first=False):
+        """(c, values) for each c of ``grid``: the raw fn along ``points`` in
+        the second argument, fn(c, y), or with ``first`` in the first, fn(x, c).
+
+        With ``parts`` the term of every point is evaluated once, the term
+        of c once per line, and only ``cell`` per cell; otherwise fn per
+        cell.  The values of a line are lazy, so a scan that stops at a
+        breaking pair evaluates no cell past it.
+        """
+        if self.parts is None:
+            fn = self.fn
+            for c in grid:
+                yield c, map(fn, points, repeat(c)) if first else map(fn, repeat(c), points)
+            return
+        u, v, cell = self.parts
+        if first:
+            us = list(map(u, points))
+            for c in grid:
+                yield c, map(cell, us, repeat(v(c)), points, repeat(c))
+        else:
+            vs = list(map(v, points))
+            for c in grid:
+                yield c, map(cell, repeat(u(c)), vs, repeat(c), points)
+
+    def table(self, g) -> list[list[float]]:
+        """rows[a][b] = self(g[a], g[b]), clamped as ``__call__`` clamps,
+        through ``lines``."""
+        return [[0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in values]  # clamp01, inline
+                for _, values in self.lines(g, g)]
 
 
 @dataclass(frozen=True)

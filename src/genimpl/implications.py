@@ -264,6 +264,30 @@ def phi_conjugate_candidate(
                                 f"conj[{i.label},{phi.label}]")
 
 
+def build_intersection_member(phi: Bijection) -> ImplicationCandidate:
+    """I(x,y) = phi^-1(min(1 - phi(x) + phi(y), 1)): the conjugate of the
+    Lukasiewicz implication, with natural negation phi^-1(1 - phi(x))."""
+
+    forward, inverse = phi.forward, phi.inverse
+    # the value wherever 1 - phi(x) + phi(y) > 1; at exactly 1 an mpf still
+    # goes through inverse, which keeps its precision
+    top = clamp01(inverse(1.0))
+
+    def cell(a: float, b: float, x: float, y: float) -> float:
+        # a = phi(x), b = phi(y); min(v, 1.0) and clamp01, written out; a
+        # NaN passes both unchanged
+        v = 1.0 - a + b
+        if v > 1.0:
+            return top
+        v = inverse(v)
+        return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+    def fn(x: float, y: float) -> float:
+        return cell(forward(x), forward(y), x, y)
+
+    return ImplicationCandidate(fn, f"I_phi[{phi.label}]", parts=(forward, forward, cell))
+
+
 def piecewise_f_implication(x: float, y: float) -> float:
     """Six-branch closed form of the implication generated by the
     piecewise generator; must agree with the generator route pointwise."""

@@ -9,9 +9,10 @@ points, so re-evaluating them standalone reproduces the discrepancy.
 from __future__ import annotations
 
 import functools
-from itertools import chain, product, repeat
+from itertools import chain, product
 from typing import Callable
 
+from .bijections import Bijection
 from .connectives import BinaryConnective, Negation
 from .generators import clamp01
 from .implications import ImplicationCandidate, chain_eval
@@ -69,36 +70,11 @@ def _scan_monotone(prop, s, values, xs, increasing, coords):
     return None
 
 
-def _lines(op, points, grid, first=False):
-    """(c, values) for each c of ``grid``: op's raw fn along ``points`` in
-    the second argument, fn(c, y), or with ``first`` in the first, fn(x, c).
-
-    An operator with ``parts`` has the term of every point evaluated once,
-    the term of c once per line, and only ``cell`` per cell; any other
-    evaluates fn per cell.  The values of a line are lazy, so a scan that
-    stops at a breaking pair evaluates no cell past it.
-    """
-    if op.parts is None:
-        fn = op.fn
-        for c in grid:
-            yield c, map(fn, points, repeat(c)) if first else map(fn, repeat(c), points)
-        return
-    u, v, cell = op.parts
-    if first:
-        us = list(map(u, points))
-        for c in grid:
-            yield c, map(cell, us, repeat(v(c)), points, repeat(c))
-    else:
-        vs = list(map(v, points))
-        for c in grid:
-            yield c, map(cell, repeat(u(c)), vs, repeat(c), points)
-
-
 def _scan(prop, op, s, first=False):
     """Monotonicity of op along the sorted samples, on every grid line:
     non-decrease of op(x, .), or with ``first`` non-increase of op(., y)."""
     xs = sorted(s.points_1d())
-    for c, values in _lines(op, xs, s.grid(), first):
+    for c, values in op.lines(xs, s.grid(), first):
         report = _scan_monotone(
             prop, s, values, xs, not first,
             (lambda x1, x2: {"x1": x1, "x2": x2, "y": c}) if first
@@ -138,13 +114,19 @@ def check_property(
     negation: Negation | None = None,
 ) -> PropertyReport:
     """One of NP, EP, IP, OP, CP (only CP, which needs it, takes a negation)."""
+    validate_law(prop, negation)
+    return _IMPLICATION_CHECKS[prop](i, s, negation)
+
+
+def validate_law(prop: str, negation: Negation | None) -> None:
+    """Raise ValueError unless ``check_property`` takes ``prop`` with
+    ``negation``: a caller can check every law it will run before it runs one."""
     if prop not in _IMPLICATION_CHECKS:
         raise ValueError(f"unknown property {prop!r}")
     if prop == "CP" and negation is None:
         raise ValueError("CP requires a negation")
     if prop != "CP" and negation is not None:
         raise ValueError(f"{prop} takes no negation")
-    return _IMPLICATION_CHECKS[prop](i, s, negation)
 
 
 def _check_np(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
@@ -289,31 +271,18 @@ def _check_t1(t: BinaryConnective, s: SampleSpec) -> PropertyReport:
     the report of the same check over ``s.pairs()``.  The gap is symmetric,
     so in that order a grid pair below the diagonal never fails first (its
     mirror came earlier), and a pair on the diagonal has gap 0 (or NaN,
-    which neither fails nor enters the maximum).  Each point carries
-    (x, y, T(x, y), T(y, x)); the witness evaluates T again."""
+    which neither fails nor enters the maximum).  The grid values come from
+    ``t.table``, the diagonal's too; each point carries (x, y, T(x, y),
+    T(y, x)), and the witness evaluates T again."""
     g = s.grid()
-    if t.parts is None:
-        upper = ((x, y, t(x, y), t(y, x)) for k, x in enumerate(g) for y in g[k + 1:])
-    else:
-        upper = _upper_grid_values(t.parts, g)
+    rows = t.table(g)
+    upper = ((g[a], g[b], rows[a][b], rows[b][a])
+             for a in range(len(g)) for b in range(a + 1, len(g)))
     return _pointwise_law(
         "T1", s, chain(upper, ((x, y, t(x, y), t(y, x)) for x, y in s.random_pairs())),
         lambda x, y, xy, yx: abs(xy - yx),
         lambda x, y, xy, yx: {"x": x, "y": y, "xy": t(x, y), "yx": t(y, x)},
     )
-
-
-def _upper_grid_values(parts, g):
-    """(x, y, T(x, y), T(y, x)) for each grid pair x < y, from T's parts:
-    the terms u and v once per grid point and only ``cell`` per pair, each
-    value clamped as ``__call__`` clamps it."""
-    u, v, cell = parts
-    us, vs = list(map(u, g)), list(map(v, g))
-    for k, (x, ux, vx) in enumerate(zip(g, us, vs), 1):
-        for y, uy, vy in zip(g[k:], us[k:], vs[k:]):
-            xy, yx = cell(ux, vy, x, y), cell(uy, vx, y, x)
-            yield (x, y, 0.0 if xy < 0.0 else 1.0 if xy > 1.0 else xy,
-                   0.0 if yx < 0.0 else 1.0 if yx > 1.0 else yx)
 
 
 # The triple from the six-branch implication's associativity breakdown is
@@ -437,3 +406,16 @@ def check_negation_axioms(
         lambda x1, x2: {"x1": x1, "x2": x2},
     )
     return report or passing("negation-definition", s)
+
+
+def check_self_dual_phi(
+    phi: Bijection, s: SampleSpec = SampleSpec()
+) -> PropertyReport:
+    """phi(x) + phi(1-x) = 1 on samples: the condition under which the
+    conjugate's natural negation collapses to the standard negation."""
+    return _pointwise_law(
+        "phi-self-dual", s, zip(s.points_1d()),
+        lambda x: abs(phi.forward(x) + phi.forward(1.0 - x) - 1.0),
+        lambda x: {"x": x, "phi_x": phi.forward(x),
+                   "phi_1mx": phi.forward(1.0 - x)},
+    )

@@ -20,7 +20,6 @@ import math
 import os
 
 from . import bijections, connectives, generators, implications
-from .classes import build_intersection_member
 from .connectives import BinaryConnective
 
 
@@ -76,7 +75,7 @@ def _parser(role: str, builders: dict):
 def _phi_conjugate(d: dict) -> BinaryConnective:
     if d.get("base", "lukasiewicz") != "lukasiewicz":
         raise SpecError("only the lukasiewicz base is supported")
-    return build_intersection_member(parse_bijection(d["phi"]))
+    return implications.build_intersection_member(parse_bijection(d["phi"]))
 
 
 def _table_connective(d: dict) -> BinaryConnective:

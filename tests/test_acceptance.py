@@ -13,7 +13,6 @@ from genimpl.bijections import identity_bijection, power_bijection
 from genimpl.classes import (
     CONSISTENT,
     EXCLUDED,
-    build_intersection_member,
     r_probe,
     sn_probe,
 )
@@ -32,6 +31,7 @@ from genimpl.connectives import (
 from genimpl.generators import neg_log, power_gp, yager_f
 from genimpl.implications import (
     ImplicationCandidate,
+    build_intersection_member,
     ig_candidate,
     ign_candidate,
     lukasiewicz_candidate,

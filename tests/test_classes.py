@@ -8,8 +8,6 @@ from genimpl.classes import (
     EXCLUDED,
     _right_continuity,
     _surface_continuity,
-    build_intersection_member,
-    check_self_dual_phi,
     conjugate_lk_probe,
     r_probe,
     sn_probe,
@@ -17,10 +15,12 @@ from genimpl.classes import (
 from genimpl.connectives import basic, yager_residual_candidate
 from genimpl.implications import (
     ImplicationCandidate,
+    build_intersection_member,
     lukasiewicz_candidate,
     piecewise_f_candidate,
     residual_candidate,
 )
+from genimpl.properties import check_self_dual_phi
 from genimpl.reports import SampleSpec
 from genimpl.specs import parse_implication
 

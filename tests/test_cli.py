@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import genimpl
+import genimpl.properties
 import genimpl.specs
 from genimpl.cli import main
 from genimpl.connectives import BinaryConnective
@@ -281,6 +282,24 @@ class TestVerify:
         assert out == ""
         assert err == "error: unknown property 'XX'\n"
 
+    @pytest.mark.parametrize("tokens, message", [
+        (["EP", "axioms", "XX"], "unknown property 'XX'"),
+        (["tnorm", "EP", 'CP:{"kind": "nope"}'], "unknown negation kind 'nope'"),
+        (["EP", "CP:{kind"], "spec is not valid JSON"),
+    ])
+    def test_every_token_is_checked_before_any_check_runs(
+            self, capsys, monkeypatch, tokens, message):
+        ran = []
+        for name in ("check_property", "check_implication_axioms", "check_tnorm_axioms"):
+            monkeypatch.setattr(genimpl.properties, name,
+                                lambda *args, name=name: ran.append(name))
+        spec = '{"kind": "ign", "g": {"kind": "power_gp", "p": 2}, "N": {"kind": "standard"}}'
+        code, out, err = run(capsys, "verify", spec, *tokens)
+        assert ran == []
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
 
 class TestSurfaceAndCompare:
     def test_surface_roundtrip_through_table(self, capsys, tmp_path):
@@ -335,6 +354,21 @@ class TestSurfaceAndCompare:
                              "-o", str(out_csv))
         assert (code, out, err) == (2, "", "error: no value here\n")
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("spec, n", [
+        ('{"kind": "ig", "g": {"kind": "neg_log"}}', "9"),
+        ('{"kind": "phi_conjugate", "phi": {"kind": "power", "a": 2}}', "41"),
+    ])
+    def test_surface_bytes_are_the_pointwise_values(self, capsys, tmp_path, spec, n):
+        # the operator's table gives each value op(x, y) would, bit for bit
+        out_csv = tmp_path / "surface.csv"
+        code, out, err = run(capsys, "surface", spec, "-n", n, "-o", str(out_csv))
+        assert (code, out, err) == (0, "", "")
+        op = genimpl.specs.parse_binary(json.loads(spec))
+        g = genimpl.SampleSpec(grid_n=int(n)).grid()
+        want = "x,y,value\n" + "".join(
+            f"{x:.17g},{y:.17g},{op(x, y):.17g}\n" for x in g for y in g)
+        assert out_csv.read_bytes() == want.encode()
 
     def test_unwritable_output_exits_2_with_one_line(self, capsys, tmp_path):
         out_csv = tmp_path / "missing" / "surface.csv"

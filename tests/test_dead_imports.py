@@ -7,7 +7,8 @@ re-exports: a ``# noqa: F401`` mark does not keep an import, so each name
 has one import path, the module that defines it.  A module-level name
 (a constant, a helper, a class) is dead when no module of the package
 reads it, unless ``genimpl.__all__`` exports it or ``KEPT_PUBLIC`` names
-it with its reason.
+it with its reason.  No module imports another module's private
+(underscore) name: a helper that two modules share is public.
 """
 
 import ast
@@ -35,7 +36,7 @@ def parse(path):
 
 def read_names(tree) -> set[str]:
     """The names a module reads, with the attribute names it reads and the
-    names it imports from another module (how a private helper is shared)."""
+    names it imports from another module."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -62,6 +63,13 @@ def dead_imports(path) -> list[str]:
                 if bound not in read and bound not in kept:
                     dead.append(f"{path.name}:{alias.lineno} {bound}")
     return dead
+
+
+def private_imports(path) -> list[str]:
+    """The underscore names that ``path`` imports from another module."""
+    return [f"{path.name}:{alias.lineno} {alias.name}"
+            for node in ast.walk(parse(path)) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
 
 
 def definitions(tree) -> list[tuple[int, str]]:
@@ -96,6 +104,11 @@ def test_no_dead_import(path):
     assert dead_imports(path) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_import(path):
+    assert private_imports(path) == []
+
+
 def test_no_dead_private_name():
     assert dead_names({path: parse(path) for path in MODULES}, private=True) == []
 
@@ -126,3 +139,20 @@ def test_the_check_sees_a_dead_import_and_a_dead_constant(tmp_path):
     assert dead_names(trees, private=True) == ["module.py:7 _SMALLEST_NORMAL"]
     # power_gp is exported and parse_implication kept; f is public and unread
     assert dead_names(trees, private=False) == ["module.py:9 LAW_NAMES", "module.py:11 f"]
+
+
+def test_the_check_sees_a_private_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "from .properties import (\n"
+        "    _pointwise_law,\n"
+        "    check_property,\n"
+        ")\n"
+        "from . import _private_module as public\n"
+        "def f():\n"
+        "    from .classes import _right_continuity\n"
+    )
+    assert private_imports(module) == [
+        "module.py:3 _pointwise_law", "module.py:6 _private_module",
+        "module.py:8 _right_continuity"]

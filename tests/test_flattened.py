@@ -11,7 +11,6 @@ import mpmath
 import pytest
 
 from genimpl.bijections import identity_bijection, power_bijection
-from genimpl.classes import build_intersection_member
 from genimpl.connectives import yager_connective, yager_residual_candidate
 from genimpl.generators import (
     DECREASING,
@@ -28,7 +27,14 @@ from genimpl.generators import (
     table_generator,
     yager_f,
 )
-from genimpl.implications import ARG_SLACK, CHAIN_DPS, VALUE_SLACK, _ig_end, ig_candidate
+from genimpl.implications import (
+    ARG_SLACK,
+    CHAIN_DPS,
+    VALUE_SLACK,
+    _ig_end,
+    build_intersection_member,
+    ig_candidate,
+)
 from genimpl.reports import SampleSpec
 
 PAIRS = SampleSpec().pairs()

@@ -4,7 +4,6 @@ import mpmath
 import pytest
 
 from genimpl.bijections import power_bijection
-from genimpl.classes import check_self_dual_phi
 from genimpl.connectives import (
     BinaryConnective,
     Negation,
@@ -36,6 +35,7 @@ from genimpl.properties import (
     check_implication_axioms,
     check_negation_axioms,
     check_property,
+    check_self_dual_phi,
     check_tnorm_axioms,
     compare_surfaces,
     find_associativity_counterexample,

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 from genimpl.bijections import identity_bijection, power_bijection
-from genimpl.classes import build_intersection_member, conjugate_lk_probe
+from genimpl.classes import _right_continuity, conjugate_lk_probe, r_probe
 from genimpl.connectives import (
     BinaryConnective,
     Negation,
@@ -40,6 +40,7 @@ from genimpl.generators import (
 )
 from genimpl.implications import (
     CHAIN_DPS,
+    build_intersection_member,
     ig_candidate,
     ign_candidate,
     lukasiewicz_candidate,
@@ -48,7 +49,7 @@ from genimpl.implications import (
     sn_candidate,
 )
 from genimpl.properties import (
-    _lines,
+    _check_t1,
     check_implication_axioms,
     check_negation_axioms,
     check_tnorm_axioms,
@@ -310,10 +311,10 @@ def test_evaluations_per_check(small_spec):
     product = Counting(lambda x, y: x * y)
     report = check_tnorm_axioms(BinaryConnective(product, "product"), s)
     assert report.holds and report.details["escalations"] == 0
-    # T4, T1 both ways on each unordered grid pair off the diagonal and
-    # each random pair, the T3 scan, then four float evaluations per triple
-    t1_pairs = g * (g - 1) // 2 + s.random_count
-    assert product.calls == n1 + 2 * t1_pairs + g * n1 + 4 * len(s.triples())
+    # T4, T1 on each grid cell (the table, its diagonal too) and both ways
+    # on each random pair, the T3 scan, then four float evaluations per triple
+    t1_calls = g * g + 2 * s.random_count
+    assert product.calls == n1 + t1_calls + g * n1 + 4 * len(s.triples())
 
     standard = Counting(lambda x: 1 - x)
     assert check_negation_axioms(Negation(standard, "standard"), s).holds
@@ -368,10 +369,12 @@ def typed(values):
 def test_parts_give_fn_bit_for_bit(op, s):
     assert op.parts is not None
     xs, grid = sorted(s.points_1d()), s.grid()
-    for x, values in _lines(op, xs, grid):  # a row: fn(x, .)
+    for x, values in op.lines(xs, grid):  # a row: fn(x, .)
         assert typed(values) == typed(op.fn(x, y) for y in xs), x
-    for y, values in _lines(op, xs, grid, first=True):  # a column: fn(., y)
+    for y, values in op.lines(xs, grid, first=True):  # a column: fn(., y)
         assert typed(values) == typed(op.fn(x, y) for x in xs), y
+    assert typed(v for row in op.table(grid) for v in row) == typed(
+        op(x, y) for x in grid for y in grid)
     u, v, cell = op.parts
     with mpmath.workdps(CHAIN_DPS):
         for x, y in MPF_PAIRS:
@@ -392,7 +395,21 @@ def bumped_product():
     return BinaryConnective(lambda x, y: cell(x, y, x, y), "bumped", parts=(ident, ident, cell))
 
 
+def stepped_product():
+    """An implication-like operator with parts and a step in y: a product
+    raised by 0.5 for y > 0.5, so I(x, .) jumps just right of y = 0.5 and
+    fails right-continuity."""
+    def cell(a, b, x, y):
+        return a * b + (0.5 if y > 0.5 else 0.0)
+
+    def ident(t):
+        return t
+
+    return BinaryConnective(lambda x, y: cell(x, y, x, y), "stepped", parts=(ident, ident, cell))
+
+
 BUMPED = bumped_product()
+STEPPED = stepped_product()
 PHI_CONJUGATES = [op for op, _ in PARTED if op.label.startswith("I_phi")]
 
 
@@ -407,15 +424,20 @@ def test_failing_scans_with_parts():
     assert check_implication_axioms(ILL_NEGATED, SMALL).property == "I1"
     assert check_tnorm_axioms(BUMPED, SMALL).property == "T3"
     assert check_implication_axioms(BUMPED, SMALL).property == "I3"
+    right = r_probe(STEPPED, SMALL).verdicts[-1]
+    assert right.property == "right-continuity" and not right.holds
+    assert right.witness == {"x": 0.0, "y": 0.5, "diffs": [0.5, 0.5, 0.5]}
 
 
 @pytest.mark.parametrize("op, s", [*((op, SampleSpec()) for op in PHI_CONJUGATES),
-                                   (ig_candidate(neg_log()), SMALL)],
-                         ids=[*(op.label for op in PHI_CONJUGATES), "ig(neg_log)"])
+                                   (ig_candidate(neg_log()), SMALL), (STEPPED, SMALL)],
+                         ids=[*(op.label for op in PHI_CONJUGATES), "ig(neg_log)", "stepped"])
 def test_surface_probe_equal_without_parts(op, s):
-    # the class probe's surface grid goes through the same rows as the scans
+    # the class probes' surface grid and right-continuity lines go through
+    # the operator's table and lines, as the scans do
     plain = dataclasses.replace(op, parts=None)
-    assert conjugate_lk_probe(op, s).to_json() == conjugate_lk_probe(plain, s).to_json()
+    for probe in (conjugate_lk_probe, r_probe):
+        assert probe(op, s).to_json() == probe(plain, s).to_json(), probe.__name__
 
 
 def counted(op):
@@ -441,13 +463,34 @@ def test_evaluations_per_check_with_parts(small_spec):
     u, v, cell = yager.parts
     # fn: T4, T1 both ways on each random pair, then four float
     # evaluations per triple and four wide ones per escalated triple.
-    # T1 on the grid runs on the parts: u and v once per grid point and
-    # cell both ways on each unordered pair off the diagonal; the T3 scan
-    # takes v per sorted point, u per grid line and cell per cell
+    # T1's grid table runs on the parts: u and v once per grid point and
+    # cell per grid cell; the T3 scan takes v per sorted point, u per grid
+    # line and cell per cell
     escalations = report.details["escalations"]
     assert yager.fn.calls == n1 + 2 * s.random_count + 4 * (len(s.triples()) + escalations)
     assert (u.calls, v.calls) == (g + g, g + n1)
-    assert cell.calls == 2 * (g * (g - 1) // 2) + g * n1
+    assert cell.calls == g * g + g * n1
+
+
+def test_grid_sweeps_on_the_default_plan():
+    s = SampleSpec()
+    g = len(s.grid())
+    # right-continuity sweeps each grid line i(x, .) over y, y + 1e-3,
+    # y + 1e-5 and y + 1e-7, for each grid y with y + 1e-3 <= 1
+    points = 4 * (g - 1)
+    lk = counted(build_intersection_member(identity_bijection()))
+    assert _right_continuity(lk, s).holds
+    u, v, cell = lk.parts
+    assert (lk.fn.calls, u.calls, v.calls, cell.calls) == (0, g, points, g * points)
+    plain = BinaryConnective(Counting(lk.fn.fn), "lk")
+    assert _right_continuity(plain, s).holds
+    assert plain.fn.calls == g * points
+    # T1's grid part is the g x g table; the random pairs call the operator
+    yager = counted(yager_connective(2.0))
+    assert _check_t1(yager, s).holds
+    u, v, cell = yager.parts
+    assert (u.calls, v.calls, cell.calls) == (g, g, g * g)
+    assert yager.fn.calls == 2 * s.random_count
 
 
 def test_scan_with_parts_stops_at_the_first_breaking_pair():
