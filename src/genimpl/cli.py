@@ -30,6 +30,10 @@ from .specs import OPERATORS, SpecError, load_spec, parse_binary, parse_negation
 
 SPEC_HELP = "operator spec, inline JSON or a JSON file; kinds: " + ", ".join(OPERATORS)
 
+# class name -> the name of its probe in `classes`, looked up at call time,
+# so a wrapper put on a probe after import (a tracer's) is the one that runs
+CLASS_PROBES = {"sn": "sn_probe", "r": "r_probe", "lk": "conjugate_lk_probe"}
+
 
 def _sample_spec(args) -> SampleSpec:
     return SampleSpec(grid_n=args.grid, seed=args.seed, tolerance=args.tol)
@@ -88,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help=SPEC_HELP)
     p.add_argument(
         "--classes",
-        default="sn,r,lk",
-        help="comma list from sn,r,lk (default all)",
+        default=",".join(CLASS_PROBES),
+        help=f"comma list from {','.join(CLASS_PROBES)} (default all)",
     )
     _common(p)
 
@@ -167,17 +171,11 @@ def cmd_compare(args) -> int:
 def cmd_classify(args) -> int:
     i = parse_binary(load_spec(args.spec))
     s = _sample_spec(args)
-    probes = {
-        "sn": classes.sn_probe,
-        "r": classes.r_probe,
-        "lk": classes.conjugate_lk_probe,
-    }
-    results = []
-    for name in args.classes.split(","):
-        name = name.strip().lower()
-        if name not in probes:
-            raise SpecError(f"unknown class {name!r}")
-        results.append(probes[name](i, s))
+    names = [name.strip().lower() for name in args.classes.split(",")]
+    unknown = [name for name in names if name not in CLASS_PROBES]
+    if unknown:  # judged before the first probe runs
+        raise SpecError(f"unknown class {unknown[0]!r}")
+    results = [getattr(classes, CLASS_PROBES[name])(i, s) for name in names]
     print(json.dumps([r.as_dict() for r in results], indent=2))
     return 0
 

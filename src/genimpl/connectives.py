@@ -377,7 +377,12 @@ def dual_negation(n: Negation) -> Negation:
 
 
 def table_negation(points: list[tuple[float, float]]) -> Negation:
-    return Negation(linear_table(points), "N_table")
+    """The negation through the (x, y) points, linear in between; each y
+    must lie in [0,1]."""
+    fn = linear_table(points)  # checks the points' shape and finiteness
+    if not all(0.0 <= float(y) <= 1.0 for _, y in points):
+        raise ValueError("table values must lie in [0,1]")
+    return Negation(fn, "N_table")
 
 
 # --------------------------------------------------------------------------
@@ -394,8 +399,9 @@ def table_connective(values: list[list[float]], label: str = "table") -> BinaryC
     n = len(values)
     if n < 2 or any(len(row) != n for row in values):
         raise ValueError("values must be a square grid with n >= 2")
-    if not all(math.isfinite(v) for row in values for v in row):
-        raise ValueError("table values must be finite")
+    # the nested laws compose the raw fn, so it must not leave [0,1]
+    if not all(0.0 <= v <= 1.0 for row in values for v in row):
+        raise ValueError(f"{label} values must be finite and in [0,1]")
     h = 1.0 / (n - 1)
 
     def fn(x: float, y: float) -> float:

@@ -9,7 +9,7 @@ points, so re-evaluating them standalone reproduces the discrepancy.
 from __future__ import annotations
 
 import functools
-from itertools import chain, product
+from itertools import chain
 from typing import Callable
 
 from .bijections import Bijection
@@ -30,12 +30,6 @@ ESCALATE_SHARE = 1 / 16
 # refine_jump subdivides an interval into REFINE_POINTS cells, REFINE_ROUNDS times
 REFINE_ROUNDS = 3
 REFINE_POINTS = 16
-
-
-def _pairs(s: SampleSpec):
-    """The pairs of ``s.pairs()``, in its order, streamed: no list is built."""
-    g = s.grid()
-    return chain(product(g, repeat=2), s.random_pairs())
 
 
 def _pointwise_law(prop, s, points, gap, witness):
@@ -223,12 +217,12 @@ def _check_op(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport
         direction = "x<=y but I(x,y)<1" if x <= y else "I(x,y)=1 but x>y"
         return {"x": x, "y": y, "value": i(x, y), "direction": direction}
 
-    return _pointwise_law("OP", s, _pairs(s), gap, witness)
+    return _pointwise_law("OP", s, s.iter_pairs(), gap, witness)
 
 
 def _check_cp(i: ImplicationCandidate, s: SampleSpec, n: Negation) -> PropertyReport:
     return _pointwise_law(
-        "CP", s, _pairs(s),
+        "CP", s, s.iter_pairs(),
         lambda x, y: abs(i(x, y) - i(n(y), n(x))),
         lambda x, y: {"x": x, "y": y, "left": i(x, y), "right": i(n(y), n(x)),
                       "negation": n.label},
@@ -309,7 +303,7 @@ def compare_surfaces(
     """Max |F - G| over the sample pairs, with the argmax point."""
     worst = -1.0
     arg = None
-    for x, y in _pairs(s):
+    for x, y in s.iter_pairs():
         vf, vg = f(x, y), g(x, y)
         d = abs(vf - vg)
         if d > worst:
@@ -370,7 +364,7 @@ def probe_continuity(
     continuous = jump <= threshold
 
     strict = all(vals[k] < vals[k - 1] for k in range(1, len(g)))
-    strong_disc = max(abs(n(n(x)) - x) for x in g)
+    strong_disc = max(abs(n(v) - x) for x, v in zip(g, vals))  # v = n(x)
     strong = strong_disc <= s.tolerance
 
     details = {

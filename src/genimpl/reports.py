@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
+from itertools import chain, product
 
 
 HOLDS = "holds-on-samples"
@@ -58,27 +60,24 @@ class SampleSpec:
         rng = random.Random(self.seed)
         return self.grid() + [rng.random() for _ in range(self.random_count)]
 
+    def iter_pairs(self) -> Iterator[tuple[float, float]]:
+        """The sample pairs, streamed: the grid pairs x-major, then
+        ``random_pairs()``.  A check that stops early builds no list."""
+        return chain(product(self.grid(), repeat=2), self.random_pairs())
+
     def pairs(self) -> list[tuple[float, float]]:
-        g = self.grid()
-        out = [(x, y) for x in g for y in g]
-        out += self.random_pairs()
-        return out
+        return list(self.iter_pairs())
 
     def random_pairs(self) -> list[tuple[float, float]]:
-        """The seeded tail of ``pairs()``."""
+        """The seeded tail of ``iter_pairs()``."""
         rng = random.Random(self.seed)
         return [(rng.random(), rng.random()) for _ in range(self.random_count)]
 
     def triples(self) -> list[tuple[float, float, float]]:
-        n = self.triple_grid_n
-        g = [i / (n - 1) for i in range(n)]
-        out = [(x, y, z) for x in g for y in g for z in g]
+        g = SampleSpec(grid_n=self.triple_grid_n).grid()
         rng = random.Random(self.seed)
-        out += [
-            (rng.random(), rng.random(), rng.random())
-            for _ in range(self.triple_random_count)
-        ]
-        return out
+        return list(product(g, repeat=3)) + [
+            (rng.random(), rng.random(), rng.random()) for _ in range(self.triple_random_count)]
 
     def as_dict(self) -> dict:
         """Every field, so ``SampleSpec(**spec.as_dict())`` replays the plan."""
@@ -119,23 +118,10 @@ class PropertyReport:
 
 
 def passing(prop: str, spec: SampleSpec, max_disc: float = 0.0) -> PropertyReport:
-    return PropertyReport(
-        property=prop,
-        verdict=HOLDS,
-        tolerance=spec.tolerance,
-        sample_spec=spec.as_dict(),
-        max_discrepancy=max_disc,
-    )
+    return PropertyReport(prop, HOLDS, spec.tolerance, spec.as_dict(), max_discrepancy=max_disc)
 
 
 def failing(
     prop: str, spec: SampleSpec, witness: dict, max_disc: float
 ) -> PropertyReport:
-    return PropertyReport(
-        property=prop,
-        verdict=FAILS,
-        tolerance=spec.tolerance,
-        sample_spec=spec.as_dict(),
-        witness=witness,
-        max_discrepancy=max_disc,
-    )
+    return PropertyReport(prop, FAILS, spec.tolerance, spec.as_dict(), witness, max_disc)

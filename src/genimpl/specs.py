@@ -21,6 +21,7 @@ import os
 
 from . import bijections, connectives, generators, implications
 from .connectives import BinaryConnective
+from .reports import SampleSpec
 
 
 class SpecError(ValueError):
@@ -141,21 +142,32 @@ parse_binary = parse_connective = parse_implication = _parser("operator", OPERAT
 
 
 def surface_table_connective(path: str) -> BinaryConnective:
-    """Re-read a written surface CSV as a bilinear table connective."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["x", "y", "value"]:
-            raise SpecError(f"{path}: expected header x,y,value")
-        for x, y, v in reader:
-            rows.append((float(x), float(y), float(v)))
-    n = round(math.sqrt(len(rows)))
-    if n * n != len(rows) or n < 2:
-        raise SpecError(f"{path}: not a square surface grid")
-    values = [[0.0] * n for _ in range(n)]
-    for x, y, v in rows:
-        i = round(x * (n - 1))
-        j = round(y * (n - 1))
+    """Re-read a surface CSV as a bilinear table connective.  The file holds
+    the header x,y,value, then one row per point of the n-point sample grid
+    squared (n >= 2), each point once, in any order.  ``genimpl surface``
+    writes .17g, so each x and y reads back as the grid's own double."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except csv.Error as e:
+        raise SpecError(f"{path}: {e}") from None
+    if header != ["x", "y", "value"]:
+        raise SpecError(f"{path}: expected the header x,y,value")
+    n = math.isqrt(len(rows))
+    if n < 2 or n * n != len(rows):
+        raise SpecError(f"{path}: expected n x n rows with n >= 2, found {len(rows)}")
+    index = {t: k for k, t in enumerate(SampleSpec(grid_n=n).grid())}
+    values = [[None] * n for _ in range(n)]
+    for line, row in enumerate(rows, 2):
+        try:
+            x, y, v = row
+            i, j, v = index[float(x)], index[float(y)], float(v)
+        except (ValueError, KeyError):
+            raise SpecError(f"{path}, line {line}: not x,y,value at a point "
+                            f"of the {n}-point grid") from None
+        if values[i][j] is not None:
+            raise SpecError(f"{path}, line {line}: the point ({x}, {y}) repeats")
         values[i][j] = v
     return connectives.table_connective(values, label=f"table[{path}]")

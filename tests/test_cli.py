@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import genimpl
+import genimpl.classes
 import genimpl.properties
 import genimpl.specs
 from genimpl.cli import main
@@ -72,6 +73,15 @@ class TestEval:
          ' "points": [[0, 0], [1, Infinity]]}}', "table values must be finite"),
         ('{"kind": "ign", "g": {"kind": "power_gp", "p": 2},'
          ' "N": {"kind": "table", "points": [[0, 1], [1, NaN]]}}', "table values must be finite"),
+        ('{"kind": "table", "values": [[0, 0, 0], [0, 0.25, 0.5], [0, 0.5, 1.5]]}',
+         "'table' spec: table values must be finite and in [0,1]"),
+        ('{"kind": "table", "values": [[-0.25, 0], [0, 1]]}', "table values must be finite and in [0,1]"),
+        ('{"kind": "ign", "g": {"kind": "power_gp", "p": 2},'
+         ' "N": {"kind": "table", "points": [[0, 1.5], [1, 0]]}}',
+         "'table' spec: table values must lie in [0,1]"),
+        ('{"kind": "ign", "g": {"kind": "power_gp", "p": 2},'
+         ' "N": {"kind": "table", "points": [[0, 1], [0.5, -0.5], [1, 0]]}}',
+         "table values must lie in [0,1]"),
         ('{"kind": "ig", "g": {"kind": "table", "direction": "increasing",'
          ' "points": [[0, 0], [0.4, 0.5], [0.6, 0.5], [1, 1]]}}',
          "'table' spec: table points must be strictly increasing"),
@@ -370,6 +380,44 @@ class TestSurfaceAndCompare:
             f"{x:.17g},{y:.17g},{op(x, y):.17g}\n" for x in g for y in g)
         assert out_csv.read_bytes() == want.encode()
 
+    def test_shuffled_surface_reads_back_the_same_table(self, capsys, tmp_path):
+        out_csv = tmp_path / "surface.csv"
+        run(capsys, "surface", '{"kind": "yager_tnorm", "p": 2}', "-n", "11",
+            "-o", str(out_csv))
+        header, *rows = out_csv.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(rows[1::2] + rows[::-2]))
+        tables = [genimpl.specs.surface_table_connective(str(p))
+                  for p in (out_csv, shuffled)]
+        s = genimpl.SampleSpec(grid_n=21, random_count=200)
+        assert all(tables[0](x, y) == tables[1](x, y) for x, y in s.iter_pairs())
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected the header x,y,value"),
+        ("x,y\n0,0\n", "expected the header x,y,value"),
+        ("x,y,value\n", "n x n rows with n >= 2, found 0"),
+        ("x,y,value\n0,0,0\n", "n x n rows with n >= 2, found 1"),
+        ("x,y,value\n0,0,0\n0,1,0\n1,0,0\n", "n x n rows with n >= 2, found 3"),
+        # a 2-point grid with one row changed
+        ("x,y,value\n0,0,0\n0,1,0\n1,0,0\n2,1,1\n", "line 5: not x,y,value at a point"),
+        ("x,y,value\n0,0,0\n0,1,0\n-1,0,0\n1,1,1\n", "line 4: not x,y,value at a point"),
+        ("x,y,value\n0,0,0\n0,0.5,0\n1,0,0\n1,1,1\n", "line 3: not x,y,value at a point"),
+        ("x,y,value\n0,0,0\n0,1,0\n1,0,0\n1,1\n", "line 5: not x,y,value at a point"),
+        ("x,y,value\n0,0,0\n0,1,0\n1,0,zero\n1,1,1\n", "line 4: not x,y,value at a point"),
+        ("x,y,value\n0,0,0\n0,1,0\n1,0,0\n1,0,1\n", "line 5: the point (1, 0) repeats"),
+        ("x,y,value\n0,0,0\n0,1,0\n1,0,0\n1,1,1.5\n", "values must be finite and in [0,1]"),
+        ("x,y,value\n0,0,0\n0,1,0\n1,0,0\n1,1,nan\n", "values must be finite"),
+        ("x,y,value\n" + "0" * 200_000 + "\n", "field larger than field limit"),
+    ])
+    def test_bad_surface_file_exits_2_with_one_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "eval", json.dumps({"kind": "table", "path": str(path)}),
+                             "0.5", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err and message in err
+        assert err.count("\n") == 1
+
     def test_unwritable_output_exits_2_with_one_line(self, capsys, tmp_path):
         out_csv = tmp_path / "missing" / "surface.csv"
         code, out, err = run(capsys, "surface", '{"kind": "lukasiewicz"}',
@@ -411,6 +459,25 @@ class TestClassify:
         results = json.loads(out)
         assert len(results) == 1
         assert results[0]["overall"] == "excluded"
+
+    @pytest.mark.parametrize("names", ["sn,zz", "r, zz", "lk,sn,zz"])
+    def test_every_class_is_checked_before_any_probe_runs(self, capsys, monkeypatch, names):
+        ran = []
+        for name in ("sn_probe", "r_probe", "conjugate_lk_probe"):
+            monkeypatch.setattr(genimpl.classes, name,
+                                lambda *args, name=name: ran.append(name))
+        spec = '{"kind": "ig", "g": {"kind": "power_gp", "p": 2}}'
+        code, out, err = run(capsys, "classify", spec, "--classes", names)
+        assert ran == []
+        assert (code, out, err) == (2, "", "error: unknown class 'zz'\n")
+
+    def test_probes_are_looked_up_at_call_time(self, capsys, monkeypatch):
+        # a replaced probe function is the one that runs
+        monkeypatch.setattr(genimpl.classes, "r_probe",
+                            lambda i, s: genimpl.classes.ClassProbeResult("stand-in"))
+        code, out, _ = run(capsys, "classify", '{"kind": "lukasiewicz"}', "--classes", "r")
+        assert code == 0
+        assert [r["class_id"] for r in json.loads(out)] == ["stand-in"]
 
     def test_unknown_class_exits_2(self, capsys):
         code, out, err = run(

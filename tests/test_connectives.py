@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import mpmath
@@ -21,9 +23,11 @@ from genimpl.connectives import (
     yager_connective,
     yager_negation,
 )
+from genimpl import specs
 from genimpl.generators import yager_f
 from genimpl.implications import residual_numeric
 from genimpl.properties import check_negation_axioms, check_tnorm_axioms
+from genimpl.reports import SampleSpec
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -196,3 +200,66 @@ class TestTableConnective:
     def test_rejects_ragged_grid(self):
         with pytest.raises(ValueError):
             table_connective([[0.0, 0.0], [0.0]])
+
+
+# The nested laws compose an operator's raw fn while the point laws call the
+# clamped operator; the two judge the same operator only if fn stays in
+# [0,1] (or NaN).  One or more specs of every kind, on a small plan plus
+# points within 1e-7 of the edges.
+YAGER_NP = {"kind": "yager_np", "p": 2}
+NEGATION_SPECS = [
+    {"kind": "standard"},
+    YAGER_NP,
+    {"kind": "yager_np", "p": 0.5},
+    {"kind": "phi", "phi": {"kind": "power", "a": 2}},
+    {"kind": "dual", "of": YAGER_NP},
+    {"kind": "table", "points": [[0, 1], [0.5, 0.3], [1, 0]]},
+]
+OPERATOR_SPECS = [
+    *({"kind": "basic", "name": name} for name in ("min", "product", "lukasiewicz", "drastic")),
+    *({"kind": "yager_tnorm", "p": p} for p in (0.5, 2, 1000)),
+    {"kind": "mean"},
+    {"kind": "dual", "of": {"kind": "yager_tnorm", "p": 2}},
+    {"kind": "generated_tnorm", "f": {"kind": "yager_f", "p": 2}},
+    {"kind": "generated_tnorm", "f": {"kind": "table", "direction": "decreasing",
+                                      "points": [[0, 2], [0.5, 0.5], [1, 0]]}},
+    {"kind": "generated_tconorm", "g": {"kind": "neg_log"}},
+    {"kind": "generated_tconorm", "g": {"kind": "piecewise_f"}},
+    {"kind": "table", "values": [[0, 0, 0], [0, 0.25, 0.5], [0, 0.5, 1]]},
+    {"kind": "yager_residual", "p": 2},
+    {"kind": "lukasiewicz"},
+    {"kind": "mean_residual"},
+    {"kind": "piecewise_f"},
+    *({"kind": "ig", "g": g} for g in ({"kind": "power_gp", "p": 2}, {"kind": "neg_log"})),
+    {"kind": "ign", "g": {"kind": "power_gp", "p": 2}, "N": YAGER_NP},
+    {"kind": "sn", "S": {"kind": "dual", "of": {"kind": "basic", "name": "product"}},
+     "N": YAGER_NP},
+    {"kind": "residual", "of": {"kind": "basic", "name": "product"}},
+    {"kind": "residual", "of": {"kind": "mean"}},
+    {"kind": "phi_conjugate", "phi": {"kind": "power", "a": 2}},
+]
+PLAN = SampleSpec(grid_n=11, random_count=40)
+EDGES = [0.0, 1e-7, 0.5, 1 - 1e-7, 1.0]
+
+
+def in_unit_or_nan(v) -> bool:
+    return 0 <= v <= 1 or v != v
+
+
+def test_every_kind_is_covered():
+    assert {d["kind"] for d in NEGATION_SPECS} == set(specs.NEGATIONS)
+    assert {d["kind"] for d in OPERATOR_SPECS} == set(specs.OPERATORS)
+
+
+@pytest.mark.parametrize("spec", NEGATION_SPECS, ids=json.dumps)
+def test_negation_fn_stays_in_the_unit_interval(spec):
+    fn = specs.parse_negation(spec).fn
+    for x in PLAN.points_1d() + EDGES:
+        assert in_unit_or_nan(fn(x)), x
+
+
+@pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=json.dumps)
+def test_operator_fn_stays_in_the_unit_interval(spec):
+    fn = specs.parse_binary(spec).fn
+    for x, y in [*PLAN.iter_pairs(), *itertools.product(EDGES, repeat=2)]:
+        assert in_unit_or_nan(fn(x, y)), (x, y)

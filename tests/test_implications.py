@@ -88,6 +88,25 @@ class TestResidualNumeric:
         got = residual_numeric(vee, 1.0, 0.25)
         assert got == pytest.approx(0.75, abs=1e-3)
 
+    def test_scan_refines_past_the_last_feasible_scan_point(self):
+        # C(x, .) falls to 0.5 and climbs back: {t | C(x,t) <= 0.7} = [0.3, 0.7],
+        # whose end lies inside a scan cell
+        vee = BinaryConnective(lambda x, t: 1.0 - t if t <= 0.5 else t, "vee")
+        got = residual_numeric(vee, 0.5, 0.7)
+        assert 0.7 - 1 / (4096 * 1024) <= got <= 0.7
+        assert vee(0.5, got) <= 0.7
+
+    def test_scan_with_no_feasible_point_gives_zero(self):
+        # C(x, .) dips to 0.75 and climbs back, never down to y = 0.5
+        calls = []
+
+        def dip(x, t):
+            calls.append(t)
+            return 0.8 - 0.1 * t if t <= 0.5 else 0.7 + 0.1 * t
+
+        assert residual_numeric(BinaryConnective(dip, "dip"), 0.5, 0.5) == 0.0
+        assert len(calls) > 4096  # the fallback scan ran
+
     def test_endpoint_evaluated_once(self):
         calls = []
 

@@ -29,7 +29,6 @@ from genimpl.implications import (
     residual_candidate,
     residual_numeric,
 )
-from genimpl import properties
 from genimpl.properties import (
     _check_t1,
     check_implication_axioms,
@@ -221,8 +220,9 @@ def test_t1_once_per_unordered_grid_pair(seed, make, fails_on):
     assert (axioms.property, axioms.witness) == ("T1", w)
 
 
-# OP, CP and compare_surfaces stream the pairs of ``s.pairs()`` instead of
-# building its list: each report must be the one a loop over the list gives.
+# OP, CP and compare_surfaces stream ``s.iter_pairs()`` instead of building
+# the ``s.pairs()`` list: each report must be the one a loop over the list
+# gives.
 
 STREAMED = {
     "OP lukasiewicz": lambda s: check_property(lukasiewicz_candidate(), "OP", s),
@@ -241,10 +241,14 @@ STREAMED = {
 @pytest.mark.parametrize("check", STREAMED.values(), ids=STREAMED)
 def test_streamed_pairs_give_the_listed_report(seed, check, monkeypatch):
     s = SampleSpec(seed=seed)
-    assert list(properties._pairs(s)) == s.pairs()
+    pairs = s.pairs()
+    assert pairs == list(s.iter_pairs())
     with monkeypatch.context() as m:
-        m.setattr(properties, "_pairs", lambda s: s.pairs())
+        # the check reads its pairs from iter_pairs, here the built list
+        handed = []
+        m.setattr(SampleSpec, "iter_pairs", lambda self: handed.append(self) or iter(pairs))
         listed = check(s)
+    assert handed == [s]
     with monkeypatch.context() as m:
         def no_list(self):
             raise AssertionError("pairs() builds the whole list")
@@ -312,6 +316,14 @@ class TestContinuityProbe:
         report = probe_continuity(step, small_spec)
         assert not report.holds
         assert report.max_discrepancy > 0.9
+
+    def test_involution_reuses_the_grid_values(self):
+        # n at each grid point, then at each of its values: 202, not 303
+        calls = []
+        n = Negation(lambda x: calls.append(x) or 1.0 - x, "counted")
+        report = probe_continuity(n, SampleSpec())
+        assert report.details["continuous"] and report.details["strong"]
+        assert len(calls) == 2 * SampleSpec().grid_n
 
     def test_refine_jump_shrinks_on_smooth_map(self):
         jump, lo, hi = refine_jump(lambda x: x * x, 0.0, 1.0)
