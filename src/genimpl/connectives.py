@@ -10,10 +10,9 @@ through connectives and negations is rounded once, at its end.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Callable
 
@@ -42,8 +41,8 @@ class BinaryConnective:
 
     The value keeps the precision of ``fn``'s result (an mpf stays an mpf),
     so a wide chain through a nested operator is not rounded to a double.
-    ``residual`` is set only on a t-norm of the catalog: the closed form of
-    its residual sup{t | T(x,t) <= y}, at the precision of its arguments.
+    ``residual`` is set only on a t-norm of the catalog: its residual operator
+    sup{t | T(x,t) <= y}, in closed form and with parts where it has them.
     Every other operator leaves it None.
     ``bounds(x, y_lo, y_hi)`` is set only on a generated implication I^g:
     a double (lo, hi) enclosing fn(x, y) for every y in [y_lo, y_hi],
@@ -57,7 +56,7 @@ class BinaryConnective:
 
     fn: Callable[[float, float], float]
     label: str
-    residual: Callable[[float, float], float] | None = None
+    residual: BinaryConnective | None = None
     bounds: Callable[[float, float, float], tuple[float, float]] | None = None
     parts: tuple[Callable, Callable, Callable] | None = None
 
@@ -168,7 +167,7 @@ def basic(kind: str) -> BinaryConnective:
         fn, residual = _BASIC[kind]
     except KeyError:
         raise ValueError(f"unknown basic t-norm {kind!r}") from None
-    return BinaryConnective(fn, f"T_{kind}", residual)
+    return BinaryConnective(fn, f"T_{kind}", BinaryConnective(residual, f"R[T_{kind}]"))
 
 
 # --------------------------------------------------------------------------
@@ -176,24 +175,12 @@ def basic(kind: str) -> BinaryConnective:
 # --------------------------------------------------------------------------
 
 
-def generated_residual(f: Generator, x: float, y: float) -> float:
-    """f^(-1)(max(f(y) - f(x), 0)): the residual of the t-norm generated
-    by a continuous decreasing f, exactly 1.0 for x <= y.
-
-    Answers at the precision of its arguments: an mpf stays an mpf.  The
-    neutral element is handled exactly, R(1,y) = y: for yager_f(p) the
-    round trip f^(-1)(f(y)) loses about ulp/p, all of y at a tiny p.
-    """
-    if x <= y:
-        return 1.0
-    if x == 1.0:
-        return y
-    return pseudo_inverse(f, max(f.fn(y) - f.fn(x), 0.0))
-
-
 def generated_tnorm_connective(f: Generator) -> BinaryConnective:
     """f^(-1)(f(x) + f(y)) for a decreasing generator f, with parts u = v = f:
-    the direction is checked once, here."""
+    the direction is checked once, here.  Its residual f^(-1)(max(f(y) - f(x), 0))
+    has the same parts; it is exactly 1.0 for x <= y, and exactly y at x = 1:
+    for yager_f(p) the round trip f^(-1)(f(y)) loses about ulp/p, all of y at a tiny p.
+    """
     require_direction(f, DECREASING, "t-norm")
     f_fn = f.fn
 
@@ -207,9 +194,16 @@ def generated_tnorm_connective(f: Generator) -> BinaryConnective:
     def fn(x: float, y: float) -> float:
         return cell(f_fn(x), f_fn(y), x, y)
 
+    def residual_cell(a: float, b: float, x: float, y: float) -> float:  # a = f(x), b = f(y)
+        return 1.0 if x <= y else y if x == 1.0 else pseudo_inverse(f, max(b - a, 0.0))
+
+    def residual(x: float, y: float) -> float:  # with no f where the value is 1 or y
+        return 1.0 if x <= y else y if x == 1.0 else residual_cell(f_fn(x), f_fn(y), x, y)
+
     # every decreasing generator, yager_f or a table, is continuous
-    return BinaryConnective(fn, f"T[{f.label}]", functools.partial(generated_residual, f),
-                            parts=(f_fn, f_fn, cell))
+    label = f"T[{f.label}]"
+    r = BinaryConnective(residual, f"R[{label}]", parts=(f_fn, f_fn, residual_cell))
+    return BinaryConnective(fn, label, r, parts=(f_fn, f_fn, cell))
 
 
 def generated_tconorm_connective(g: Generator) -> BinaryConnective:
@@ -250,8 +244,7 @@ def yager_connective(p: float) -> BinaryConnective:
         raise ValueError("p must be >= 0")
     label = f"T_Y(p={p:g})"
     if p == 0.0 or math.isinf(p):
-        fn, residual = _BASIC["drastic" if p == 0.0 else "min"]
-        return BinaryConnective(fn, label, residual)
+        return replace(basic("drastic" if p == 0.0 else "min"), label=label)
     # root(s, p) of a double s, and the module constant, bound to the closure
     inv_p, smallest_normal = 1.0 / p, _SMALLEST_NORMAL
 
@@ -277,7 +270,7 @@ def yager_connective(p: float) -> BinaryConnective:
             v = 1.0 - s ** inv_p
         return v if v > 0.0 else 0.0  # max(0.0, v), inline: a NaN gives 0.0 too
 
-    return _power_operator(p, cell, label, yager_residual_candidate(p).fn)
+    return _power_operator(p, cell, label, yager_residual_candidate(p))
 
 
 def yager_residual_candidate(p: float) -> BinaryConnective:
@@ -285,7 +278,7 @@ def yager_residual_candidate(p: float) -> BinaryConnective:
     (u, v, cell), u = v = (1-t)^p: p is checked once, here.
 
     The subtraction of nearly equal powers is clamped at 0 before the
-    root so x <= y yields exactly 1; R(1,y) = y exactly, as in generated_residual.
+    root so x <= y yields exactly 1, and R(1,y) = y exactly.
     In double, where (1-y)^p underflows at a large p, both powers are taken
     relative to m = 1 - y: R = 1 - m (1 - ((1-x)/m)^p)^(1/p).
     """

@@ -20,7 +20,6 @@ from .bijections import Bijection
 from .connectives import (
     BinaryConnective,
     Negation,
-    lukasiewicz_implication,
     standard_negation,
 )
 from .generators import (
@@ -142,9 +141,10 @@ def _residual_scan(c: BinaryConnective, x: float, y: float) -> float:
 
 
 def residual_candidate(c: BinaryConnective) -> ImplicationCandidate:
-    """R[C]: the closed form C carries, else ``residual_numeric``."""
-    return ImplicationCandidate(c.residual or functools.partial(residual_numeric, c),
-                                f"R[{c.label}]")
+    """R[C]: the residual operator C carries, else ``residual_numeric``."""
+    if c.residual is not None:
+        return dataclasses.replace(c.residual, label=f"R[{c.label}]")
+    return ImplicationCandidate(functools.partial(residual_numeric, c), f"R[{c.label}]")
 
 
 def mean_residual(x: float, y: float) -> float:
@@ -249,10 +249,6 @@ def ig_candidate(g: Generator) -> ImplicationCandidate:
 def sn_candidate(s: BinaryConnective, n: Negation) -> ImplicationCandidate:
     """(S,N)-implication S(N(x), y)."""
     return ImplicationCandidate(lambda x, y: s(n(x), y), f"SN[{s.label},{n.label}]")
-
-
-def lukasiewicz_candidate() -> ImplicationCandidate:
-    return ImplicationCandidate(lukasiewicz_implication, "I_LK")
 
 
 def phi_conjugate_candidate(

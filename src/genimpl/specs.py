@@ -29,18 +29,25 @@ class SpecError(ValueError):
 
 
 def load_spec(arg: str):
-    """Inline JSON, or a path to a JSON file; the parser checks its shape."""
+    """Inline JSON, or a path to a JSON file; the parser checks its shape.  No
+    field takes a boolean, which float() would read as 1 or 0: one is refused."""
     text = arg
     try:
         # os.path.isfile is False, not OSError, for a name too long for a file
         if not arg.lstrip().startswith("{") and os.path.isfile(arg):
             with open(arg) as fh:
                 text = fh.read()
-        return json.loads(text)
+        spec = json.loads(text)
     except OSError as e:
         raise SpecError(f"cannot read spec file: {e}") from None
     except json.JSONDecodeError as e:
         raise SpecError(f"spec is not valid JSON: {e}") from None
+    values = [spec]  # walked without recursion: the JSON may nest deeply
+    for v in values:
+        if isinstance(v, bool):
+            raise SpecError(f"spec holds {json.dumps(v)}; no field takes a boolean")
+        values.extend(v.values() if isinstance(v, dict) else v if isinstance(v, list) else ())
+    return spec
 
 
 def _kind(d: dict) -> str:
@@ -122,7 +129,7 @@ OPERATORS = {
     "table": _table_connective,
     # implication candidates
     "yager_residual": lambda d: connectives.yager_residual_candidate(float(d["p"])),
-    "lukasiewicz": lambda d: implications.lukasiewicz_candidate(),
+    "lukasiewicz": lambda d: implications.residual_candidate(connectives.basic("lukasiewicz")),
     "mean_residual": lambda d: implications.mean_residual_candidate(),
     "piecewise_f": lambda d: implications.piecewise_f_candidate(),
     "ig": lambda d: implications.ig_candidate(parse_generator(d["g"])),

@@ -34,12 +34,12 @@ from genimpl.implications import (
     build_intersection_member,
     ig_candidate,
     ign_candidate,
-    lukasiewicz_candidate,
     mean_residual_candidate,
     natural_negation,
     phi_conjugate_candidate,
     piecewise_f_candidate,
     piecewise_f_implication,
+    residual_candidate,
     residual_numeric,
 )
 from genimpl.properties import (
@@ -163,7 +163,7 @@ def test_criterion_06_mean_residual_boundary_violation():
 
 
 def test_criterion_07_conjugates_match_and_probe_clean():
-    ilk = lukasiewicz_candidate()
+    ilk = residual_candidate(basic("lukasiewicz"))
     phis = [identity_bijection(), power_bijection(2.0), power_bijection(0.5)]
     worst = 0.0
     probes_ok = True

@@ -16,7 +16,6 @@ from genimpl.connectives import basic, yager_residual_candidate
 from genimpl.implications import (
     ImplicationCandidate,
     build_intersection_member,
-    lukasiewicz_candidate,
     piecewise_f_candidate,
     residual_candidate,
 )
@@ -27,7 +26,8 @@ from genimpl.specs import parse_implication
 
 class TestSNProbe:
     def test_lukasiewicz_consistent(self, small_spec):
-        assert sn_probe(lukasiewicz_candidate(), small_spec).overall == CONSISTENT
+        ilk = residual_candidate(basic("lukasiewicz"))
+        assert sn_probe(ilk, small_spec).overall == CONSISTENT
 
     def test_plateau_implication_excluded_via_ep(self, small_spec):
         result = sn_probe(piecewise_f_candidate(), small_spec)
@@ -85,7 +85,7 @@ class TestConjugateLKProbe:
         assert result.overall == EXCLUDED
 
     def test_result_serializes(self, small_spec):
-        result = conjugate_lk_probe(lukasiewicz_candidate(), small_spec)
+        result = conjugate_lk_probe(residual_candidate(basic("lukasiewicz")), small_spec)
         d = result.as_dict()
         assert d["class_id"] == "phi-conjugate-LK"
         assert d["overall"] == CONSISTENT
@@ -95,7 +95,7 @@ class TestConjugateLKProbe:
 class TestIntersectionMember:
     def test_identity_gives_lukasiewicz(self, small_spec):
         member = build_intersection_member(identity_bijection())
-        ilk = lukasiewicz_candidate()
+        ilk = residual_candidate(basic("lukasiewicz"))
         for x in small_spec.grid():
             for y in small_spec.grid():
                 assert member(x, y) == ilk(x, y)

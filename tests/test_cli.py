@@ -102,6 +102,19 @@ class TestEval:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", '{"kind": "yager_tnorm", "p": true}', "0.5", "0.5"],
+        ["eval", '{"kind": "table", "values": [[0, 0], [0, true]]}', "0.5", "0.5"],
+        ["verify", '{"kind": "yager_residual", "p": 2}', "NP",
+         'CP:{"kind": "table", "points": [[0, 1], [1, false]]}'],
+    ], ids=["p", "table value", "CP negation"])
+    def test_boolean_in_spec_exits_2_with_one_line(self, capsys, argv):
+        # float(True) is 1.0: read as a number, p would be 1 and the cell 1
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "no field takes a boolean" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("p", ["inf", "+inf", "infinity", "Infinity", " inf "])
     def test_yager_at_infinite_p_is_the_minimum(self, capsys, p):
         code, out, _ = run(

@@ -10,7 +10,6 @@ from genimpl.connectives import (
     basic,
     dual_negation,
     dual_of,
-    generated_residual,
     generated_tnorm_connective,
     lukasiewicz_implication,
     mean_connective,
@@ -36,7 +35,6 @@ from genimpl.implications import (
     ImplicationCandidate,
     ig_candidate,
     ign_candidate,
-    lukasiewicz_candidate,
     mean_residual,
     natural_negation,
     phi_conjugate_candidate,
@@ -231,12 +229,12 @@ class TestGeneratedResidual:
         assert r(0.748, 0.073) == 0.10790975792804458
 
     def test_answers_at_precision_of_arguments(self):
-        f = yager_f(2.0)
-        assert generated_residual(f, 0.3, 0.3) == 1.0
-        assert type(generated_residual(f, 0.9, 0.1)) is float
+        r = residual_candidate(generated_tnorm_connective(yager_f(2.0)))
+        assert r(0.3, 0.3) == 1.0
+        assert type(r(0.9, 0.1)) is float
         with mpmath.workdps(40):
             x, y = mpmath.mpf("0.9"), mpmath.mpf("0.1")
-            v = generated_residual(f, x, y)
+            v = r(x, y)
             assert isinstance(v, mpmath.mpf)
             assert abs(v - yager_residual_50(2.0, x, y)) < mpmath.mpf(10) ** -35
 
@@ -249,8 +247,8 @@ class TestGeneratedResidual:
         table_f = table_generator(DECREASING, [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0)])
         c = generated_tnorm_connective(table_f)
         r = residual_candidate(c)
+        assert r.fn is c.residual.fn and r.parts is c.residual.parts
         for x, y in small_spec.pairs():
-            assert r(x, y) == generated_residual(table_f, x, y)
             assert r(x, y) == pytest.approx(residual_numeric(c, x, y), abs=1e-15), (x, y)
 
 
@@ -297,7 +295,10 @@ class TestResidualRouting:
                    generated_tnorm_connective(yager_f(2.0)),
                    generated_tnorm_connective(table_f)]
         for c in carried:
-            assert c.residual is not None and residual_candidate(c).fn is c.residual
+            r = residual_candidate(c)
+            assert r.fn is c.residual.fn and r.parts is c.residual.parts
+            assert r.label == f"R[{c.label}]"
+            assert (r.parts is None) == (c.parts is None)  # Yager and generated: both
         bisected = [dual_of(yager_connective(2.0)), mean_connective(),
                     table_connective([[0.0, 0.0], [0.0, 1.0]])]
         for c in bisected:
@@ -453,14 +454,14 @@ class TestSNImplication:
 
 class TestPhiConjugate:
     def test_identity_is_no_op(self):
-        ilk = lukasiewicz_candidate()
+        ilk = residual_candidate(basic("lukasiewicz"))
         phi = identity_bijection()
         for x in (0.0, 0.4, 1.0):
             for y in (0.2, 0.8):
                 assert phi_conjugate_candidate(ilk, phi).fn(x, y) == ilk(x, y)
 
     def test_square_conjugate_value(self):
-        ilk = lukasiewicz_candidate()
+        ilk = residual_candidate(basic("lukasiewicz"))
         phi = power_bijection(2.0)
         # phi^-1(min(1 - x^2 + y^2, 1))
         assert phi_conjugate_candidate(ilk, phi).fn(0.8, 0.2) == pytest.approx(
@@ -486,7 +487,7 @@ class TestPiecewiseImplication:
 
 class TestNaturalNegation:
     def test_of_lukasiewicz_is_standard(self):
-        n = natural_negation(lukasiewicz_candidate())
+        n = natural_negation(residual_candidate(basic("lukasiewicz")))
         for x in (0.0, 0.3, 1.0):
             assert n(x) == pytest.approx(1.0 - x, abs=1e-12)
 

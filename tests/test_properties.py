@@ -21,7 +21,6 @@ from genimpl.implications import (
     CHAIN_DPS,
     ImplicationCandidate,
     ig_candidate,
-    lukasiewicz_candidate,
     mean_residual,
     mean_residual_candidate,
     piecewise_f_candidate,
@@ -43,11 +42,13 @@ from genimpl.properties import (
 )
 from genimpl.reports import SampleSpec, failing, passing
 
+LUKASIEWICZ = residual_candidate(basic("lukasiewicz"))
+
 
 class TestImplicationAxioms:
     def test_lukasiewicz_passes(self, small_spec):
         assert check_implication_axioms(
-            lukasiewicz_candidate(), small_spec
+            LUKASIEWICZ, small_spec
         ).holds
 
     def test_mean_residual_fails_boundary(self, small_spec):
@@ -69,19 +70,19 @@ class TestImplicationAxioms:
 class TestNamedProperties:
     @pytest.mark.parametrize("prop", ["NP", "EP", "IP", "OP"])
     def test_lukasiewicz_has_all(self, prop, small_spec):
-        report = check_property(lukasiewicz_candidate(), prop, small_spec)
+        report = check_property(LUKASIEWICZ, prop, small_spec)
         assert report.holds, report.witness
 
     def test_cp_with_standard_negation(self, small_spec):
         report = check_property(
-            lukasiewicz_candidate(), "CP", small_spec,
+            LUKASIEWICZ, "CP", small_spec,
             negation=standard_negation(),
         )
         assert report.holds
 
     def test_cp_needs_negation(self, small_spec):
         with pytest.raises(ValueError):
-            check_property(lukasiewicz_candidate(), "CP", small_spec)
+            check_property(LUKASIEWICZ, "CP", small_spec)
 
     def test_cp_detects_wrong_negation(self, small_spec):
         report = check_property(
@@ -143,11 +144,11 @@ class TestNamedProperties:
 
     def test_unknown_property(self, small_spec):
         with pytest.raises(ValueError):
-            check_property(lukasiewicz_candidate(), "XX", small_spec)
+            check_property(LUKASIEWICZ, "XX", small_spec)
 
     def test_negation_on_a_law_other_than_cp(self, small_spec):
         with pytest.raises(ValueError, match="NP takes no negation"):
-            check_property(lukasiewicz_candidate(), "NP", small_spec,
+            check_property(LUKASIEWICZ, "NP", small_spec,
                            negation=standard_negation())
 
 
@@ -225,9 +226,9 @@ def test_t1_once_per_unordered_grid_pair(seed, make, fails_on):
 # gives.
 
 STREAMED = {
-    "OP lukasiewicz": lambda s: check_property(lukasiewicz_candidate(), "OP", s),
+    "OP lukasiewicz": lambda s: check_property(LUKASIEWICZ, "OP", s),
     "OP piecewise_f": lambda s: check_property(piecewise_f_candidate(), "OP", s),
-    "CP lukasiewicz": lambda s: check_property(lukasiewicz_candidate(), "CP", s,
+    "CP lukasiewicz": lambda s: check_property(LUKASIEWICZ, "CP", s,
                                                standard_negation()),
     "CP goedel": lambda s: check_property(residual_candidate(basic("min")), "CP", s,
                                           standard_negation()),
@@ -283,14 +284,14 @@ class TestAssociativityCounterexample:
 class TestCompareSurfaces:
     def test_identical_surfaces(self, small_spec):
         r = compare_surfaces(
-            lukasiewicz_candidate(), lukasiewicz_candidate(), small_spec
+            LUKASIEWICZ, LUKASIEWICZ, small_spec
         )
         assert r.holds
         assert r.max_discrepancy == 0.0
 
     def test_reports_argmax(self, small_spec):
         r = compare_surfaces(
-            lukasiewicz_candidate(), yager_residual_candidate(2.0), small_spec
+            LUKASIEWICZ, yager_residual_candidate(2.0), small_spec
         )
         assert not r.holds
         arg = r.details["argmax"]
@@ -423,10 +424,10 @@ class TestReportReplay:
     def test_ep_report_rebuilds_its_plan(self):
         plan = SampleSpec(grid_n=11, random_count=20, seed=7,
                           triple_grid_n=5, triple_random_count=30)
-        report = check_property(lukasiewicz_candidate(), "EP", plan)
+        report = check_property(LUKASIEWICZ, "EP", plan)
         assert SampleSpec(**report.sample_spec) == plan
         replayed = SampleSpec(**json.loads(report.to_json())["sample_spec"])
-        again = check_property(lukasiewicz_candidate(), "EP", replayed)
+        again = check_property(LUKASIEWICZ, "EP", replayed)
         assert again.as_dict() == report.as_dict()
 
 

@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from genimpl import cli
+from genimpl import cli, specs
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +27,12 @@ def test_cli_examples_run(monkeypatch, tmp_path, capsys):
     codes = [(argv[0], cli.main(argv)) for argv in lines]
     capsys.readouterr()
     assert codes == [(command, int(command == "counterexample")) for command, _ in codes]
+
+
+def test_kinds_table_names_every_kind():
+    # each role's row of the kinds table backquotes every kind of its table
+    rows = dict(re.findall(r"^\| (\w+) \| (.*) \|$", README.read_text(), re.M))
+    for role, kinds in (("operator", specs.OPERATORS), ("generator", specs.GENERATORS),
+                        ("negation", specs.NEGATIONS), ("bijection", specs.BIJECTIONS)):
+        named = set(re.findall(r"`(\w+)`", rows[role]))
+        assert set(kinds) <= named, (role, sorted(set(kinds) - named))

@@ -43,7 +43,6 @@ from genimpl.implications import (
     build_intersection_member,
     ig_candidate,
     ign_candidate,
-    lukasiewicz_candidate,
     phi_conjugate_candidate,
     residual_candidate,
     sn_candidate,
@@ -81,6 +80,14 @@ def yager_formula(p, x, y):
 def tnorm_formula(f, x, y):
     v = pseudo_inverse(f, f.fn(x) + f.fn(y))
     return x if y == 1.0 else y if x == 1.0 else v
+
+
+def generated_residual_formula(f, x, y):
+    if x <= y:
+        return 1.0
+    if x == 1.0:
+        return y
+    return pseudo_inverse(f, max(f.fn(y) - f.fn(x), 0.0))
 
 
 def tconorm_formula(g, x, y):
@@ -123,6 +130,7 @@ BASIC_FORMULAS = {
 }
 
 
+LUKASIEWICZ = residual_candidate(basic("lukasiewicz"))
 TABLE_F = table_generator(DECREASING, [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0)])
 TABLE_G = table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
 
@@ -131,6 +139,9 @@ CASES = [
       for p in (0.0, 0.5, 2.0, 3.7, math.inf)),
     *((f"T[{f.label}]", generated_tnorm_connective(f),
        lambda x, y, f=f: tnorm_formula(f, x, y))
+      for f in (yager_f(0.5), yager_f(2.0), yager_f(3.7), TABLE_F)),
+    *((f"R[T[{f.label}]]", residual_candidate(generated_tnorm_connective(f)),
+       lambda x, y, f=f: generated_residual_formula(f, x, y))
       for f in (yager_f(0.5), yager_f(2.0), yager_f(3.7), TABLE_F)),
     *((f"S[{g.label}]", generated_tconorm_connective(g),
        lambda x, y, g=g: tconorm_formula(g, x, y))
@@ -153,10 +164,10 @@ CASES = [
      lambda x, y: sn_formula(dual_of(basic("product")), standard_negation(), x, y)),
     *((f"conj[{i.label},{phi.label}]", phi_conjugate_candidate(i, phi),
        lambda x, y, i=i, phi=phi: conjugate_formula(i, phi, x, y))
-      for i in (lukasiewicz_candidate(), yager_residual_candidate(2.0))
+      for i in (LUKASIEWICZ, yager_residual_candidate(2.0))
       for phi in (power_bijection(0.5), power_bijection(3.0))),
-    ("phi_conjugate", phi_conjugate_candidate(lukasiewicz_candidate(), power_bijection(2.0)),
-     lambda x, y: conjugate_formula(lukasiewicz_candidate(), power_bijection(2.0), x, y)),
+    ("phi_conjugate", phi_conjugate_candidate(LUKASIEWICZ, power_bijection(2.0)),
+     lambda x, y: conjugate_formula(LUKASIEWICZ, power_bijection(2.0), x, y)),
 ]
 
 
@@ -353,6 +364,9 @@ PARTED = [
     *((generated_tnorm_connective(f), SampleSpec())
       for f in (yager_f(0.5), yager_f(2.0), TABLE_F)),
     *((yager_residual_candidate(p), SampleSpec()) for p in YAGER_P),
+    *((residual_candidate(generated_tnorm_connective(f)), SampleSpec())
+      for f in (yager_f(0.5), yager_f(2.0), TABLE_F)),
+    *((residual_candidate(yager_connective(p)), SampleSpec()) for p in YAGER_P),
     *((build_intersection_member(phi), SampleSpec()) for phi in PHIS),
     *((ig_candidate(g), SMALL) for g in (neg_log(), power_gp(2.0), TABLE_G)),
     (ign_candidate(power_gp(2.0), yager_negation(2.0)), SMALL),
@@ -470,6 +484,17 @@ def test_evaluations_per_check_with_parts(small_spec):
     assert yager.fn.calls == n1 + 2 * s.random_count + 4 * (len(s.triples()) + escalations)
     assert (u.calls, v.calls) == (g + g, g + n1)
     assert cell.calls == g * g + g * n1
+
+
+def test_generated_residual_evaluates_f_per_point_and_line(small_spec):
+    s = small_spec
+    n1, g = len(s.points_1d()), len(s.grid())
+    f = Counting(TABLE_F.fn)
+    r = residual_candidate(generated_tnorm_connective(dataclasses.replace(TABLE_F, fn=f)))
+    assert r.parts is not None and check_implication_axioms(r, s).holds
+    # the I3 corners evaluate no f (x <= y, or x = 1); I1 and I2 each
+    # evaluate f once per sorted point and once per grid line
+    assert f.calls == 2 * (n1 + g)
 
 
 def test_grid_sweeps_on_the_default_plan():
