@@ -2,7 +2,6 @@
 property-verification engine with witness-carrying reports."""
 
 from .bijections import Bijection, identity_bijection, power_bijection
-from .classes import ClassProbeResult, conjugate_lk_probe, r_probe, sn_probe
 from .connectives import (
     BinaryConnective,
     Negation,
@@ -40,15 +39,36 @@ from .implications import (
     residual_numeric,
     sn_candidate,
 )
-from .properties import (
-    check_implication_axioms,
-    check_property,
-    check_self_dual_phi,
-    check_tnorm_axioms,
-    compare_surfaces,
-    find_associativity_counterexample,
-    probe_continuity,
-)
 from .reports import PropertyReport, SampleSpec
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The check engine loads at the first use of one of its names (PEP 562), so
+# a call that runs no check never imports it: each such name -> its module.
+_LAZY = {
+    "classes": "classes",
+    "ClassProbeResult": "classes",
+    "conjugate_lk_probe": "classes",
+    "r_probe": "classes",
+    "sn_probe": "classes",
+    "properties": "properties",
+    "check_implication_axioms": "properties",
+    "check_property": "properties",
+    "check_self_dual_phi": "properties",
+    "check_tnorm_axioms": "properties",
+    "compare_surfaces": "properties",
+    "find_associativity_counterexample": "properties",
+    "probe_continuity": "properties",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    import importlib
+
+    loaded = importlib.import_module(f"{__name__}.{module}")
+    return loaded if name == module else getattr(loaded, name)
+
+
+__all__ = sorted(name for name in {*dir(), *_LAZY} if not name.startswith("_"))

@@ -22,7 +22,6 @@ import json
 import os
 import sys
 
-from . import classes, properties
 from .generators import check_unit
 from .implications import residual_candidate
 from .reports import SampleSpec
@@ -31,7 +30,9 @@ from .specs import OPERATORS, SpecError, load_spec, parse_binary, parse_negation
 SPEC_HELP = "operator spec, inline JSON or a JSON file; kinds: " + ", ".join(OPERATORS)
 
 # class name -> the name of its probe in `classes`, looked up at call time,
-# so a wrapper put on a probe after import (a tracer's) is the one that runs
+# so a wrapper put on a probe after import (a tracer's) is the one that runs.
+# The check modules (`properties`, `classes`) are imported by the commands
+# that run a check, so `eval`, `residual` and `surface` never load them.
 CLASS_PROBES = {"sn": "sn_probe", "r": "r_probe", "lk": "conjugate_lk_probe"}
 
 
@@ -125,6 +126,8 @@ def cmd_eval(args) -> int:
 def _law_check(token: str):
     """The check a ``verify`` token names, as a function of (op, s); a bad
     law name or negation spec raises here, before any check runs."""
+    from . import properties
+
     if token == "axioms":
         return properties.check_implication_axioms
     if token == "tnorm":
@@ -163,7 +166,9 @@ def cmd_compare(args) -> int:
     f = parse_binary(load_spec(args.spec1))
     g = parse_binary(load_spec(args.spec2))
     s = _sample_spec(args)
-    report = properties.compare_surfaces(f, g, s)
+    from .properties import compare_surfaces
+
+    report = compare_surfaces(f, g, s)
     print(report.to_json(indent=2))
     return 0
 
@@ -175,6 +180,8 @@ def cmd_classify(args) -> int:
     unknown = [name for name in names if name not in CLASS_PROBES]
     if unknown:  # judged before the first probe runs
         raise SpecError(f"unknown class {unknown[0]!r}")
+    from . import classes
+
     results = [getattr(classes, CLASS_PROBES[name])(i, s) for name in names]
     print(json.dumps([r.as_dict() for r in results], indent=2))
     return 0
@@ -183,10 +190,12 @@ def cmd_classify(args) -> int:
 def cmd_counterexample(args) -> int:
     op = parse_binary(load_spec(args.spec))
     s = _sample_spec(args)
+    from .properties import check_property, find_associativity_counterexample
+
     if args.law == "associativity":
-        report = properties.find_associativity_counterexample(op, s)
+        report = find_associativity_counterexample(op, s)
     else:
-        report = properties.check_property(op, "EP", s)
+        report = check_property(op, "EP", s)
     print(report.to_json(indent=2))
     return 0 if report.holds else 1
 

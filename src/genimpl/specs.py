@@ -14,7 +14,6 @@ or loaded from a file.  Examples::
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -42,6 +41,8 @@ def load_spec(arg: str):
         raise SpecError(f"cannot read spec file: {e}") from None
     except json.JSONDecodeError as e:
         raise SpecError(f"spec is not valid JSON: {e}") from None
+    except RecursionError:  # json's parser recurses once per level
+        raise SpecError("spec nests too deeply to parse") from None
     values = [spec]  # walked without recursion: the JSON may nest deeply
     for v in values:
         if isinstance(v, bool):
@@ -153,6 +154,8 @@ def surface_table_connective(path: str) -> BinaryConnective:
     the header x,y,value, then one row per point of the n-point sample grid
     squared (n >= 2), each point once, in any order.  ``genimpl surface``
     writes .17g, so each x and y reads back as the grid's own double."""
+    import csv  # only a spec that reads a surface file needs it
+
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)

@@ -115,6 +115,22 @@ class TestEval:
         assert err.startswith("error: ") and "no field takes a boolean" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("where", ["file", "inline", "CP negation"])
+    def test_deeply_nested_spec_exits_2_with_one_line(self, capsys, tmp_path, where):
+        # json's parser recurses once per level, past the interpreter's limit
+        deep = "[" * 100_000
+        if where == "file":
+            path = tmp_path / "deep.json"
+            path.write_text(deep)
+            argv = ["eval", str(path), "0.5", "0.5"]
+        elif where == "inline":
+            argv = ["eval", deep, "0.5", "0.5"]
+        else:
+            argv = ["verify", '{"kind": "lukasiewicz"}', "NP", "CP:" + deep]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: spec nests too deeply to parse\n"
+
     @pytest.mark.parametrize("p", ["inf", "+inf", "infinity", "Infinity", " inf "])
     def test_yager_at_infinite_p_is_the_minimum(self, capsys, p):
         code, out, _ = run(
@@ -535,21 +551,26 @@ class TestCounterexample:
 
 
 # A fresh interpreter imports genimpl, then genimpl.cli, then runs main on
-# its arguments (if any) with the output swallowed, and prints the exit
-# code and whether mpmath was in sys.modules after each step.
-_REPORT_MPMATH = """
+# its arguments (if any) with the output swallowed, and prints as JSON the
+# exit code and, after each step, which of the modules named in its first
+# argument (comma-separated) were in sys.modules.
+_REPORT_LOADED = """
 import contextlib, io, sys
+names = sys.argv[1].split(",")
+def loaded():
+    return [name for name in names if name in sys.modules]
 import genimpl
-steps = ["mpmath" in sys.modules]
+steps = [loaded()]
 from genimpl import cli
-steps.append("mpmath" in sys.modules)
+steps.append(loaded())
 code = None
-if sys.argv[1:]:
+if sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(sys.argv[1:])
-    steps.append("mpmath" in sys.modules)
-print(code, *steps)
+        code = cli.main(sys.argv[2:])
+    steps.append(loaded())
+import json
+print(json.dumps([code, steps]))
 """
 
 
@@ -568,14 +589,21 @@ def _env():
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
+def loaded_after(names, *argv):
+    """(exit code, the set of ``names`` loaded after each step) of a fresh
+    process."""
+    out = subprocess.run(
+        [sys.executable, "-c", _REPORT_LOADED, ",".join(names), *argv],
+        env=_env(), capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    code, steps = json.loads(out)
+    return code, [set(step) for step in steps]
+
+
 def mpmath_after(*argv):
     """(exit code, mpmath loaded after each step) of a fresh process."""
-    out = subprocess.run(
-        [sys.executable, "-c", _REPORT_MPMATH, *argv],
-        env=_env(), capture_output=True, text=True, check=True, timeout=120,
-    ).stdout.split()
-    code = None if out[0] == "None" else int(out[0])
-    return code, [w == "True" for w in out[1:]]
+    code, steps = loaded_after(["mpmath"], *argv)
+    return code, ["mpmath" in step for step in steps]
 
 
 class TestMpmathLoading:
@@ -615,6 +643,47 @@ class TestMpmathLoading:
             env=_env(), capture_output=True, text=True, check=True, timeout=120,
         ).stdout.split()
         assert out == ["IgN" if '"ign"' in spec else "Ig", "False"]
+
+
+CHECK_MODULES = ["genimpl.properties", "genimpl.classes", "csv"]
+LUKASIEWICZ = '{"kind": "lukasiewicz"}'
+
+
+class TestCheckModuleLoading:
+    """The check engine (properties, classes) loads only for the subcommands
+    that run a check, and csv only for a spec that reads a surface file."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["eval", LUKASIEWICZ, "0.3", "0.6"], 0),
+        (["residual", '{"kind": "basic", "name": "product"}', "0.8", "0.4"], 0),
+        (["eval", '{"kind": "nope"}', "0.5", "0.5"], 2),
+        (["verify", '{"kind": "nope"}', "NP"], 2),
+        (["surface", LUKASIEWICZ, "-n", "5", "-o", os.devnull], 0),
+    ], ids=["eval", "residual", "malformed eval", "malformed verify", "surface"])
+    def test_calls_without_a_check_load_none(self, argv, code):
+        assert loaded_after(CHECK_MODULES, *argv) == (code, [set(), set(), set()])
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", LUKASIEWICZ, "NP", *FAST], 0),
+        (["compare", LUKASIEWICZ, LUKASIEWICZ, *FAST], 0),
+        (["counterexample", '{"kind": "basic", "name": "min"}', "associativity",
+          *FAST], 0),
+    ], ids=["verify", "compare", "counterexample"])
+    def test_checks_load_properties_only(self, argv, code):
+        assert loaded_after(CHECK_MODULES, *argv) == (
+            code, [set(), set(), {"genimpl.properties"}])
+
+    def test_classify_loads_both(self):
+        argv = ["classify", LUKASIEWICZ, "--classes", "lk", *FAST]
+        assert loaded_after(CHECK_MODULES, *argv) == (
+            0, [set(), set(), {"genimpl.properties", "genimpl.classes"}])
+
+    def test_a_surface_file_spec_loads_csv(self, tmp_path):
+        path = tmp_path / "s.csv"
+        assert main(["surface", LUKASIEWICZ, "-n", "5", "-o", str(path)]) == 0
+        spec = json.dumps({"kind": "table", "path": str(path)})
+        assert loaded_after(CHECK_MODULES, "eval", spec, "0.25", "0.5") == (
+            0, [set(), set(), {"csv"}])
 
 
 @pytest.mark.parametrize("argv", [

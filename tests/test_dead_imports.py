@@ -1,7 +1,8 @@
 """No dead imports and no dead module-level names in the package: a
 stdlib-only stand-in for a linter's unused-import rule (F401).
 
-An import is dead when its module never reads the name it binds.  Only
+An import is dead when its scope never reads the name it binds: the module
+for a module-level import, the function for one inside a function.  Only
 the names of ``genimpl.__all__`` that ``__init__`` imports are kept as
 re-exports: a ``# noqa: F401`` mark does not keep an import, so each name
 has one import path, the module that defines it.  A module-level name
@@ -48,19 +49,35 @@ def read_names(tree) -> set[str]:
     return names
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_imports(scope):
+    """The import statements of a module or function, less those of the
+    functions it defines."""
+    todo = list(ast.iter_child_nodes(scope))
+    for node in todo:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+
+
 def dead_imports(path) -> list[str]:
+    """The imports whose scope, the module or the function that holds the
+    import, never reads the name they bind."""
     tree = parse(path)
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
     kept = set(genimpl.__all__) if path.name == "__init__.py" else set()
     dead = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        read = {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in own_imports(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
-                if bound not in read and bound not in kept:
+                if bound not in read and (scope is not tree or bound not in kept):
                     dead.append(f"{path.name}:{alias.lineno} {bound}")
     return dead
 
@@ -132,9 +149,14 @@ def test_the_check_sees_a_dead_import_and_a_dead_constant(tmp_path):
         "LAW_NAMES = ('NP', 'EP')\n"
         "power_gp = parse_implication = None\n"
         "def f(v):\n"
-        "    return wide(v) + _USED\n"
+        "    import math, mpmath\n"
+        "    from .properties import check_property as check\n"
+        "    return wide(v) + _USED + math.inf\n"
     )
-    assert dead_imports(module) == ["module.py:2 clamp01", "module.py:3 root"]
+    # an import inside f is judged by what f reads
+    assert dead_imports(module) == [
+        "module.py:2 clamp01", "module.py:3 root", "module.py:12 mpmath",
+        "module.py:13 check"]
     trees = {module: parse(module)}
     assert dead_names(trees, private=True) == ["module.py:7 _SMALLEST_NORMAL"]
     # power_gp is exported and parse_implication kept; f is public and unread

@@ -3,6 +3,13 @@ fails here, and is then recorded with its reason in CHANGES.md.  So are
 the fields of the operator type every connective and implication shares."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import genimpl
 
@@ -32,3 +39,44 @@ def test_all_is_pinned():
 def test_operator_fields_are_pinned():
     fields = [f.name for f in dataclasses.fields(genimpl.BinaryConnective)]
     assert fields == ["fn", "label", "residual", "bounds", "parts"]
+
+
+# In a fresh interpreter, where no check module is loaded yet: star-import
+# genimpl, then report the names of __all__ left unbound, two identities of
+# a lazy name and the error an unknown name raises.
+_LAZY_NAMES = """
+import json
+import genimpl
+from genimpl import *
+report = {"unbound": [name for name in genimpl.__all__ if name not in globals()]}
+report["identical"] = [genimpl.check_property is genimpl.properties.check_property,
+                       genimpl.r_probe is genimpl.classes.r_probe]
+try:
+    report["nope"] = repr(getattr(genimpl, "nope"))
+except AttributeError as e:
+    report["nope"] = f"AttributeError: {e}"
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def lazy_names():
+    src = str(Path(genimpl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _LAZY_NAMES], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return json.loads(out)
+
+
+def test_star_import_binds_every_name(lazy_names):
+    assert lazy_names["unbound"] == []
+
+
+def test_a_lazy_name_is_its_modules_own(lazy_names):
+    assert lazy_names["identical"] == [True, True]
+
+
+def test_an_unknown_name_raises_attribute_error(lazy_names):
+    assert lazy_names["nope"] == "AttributeError: module 'genimpl' has no attribute 'nope'"
