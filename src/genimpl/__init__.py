@@ -39,10 +39,10 @@ from .implications import (
     residual_numeric,
     sn_candidate,
 )
-from .reports import PropertyReport, SampleSpec
 
-# The check engine loads at the first use of one of its names (PEP 562), so
-# a call that runs no check never imports it: each such name -> its module.
+# The check engine and its reports load at the first use of one of their
+# names (PEP 562), so a call that samples no plan never imports them: each
+# such name -> its module.
 _LAZY = {
     "classes": "classes",
     "ClassProbeResult": "classes",
@@ -57,6 +57,9 @@ _LAZY = {
     "compare_surfaces": "properties",
     "find_associativity_counterexample": "properties",
     "probe_continuity": "properties",
+    "reports": "reports",
+    "PropertyReport": "reports",
+    "SampleSpec": "reports",
 }
 
 

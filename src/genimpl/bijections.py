@@ -7,15 +7,17 @@ conjugacy identities need exact inverses, not numeric inversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
+from .generators import Record
 
-@dataclass(frozen=True)
-class Bijection:
-    forward: Callable[[float], float]
-    inverse: Callable[[float], float]
-    label: str = "phi"
+
+class Bijection(Record):
+    __slots__ = ("forward", "inverse", "label")
+
+    def __init__(self, forward: Callable[[float], float],
+                 inverse: Callable[[float], float], label: str = "phi"):
+        self._fill(forward, inverse, label)
 
 
 def identity_bijection() -> Bijection:

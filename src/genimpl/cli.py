@@ -24,7 +24,6 @@ import sys
 
 from .generators import check_unit
 from .implications import residual_candidate
-from .reports import SampleSpec
 from .specs import OPERATORS, SpecError, load_spec, parse_binary, parse_negation
 
 SPEC_HELP = "operator spec, inline JSON or a JSON file; kinds: " + ", ".join(OPERATORS)
@@ -36,8 +35,17 @@ SPEC_HELP = "operator spec, inline JSON or a JSON file; kinds: " + ", ".join(OPE
 CLASS_PROBES = {"sn": "sn_probe", "r": "r_probe", "lk": "conjugate_lk_probe"}
 
 
-def _sample_spec(args) -> SampleSpec:
-    return SampleSpec(grid_n=args.grid, seed=args.seed, tolerance=args.tol)
+# plan flag -> the SampleSpec field it sets
+PLAN_FLAGS = {"grid": "grid_n", "seed": "seed", "tol": "tolerance"}
+
+
+def _sample_spec(args):
+    """The SampleSpec of the plan flags given, its own defaults for the rest;
+    `reports` loads here, in the commands that sample a plan."""
+    from .reports import SampleSpec
+
+    return SampleSpec(**{field: getattr(args, flag) for flag, field in PLAN_FLAGS.items()
+                         if hasattr(args, flag)})
 
 
 def _json_flag(sub):
@@ -45,11 +53,12 @@ def _json_flag(sub):
 
 
 def _common(sub):
-    """The sample-plan flags, for the subcommands that run a check."""
-    plan = SampleSpec()
-    sub.add_argument("--grid", type=int, default=plan.grid_n, help="grid resolution")
-    sub.add_argument("--seed", type=int, default=plan.seed, help="random sample seed")
-    sub.add_argument("--tol", type=float, default=plan.tolerance, help="tolerance")
+    """The sample-plan flags, for the subcommands that run a check.  A flag
+    not given sets no attribute, so ``_sample_spec`` keeps SampleSpec's
+    default."""
+    sub.add_argument("--grid", type=int, default=argparse.SUPPRESS, help="grid resolution")
+    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random sample seed")
+    sub.add_argument("--tol", type=float, default=argparse.SUPPRESS, help="tolerance")
     _json_flag(sub)
 
 
@@ -148,6 +157,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    from .reports import SampleSpec
+
     op = parse_binary(load_spec(args.spec))
     g = SampleSpec(grid_n=args.n).grid()
     # every value first, so an error while evaluating leaves no file behind
@@ -219,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
         return status
     except (SpecError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:  # parsing and evaluating recurse once per level
+        print("error: spec nests too deeply", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader left early: send what is still buffered to devnull

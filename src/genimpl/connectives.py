@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Callable
 
@@ -21,6 +20,7 @@ from .generators import (
     DECREASING,
     INCREASING,
     Generator,
+    Record,
     clamp01,
     linear_table,
     pseudo_inverse,
@@ -34,8 +34,7 @@ from .generators import (
 _SMALLEST_NORMAL = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class BinaryConnective:
+class BinaryConnective(Record):
     """A labelled map [0,1]^2 -> [0,1]: a t-norm, t-conorm, mean or
     implication candidate alike, until a check says which laws it obeys.
 
@@ -54,11 +53,17 @@ class BinaryConnective:
     per cell.
     """
 
-    fn: Callable[[float, float], float]
-    label: str
-    residual: BinaryConnective | None = None
-    bounds: Callable[[float, float, float], tuple[float, float]] | None = None
-    parts: tuple[Callable, Callable, Callable] | None = None
+    __slots__ = ("fn", "label", "residual", "bounds", "parts")
+
+    def __init__(
+        self,
+        fn: Callable[[float, float], float],
+        label: str,
+        residual: BinaryConnective | None = None,
+        bounds: Callable[[float, float, float], tuple[float, float]] | None = None,
+        parts: tuple[Callable, Callable, Callable] | None = None,
+    ):
+        self._fill(fn, label, residual, bounds, parts)
 
     def __call__(self, x: float, y: float) -> float:
         v = self.fn(x, y)
@@ -95,13 +100,14 @@ class BinaryConnective:
                 for _, values in self.lines(g, g)]
 
 
-@dataclass(frozen=True)
-class Negation:
+class Negation(Record):
     """A decreasing map [0,1] -> [0,1] with N(0)=1, N(1)=0; like a
     BinaryConnective, its value keeps the precision of ``fn``'s result."""
 
-    fn: Callable[[float], float]
-    label: str
+    __slots__ = ("fn", "label")
+
+    def __init__(self, fn: Callable[[float], float], label: str):
+        self._fill(fn, label)
 
     def __call__(self, x: float) -> float:
         v = self.fn(x)
@@ -244,7 +250,7 @@ def yager_connective(p: float) -> BinaryConnective:
         raise ValueError("p must be >= 0")
     label = f"T_Y(p={p:g})"
     if p == 0.0 or math.isinf(p):
-        return replace(basic("drastic" if p == 0.0 else "min"), label=label)
+        return basic("drastic" if p == 0.0 else "min").replace(label=label)
     # root(s, p) of a double s, and the module constant, bound to the closure
     inv_p, smallest_normal = 1.0 / p, _SMALLEST_NORMAL
 

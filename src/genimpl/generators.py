@@ -19,10 +19,10 @@ import functools
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .reports import SampleSpec, PropertyReport, failing, passing
+if TYPE_CHECKING:  # `reports` loads only with a check that samples
+    from .reports import PropertyReport
 
 INF = math.inf
 
@@ -87,19 +87,44 @@ def root(v, p):
     return v ** (1 / wide().mpf(p))
 
 
-@dataclass(frozen=True)
-class Generator:
+class Record:
+    """A read-only record: its fields are its ``__slots__``, in order, each
+    set once by ``__init__`` through ``_fill``.  Equality and hashing are
+    identity."""
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def replace(self, **changes):
+        """A copy with the fields in ``changes`` replaced; TypeError for a
+        name that is not a field."""
+        unknown = changes.keys() - set(self.__slots__)
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no field {min(unknown)!r}")
+        return type(self)(**{name: changes.get(name, getattr(self, name))
+                             for name in self.__slots__})
+
+
+class Generator(Record):
     """A strictly monotone map [0,1] -> [0,+inf] with its closed-form
     pseudo-inverse ``inverse``."""
 
-    direction: str
-    fn: Callable[[float], float]
-    inverse: Callable[[float], float]
-    label: str
+    __slots__ = ("direction", "fn", "inverse", "label")
 
-    def __post_init__(self):
-        if self.direction not in (DECREASING, INCREASING):
-            raise ValueError(f"bad direction {self.direction!r}")
+    def __init__(self, direction: str, fn: Callable[[float], float],
+                 inverse: Callable[[float], float], label: str):
+        if direction not in (DECREASING, INCREASING):
+            raise ValueError(f"bad direction {direction!r}")
+        self._fill(direction, fn, inverse, label)
 
     def __call__(self, x: float) -> float:
         check_unit(x)
@@ -123,6 +148,8 @@ def pseudo_inverse(g: Generator, y: float) -> float:
 
 def verify_generator(g: Generator) -> PropertyReport:
     """Check strict monotonicity and the zero endpoint on a 101-point grid."""
+    from .reports import SampleSpec, failing, passing
+
     spec = SampleSpec(grid_n=101, random_count=0)
     xs = spec.grid()
     vals = [g.fn(x) for x in xs]

@@ -12,7 +12,6 @@ of the t-conorm generated by g; I^g is I^g_N at the standard negation.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
@@ -143,7 +142,7 @@ def _residual_scan(c: BinaryConnective, x: float, y: float) -> float:
 def residual_candidate(c: BinaryConnective) -> ImplicationCandidate:
     """R[C]: the residual operator C carries, else ``residual_numeric``."""
     if c.residual is not None:
-        return dataclasses.replace(c.residual, label=f"R[{c.label}]")
+        return c.residual.replace(label=f"R[{c.label}]")
     return ImplicationCandidate(functools.partial(residual_numeric, c), f"R[{c.label}]")
 
 
@@ -242,8 +241,8 @@ def _ig_enclosure(g: Generator):
 
 def ig_candidate(g: Generator) -> ImplicationCandidate:
     """I^g: I^g_N at the standard negation, with ``_ig_enclosure`` as its bounds."""
-    return dataclasses.replace(ign_candidate(g, _STANDARD), label=f"Ig[{g.label}]",
-                               bounds=_ig_enclosure(g))
+    return ign_candidate(g, _STANDARD).replace(label=f"Ig[{g.label}]",
+                                               bounds=_ig_enclosure(g))
 
 
 def sn_candidate(s: BinaryConnective, n: Negation) -> ImplicationCandidate:

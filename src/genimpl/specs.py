@@ -20,7 +20,6 @@ import os
 
 from . import bijections, connectives, generators, implications
 from .connectives import BinaryConnective
-from .reports import SampleSpec
 
 
 class SpecError(ValueError):
@@ -154,7 +153,9 @@ def surface_table_connective(path: str) -> BinaryConnective:
     the header x,y,value, then one row per point of the n-point sample grid
     squared (n >= 2), each point once, in any order.  ``genimpl surface``
     writes .17g, so each x and y reads back as the grid's own double."""
-    import csv  # only a spec that reads a surface file needs it
+    import csv  # only a spec that reads a surface file needs these
+
+    from .reports import SampleSpec
 
     try:
         with open(path, newline="") as fh:

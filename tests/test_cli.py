@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -131,6 +132,19 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == "error: spec nests too deeply to parse\n"
 
+    @pytest.mark.parametrize("depth", [450, 900])
+    def test_deeply_nested_dual_exits_2_with_one_line(self, capsys, tmp_path, depth):
+        # valid JSON: 450 deep parses and recurses once per level when
+        # evaluated, 900 deep recurses in the spec parser itself
+        spec = {"kind": "lukasiewicz"}
+        for _ in range(depth):
+            spec = {"kind": "dual", "of": spec}
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "eval", str(path), "0.5", "0.5")
+        assert (code, out) == (2, "")
+        assert err == "error: spec nests too deeply\n"
+
     @pytest.mark.parametrize("p", ["inf", "+inf", "infinity", "Infinity", " inf "])
     def test_yager_at_infinite_p_is_the_minimum(self, capsys, p):
         code, out, _ = run(
@@ -236,6 +250,24 @@ class TestVerify:
             "tnorm", *FAST,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("flags, plan", [
+        ([], genimpl.SampleSpec()),
+        (["--grid", "11", "--seed", "7", "--tol", "1e-6"],
+         genimpl.SampleSpec(grid_n=11, seed=7, tolerance=1e-6)),
+    ], ids=["defaults", "given"])
+    def test_plan_flags_set_the_sample_spec(self, capsys, flags, plan):
+        # a flag not given leaves SampleSpec's own default in the plan
+        code, out, _ = run(capsys, "verify", '{"kind": "lukasiewicz"}', "NP", *flags)
+        assert code == 0
+        assert json.loads(out)[0]["sample_spec"] == plan.as_dict()
+
+    def test_help_lists_the_plan_flags(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert all(flag in out for flag in ("--grid GRID", "--seed SEED", "--tol TOL"))
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_exits_2(self, capsys, tol):
@@ -648,20 +680,44 @@ class TestMpmathLoading:
 CHECK_MODULES = ["genimpl.properties", "genimpl.classes", "csv"]
 LUKASIEWICZ = '{"kind": "lukasiewicz"}'
 
+_BARE_LOADED = "import sys; print(*(n for n in sys.argv[1:] if n in sys.modules))"
+
+
+@functools.cache
+def sampling_modules() -> frozenset:
+    """What a command that samples a plan adds to sys.modules: genimpl.reports,
+    and dataclasses and inspect unless a bare interpreter has loaded them
+    already (a site hook may)."""
+    stdlib = ["dataclasses", "inspect"]
+    preloaded = subprocess.run(
+        [sys.executable, "-c", _BARE_LOADED, *stdlib],
+        env=_env(), capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    return frozenset({"genimpl.reports", *stdlib} - set(preloaded))
+
+
+def loaded_modules_after(*argv):
+    """``loaded_after`` of the check modules and ``sampling_modules()``."""
+    return loaded_after(CHECK_MODULES + sorted(sampling_modules()), *argv)
+
 
 class TestCheckModuleLoading:
     """The check engine (properties, classes) loads only for the subcommands
-    that run a check, and csv only for a spec that reads a surface file."""
+    that run a check, csv only for a spec that reads a surface file, and the
+    reports with dataclasses only for the subcommands that sample a plan."""
 
     @pytest.mark.parametrize("argv, code", [
         (["eval", LUKASIEWICZ, "0.3", "0.6"], 0),
         (["residual", '{"kind": "basic", "name": "product"}', "0.8", "0.4"], 0),
         (["eval", '{"kind": "nope"}', "0.5", "0.5"], 2),
         (["verify", '{"kind": "nope"}', "NP"], 2),
-        (["surface", LUKASIEWICZ, "-n", "5", "-o", os.devnull], 0),
-    ], ids=["eval", "residual", "malformed eval", "malformed verify", "surface"])
+    ], ids=["eval", "residual", "malformed eval", "malformed verify"])
     def test_calls_without_a_check_load_none(self, argv, code):
-        assert loaded_after(CHECK_MODULES, *argv) == (code, [set(), set(), set()])
+        assert loaded_modules_after(*argv) == (code, [set(), set(), set()])
+
+    def test_surface_loads_the_reports_only(self):
+        argv = ["surface", LUKASIEWICZ, "-n", "5", "-o", os.devnull]
+        assert loaded_modules_after(*argv) == (0, [set(), set(), sampling_modules()])
 
     @pytest.mark.parametrize("argv, code", [
         (["verify", LUKASIEWICZ, "NP", *FAST], 0),
@@ -670,20 +726,21 @@ class TestCheckModuleLoading:
           *FAST], 0),
     ], ids=["verify", "compare", "counterexample"])
     def test_checks_load_properties_only(self, argv, code):
-        assert loaded_after(CHECK_MODULES, *argv) == (
-            code, [set(), set(), {"genimpl.properties"}])
+        assert loaded_modules_after(*argv) == (
+            code, [set(), set(), {"genimpl.properties", *sampling_modules()}])
 
     def test_classify_loads_both(self):
         argv = ["classify", LUKASIEWICZ, "--classes", "lk", *FAST]
-        assert loaded_after(CHECK_MODULES, *argv) == (
-            0, [set(), set(), {"genimpl.properties", "genimpl.classes"}])
+        assert loaded_modules_after(*argv) == (
+            0, [set(), set(), {"genimpl.properties", "genimpl.classes", *sampling_modules()}])
 
     def test_a_surface_file_spec_loads_csv(self, tmp_path):
+        # reading the file back needs the sample grid, so the reports too
         path = tmp_path / "s.csv"
         assert main(["surface", LUKASIEWICZ, "-n", "5", "-o", str(path)]) == 0
         spec = json.dumps({"kind": "table", "path": str(path)})
-        assert loaded_after(CHECK_MODULES, "eval", spec, "0.25", "0.5") == (
-            0, [set(), set(), {"csv"}])
+        assert loaded_modules_after("eval", spec, "0.25", "0.5") == (
+            0, [set(), set(), {"csv", *sampling_modules()}])
 
 
 @pytest.mark.parametrize("argv", [

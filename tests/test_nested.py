@@ -8,8 +8,6 @@ and witness for every implication and connective kind the spec parser
 accepts.
 """
 
-import dataclasses
-
 import mpmath
 import pytest
 
@@ -179,7 +177,7 @@ def test_ep_on_ig_is_screened_by_its_enclosure(g, most_escalations):
     assert len(DEFAULT.triples()) == 11261
     i = parse_implication({"kind": "ig", "g": g})
     calls = []
-    counted = dataclasses.replace(i, fn=lambda x, y: calls.append(1) or i.fn(x, y))
+    counted = i.replace(fn=lambda x, y: calls.append(1) or i.fn(x, y))
     report = check_property(counted, "EP", DEFAULT)
     assert report.holds
     assert report.details["escalations"] <= most_escalations

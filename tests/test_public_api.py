@@ -1,8 +1,8 @@
 """The package's public names, pinned: a change to ``genimpl.__all__``
 fails here, and is then recorded with its reason in CHANGES.md.  So are
-the fields of the operator type every connective and implication shares."""
+the fields of the four read-only operator records, among them the
+operator type every connective and implication shares."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -36,9 +36,60 @@ def test_all_is_pinned():
     assert sorted(genimpl.__all__) == PUBLIC
 
 
-def test_operator_fields_are_pinned():
-    fields = [f.name for f in dataclasses.fields(genimpl.BinaryConnective)]
-    assert fields == ["fn", "label", "residual", "bounds", "parts"]
+FIELDS = {
+    genimpl.Bijection: ("forward", "inverse", "label"),
+    genimpl.Generator: ("direction", "fn", "inverse", "label"),
+    genimpl.BinaryConnective: ("fn", "label", "residual", "bounds", "parts"),
+    genimpl.Negation: ("fn", "label"),
+}
+RECORDS = {
+    genimpl.Bijection: genimpl.power_bijection(2),
+    genimpl.Generator: genimpl.yager_f(2),
+    genimpl.BinaryConnective: genimpl.yager_connective(2),
+    genimpl.Negation: genimpl.yager_negation(2),
+}
+IDS = [cls.__name__ for cls in FIELDS]
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=IDS)
+def test_operator_fields_are_pinned(cls):
+    assert cls.__slots__ == FIELDS[cls]
+    assert not hasattr(RECORDS[cls], "__dict__")
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=IDS)
+def test_operator_records_are_read_only(cls):
+    op = RECORDS[cls]
+    for name in FIELDS[cls]:
+        with pytest.raises(AttributeError):
+            setattr(op, name, None)
+        with pytest.raises(AttributeError):
+            delattr(op, name)
+    with pytest.raises(AttributeError):
+        op.other = None
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=IDS)
+def test_replace_changes_one_field_and_keeps_the_rest(cls):
+    op = RECORDS[cls]
+    copy = op.replace(label="other")
+    assert type(copy) is cls and copy is not op and op.label != "other"
+    assert [getattr(copy, name) for name in FIELDS[cls]] == [
+        "other" if name == "label" else getattr(op, name) for name in FIELDS[cls]]
+
+
+def test_replace_refuses_an_unknown_field():
+    op = RECORDS[genimpl.BinaryConnective]
+    with pytest.raises(TypeError, match="'nope'"):
+        op.replace(parts=None, nope=1)
+
+
+def test_a_generator_of_a_bad_direction_is_refused():
+    g = RECORDS[genimpl.Generator]
+    with pytest.raises(ValueError, match="bad direction 'up'"):
+        genimpl.Generator("up", g.fn, g.inverse, "up")
+    with pytest.raises(ValueError, match="bad direction"):
+        g.replace(direction="sideways")
 
 
 # In a fresh interpreter, where no check module is loaded yet: star-import

@@ -3,7 +3,6 @@ and clamp inline, and the constructors resolve family, direction and
 constants once: every value and report must stay what the per-call
 wrappers gave."""
 
-import dataclasses
 import math
 import sys
 
@@ -429,7 +428,7 @@ PHI_CONJUGATES = [op for op, _ in PARTED if op.label.startswith("I_phi")]
 
 @pytest.mark.parametrize("op, s", [*PARTED, (BUMPED, SMALL)], ids=[*PARTED_IDS, "bumped"])
 def test_reports_equal_without_parts(op, s):
-    plain = dataclasses.replace(op, parts=None)
+    plain = op.replace(parts=None)
     for check in (check_implication_axioms, check_tnorm_axioms):
         assert check(op, s).to_json() == check(plain, s).to_json(), check.__name__
 
@@ -449,7 +448,7 @@ def test_failing_scans_with_parts():
 def test_surface_probe_equal_without_parts(op, s):
     # the class probes' surface grid and right-continuity lines go through
     # the operator's table and lines, as the scans do
-    plain = dataclasses.replace(op, parts=None)
+    plain = op.replace(parts=None)
     for probe in (conjugate_lk_probe, r_probe):
         assert probe(op, s).to_json() == probe(plain, s).to_json(), probe.__name__
 
@@ -490,7 +489,7 @@ def test_generated_residual_evaluates_f_per_point_and_line(small_spec):
     s = small_spec
     n1, g = len(s.points_1d()), len(s.grid())
     f = Counting(TABLE_F.fn)
-    r = residual_candidate(generated_tnorm_connective(dataclasses.replace(TABLE_F, fn=f)))
+    r = residual_candidate(generated_tnorm_connective(TABLE_F.replace(fn=f)))
     assert r.parts is not None and check_implication_axioms(r, s).holds
     # the I3 corners evaluate no f (x <= y, or x = 1); I1 and I2 each
     # evaluate f once per sorted point and once per grid line
