@@ -19,6 +19,7 @@ from .bijections import Bijection
 from .generators import (
     DECREASING,
     INCREASING,
+    DomainError,
     Generator,
     Record,
     clamp01,
@@ -150,7 +151,8 @@ def goguen_implication(x: float, y: float) -> float:
 
 
 def lukasiewicz_implication(x: float, y: float) -> float:
-    return min(1.0 - x + y, 1.0)
+    v = 1.0 - x + y
+    return 1.0 if v > 1.0 else v  # min(v, 1.0), inline: a NaN stays NaN
 
 
 def drastic_implication(x: float, y: float) -> float:
@@ -188,10 +190,17 @@ def generated_tnorm_connective(f: Generator) -> BinaryConnective:
     for yager_f(p) the round trip f^(-1)(f(y)) loses about ulp/p, all of y at a tiny p.
     """
     require_direction(f, DECREASING, "t-norm")
-    f_fn = f.fn
+    f_fn, f_inv = f.fn, f.inverse
 
     def cell(a: float, b: float, x: float, y: float) -> float:
-        v = pseudo_inverse(f, a + b)
+        s = a + b
+        if isinstance(s, float):  # pseudo_inverse(f, s), written out
+            if not s >= 0.0:
+                raise DomainError(f"y={s!r} outside [0,+inf]")
+            v = float(f_inv(s))
+            v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+        else:
+            v = pseudo_inverse(f, s)
         # neutral element handled exactly, as in yager_connective: the round trip
         # f^(-1)(f(x)) is off by an ulp.  v is computed even then, so a
         # generator with f(1) < 0 is rejected wherever its sum goes negative
@@ -201,7 +210,17 @@ def generated_tnorm_connective(f: Generator) -> BinaryConnective:
         return cell(f_fn(x), f_fn(y), x, y)
 
     def residual_cell(a: float, b: float, x: float, y: float) -> float:  # a = f(x), b = f(y)
-        return 1.0 if x <= y else y if x == 1.0 else pseudo_inverse(f, max(b - a, 0.0))
+        if x <= y:
+            return 1.0
+        if x == 1.0:
+            return y
+        d = max(b - a, 0.0)
+        if not isinstance(d, float):
+            return pseudo_inverse(f, d)
+        if not d >= 0.0:  # pseudo_inverse(f, d), written out
+            raise DomainError(f"y={d!r} outside [0,+inf]")
+        v = float(f_inv(d))
+        return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
     def residual(x: float, y: float) -> float:  # with no f where the value is 1 or y
         return 1.0 if x <= y else y if x == 1.0 else residual_cell(f_fn(x), f_fn(y), x, y)
@@ -216,8 +235,18 @@ def generated_tconorm_connective(g: Generator) -> BinaryConnective:
     """g^(-1)(g(x) + g(y)) for an increasing generator g: the direction is
     checked once, here."""
     require_direction(g, INCREASING, "t-conorm")
-    g_fn = g.fn
-    return BinaryConnective(lambda x, y: pseudo_inverse(g, g_fn(x) + g_fn(y)), f"S[{g.label}]")
+    g_fn, g_inv = g.fn, g.inverse
+
+    def fn(x: float, y: float) -> float:
+        s = g_fn(x) + g_fn(y)
+        if not isinstance(s, float):
+            return pseudo_inverse(g, s)
+        if not s >= 0.0:  # pseudo_inverse(g, s), written out
+            raise DomainError(f"y={s!r} outside [0,+inf]")
+        v = float(g_inv(s))
+        return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+    return BinaryConnective(fn, f"S[{g.label}]")
 
 
 def dual_of(c: BinaryConnective) -> BinaryConnective:

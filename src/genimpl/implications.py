@@ -148,7 +148,8 @@ def residual_candidate(c: BinaryConnective) -> ImplicationCandidate:
 
 def mean_residual(x: float, y: float) -> float:
     """Residual of the quadratic mean; fails I(0,0)=1, so not an implication."""
-    return math.sqrt(min(max(2.0 * y * y - x * x, 0.0), 1.0))
+    v = 2.0 * y * y - x * x
+    return math.sqrt(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)  # min(max(v, 0.0), 1.0), inline
 
 
 def mean_residual_candidate() -> ImplicationCandidate:
@@ -199,7 +200,7 @@ VALUE_SLACK = 2.0**-44
 def _ig_end(fn, inverse, a: float, y: float, side: float) -> float:
     """g^(-1)(g(a) + g(y)) in double for g's ``fn`` and ``inverse``, pushed
     outward on ``side`` (+1 up, -1 down).  Each clamp01 and max is written
-    out: the enclosure runs four times per EP triple."""
+    out: the enclosure runs two to four times per EP triple."""
     a += side * ARG_SLACK
     y += side * ARG_SLACK
     s = (fn(0.0 if a < 0.0 else 1.0 if a > 1.0 else a)
@@ -226,15 +227,21 @@ def _ig_enclosure(g: Generator):
     x = 1 with y next to 1) the chain's slack alone leaves the lower end
     ~3e-7 below a value that is exactly 1 or y.  ARG_SLACK covers the
     rounding of 1 - x and a wide value just below a double y (power_gp 0.1
-    at (1, 0.05) is ~1e-40 below 0.05).
+    at (1, 0.05) is ~1e-40 below 0.05).  At x = 1 the upper end is at most
+    y_hi + ARG_SLACK, as I^g(1, y) = y: the chain's slack alone puts it a
+    VALUE_SLACK above y, which an outer g^(-1) steep next to g(1) widens
+    (power_gp 7: to 5.4e-6 above 1 - x at x = 0.05, y = 1, z = 0).
     """
     fn, inverse = g.fn, g.inverse
 
     def bounds(x: float, y_lo: float, y_hi: float) -> tuple[float, float]:
         a = 1.0 - x
         lo = _ig_end(fn, inverse, a, y_lo, -1.0)
-        floor = (a if a > y_lo else y_lo) - ARG_SLACK  # max, inline: 4 calls per EP triple
-        return lo if lo > floor else floor, _ig_end(fn, inverse, a, y_hi, 1.0)
+        floor = (a if a > y_lo else y_lo) - ARG_SLACK  # max, inline: 2-4 calls per EP triple
+        hi = _ig_end(fn, inverse, a, y_hi, 1.0)
+        if x == 1.0 and hi > y_hi + ARG_SLACK:  # I^g(1, y) = y
+            hi = y_hi + ARG_SLACK
+        return lo if lo > floor else floor, hi
 
     return bounds
 

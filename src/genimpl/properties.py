@@ -9,7 +9,7 @@ points, so re-evaluating them standalone reproduces the discrepancy.
 from __future__ import annotations
 
 import functools
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable
 
 from .bijections import Bijection
@@ -131,50 +131,66 @@ def _check_np(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport
     )
 
 
-def _ep_sides(f, x, y, z):
-    return f(x, f(y, z)), f(y, f(x, z))
+def _ep_sides(outer, inner, x, y, z):
+    return outer(x, inner(y, z)), outer(y, inner(x, z))
 
 
-def _t2_sides(f, x, y, z):
-    return f(f(x, y), z), f(x, f(y, z))
+def _t2_sides(outer, inner, x, y, z):
+    return outer(inner(x, y), z), outer(x, inner(y, z))
 
 
-def _assoc_sides(f, a, b, c):
-    return f(a, f(b, c)), f(f(a, b), c)
+def _assoc_sides(outer, inner, a, b, c):
+    return outer(a, inner(b, c)), outer(inner(a, b), c)
 
 
-def _nested_law(prop, sides, fn, triples, s, keys=("x", "y", "z"), holds_as=None,
-                bounds=None):
-    """Check that the two sides of a nested law agree within tol on triples.
+def _nested_law(prop, sides, fn, s, keys=("x", "y", "z"), holds_as=None,
+                bounds=None, special=()):
+    """Check that the two sides of a nested law agree within tol on the
+    ``special`` triples, then on ``s.triples()``.
 
-    ``sides(fn, a, b, c)`` composes the raw fn, so an inner value is never
-    clamped or rounded by the operator wrapper.  Each triple is evaluated
-    in float; when the float discrepancy exceeds ESCALATE_SHARE * tol, the
-    triple is re-evaluated at CHAIN_DPS (rounding a p-th root next to a
-    saturation point amplifies the last ulp of a double to ~1e-5) and that
-    wide evaluation alone gives the verdict, left/right and witness.  The
-    report's ``details.escalations`` counts the re-evaluated triples.
+    ``sides(outer, inner, a, b, c)`` composes the raw fn, so an inner value
+    is never clamped or rounded by the operator wrapper.  Each triple is
+    evaluated in float; when the float discrepancy exceeds ESCALATE_SHARE *
+    tol, the triple is re-evaluated at CHAIN_DPS (rounding a p-th root next
+    to a saturation point amplifies the last ulp of a double to ~1e-5) and
+    that wide evaluation alone gives the verdict, left/right and witness.
+    The report's ``details.escalations`` counts the re-evaluated triples.
+
+    Both inner values of a grid triple sit at two grid points, so the n^3
+    grid triples (the head of ``s.triples()``) read them from one table
+    over the n x n grid pairs, filled at a pair's first use: a grid triple
+    costs two outer evaluations, and no evaluation runs that a triple did
+    not ask for.  The special and random triples evaluate all four.
 
     With ``bounds`` (an operator's enclosure, see BinaryConnective) the
     float pass encloses both sides instead, nesting only in the second
-    argument as EP does, and its discrepancy is the bound
+    argument as EP does: inner is bounds(p, q, q), outer bounds(u, lo, hi)
+    of an inner (lo, hi), and the discrepancy is the bound
     U = max(L_hi - R_lo, R_hi - L_lo) on the true one.
     """
     escalate_above = ESCALATE_SHARE * s.tolerance
     worst = 0.0
     escalations = 0
-    if bounds is not None:
-        enclose = lambda u, v: bounds(u, *v)  # noqa: E731
-    for a, b, c in triples:
+    if bounds is None:
+        outer = inner = fn
+    else:
+        outer = lambda u, v: bounds(u, *v)  # noqa: E731
+        inner = lambda p, q: bounds(p, q, q)  # noqa: E731
+    triples = s.triples()
+    n3 = s.triple_grid_n ** 3
+    plan = chain(zip(repeat(inner), special),
+                 zip(repeat(functools.cache(inner)), triples[:n3]),
+                 zip(repeat(inner), triples[n3:]))
+    for read, (a, b, c) in plan:
+        left, right = sides(outer, read, a, b, c)
         if bounds is None:
-            left, right = sides(fn, a, b, c)
             d = abs(left - right)
         else:
-            (l_lo, l_hi), (r_lo, r_hi) = sides(enclose, a, b, (c, c))
+            (l_lo, l_hi), (r_lo, r_hi) = left, right
             d = max(l_hi - r_lo, r_hi - l_lo)
         if not d <= escalate_above:  # a NaN escalates too
             escalations += 1
-            left, right = map(float, chain_eval(functools.partial(sides, fn), a, b, c))
+            left, right = map(float, chain_eval(functools.partial(sides, fn, fn), a, b, c))
             d = abs(left - right)
             if d > s.tolerance:
                 witness = dict(zip(keys, (a, b, c)), left=left, right=right)
@@ -188,7 +204,7 @@ def _nested_law(prop, sides, fn, triples, s, keys=("x", "y", "z"), holds_as=None
 
 
 def _check_ep(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
-    return _nested_law("EP", _ep_sides, i.fn, s.triples(), s, bounds=i.bounds)
+    return _nested_law("EP", _ep_sides, i.fn, s, bounds=i.bounds)
 
 
 def _check_ip(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
@@ -241,9 +257,7 @@ def check_tnorm_axioms(
     """T1 commutativity, T2 associativity, T3 monotonicity, T4 boundary."""
     report = _tnorm_pair_laws(t, s)
     if report is None:
-        return _nested_law(
-            "T2", _t2_sides, t.fn, s.triples(), s, holds_as="T1-T4"
-        )
+        return _nested_law("T2", _t2_sides, t.fn, s, holds_as="T1-T4")
     report.details = {"escalations": 0}  # failed before any triple ran
     return report
 
@@ -290,8 +304,8 @@ def find_associativity_counterexample(
 ) -> PropertyReport:
     """First sampled triple with C(a, C(b,c)) != C(C(a,b), c)."""
     return _nested_law(
-        "associativity", _assoc_sides, c.fn, SPECIAL_TRIPLES + s.triples(), s,
-        keys=("a", "b", "c"),
+        "associativity", _assoc_sides, c.fn, s, keys=("a", "b", "c"),
+        special=SPECIAL_TRIPLES,
     )
 
 

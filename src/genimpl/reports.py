@@ -74,6 +74,7 @@ class SampleSpec:
         return [(rng.random(), rng.random()) for _ in range(self.random_count)]
 
     def triples(self) -> list[tuple[float, float, float]]:
+        """The triple_grid_n^3 grid triples x-major, then the seeded random ones."""
         g = SampleSpec(grid_n=self.triple_grid_n).grid()
         rng = random.Random(self.seed)
         return list(product(g, repeat=3)) + [

@@ -135,7 +135,10 @@ def old_ig_bounds(g, x, y_lo, y_hi):
     a = 1.0 - x
     lo = old_ig_end(g, a, y_lo, -1.0)
     floor = (a if a > y_lo else y_lo) - ARG_SLACK
-    return lo if lo > floor else floor, old_ig_end(g, a, y_hi, 1.0)
+    hi = old_ig_end(g, a, y_hi, 1.0)
+    if x == 1.0:  # I^g(1, y) = y caps the upper end
+        hi = min(hi, y_hi + ARG_SLACK)
+    return lo if lo > floor else floor, hi
 
 
 # Generators and their pseudo-inverse.

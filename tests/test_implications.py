@@ -427,6 +427,16 @@ class TestIgBounds:
         for y in (y_lo, 0.5 * (y_lo + y_hi), y_hi):
             assert lo <= wide_ig(g, x, y) <= hi, y
 
+    @pytest.mark.parametrize("g", INCREASING_GENERATORS, ids=lambda g: g.label)
+    def test_upper_end_at_x_one_is_capped_at_y(self, g):
+        # I^g(1, y) = y; the chain's slack alone leaves the upper end a
+        # VALUE_SLACK above y, 6.7e-14 at y = 0 for power_gp 7
+        bounds = ig_candidate(g).bounds
+        for y in SampleSpec(grid_n=41, random_count=40).points_1d():
+            for y_lo in (y, 0.5 * y):
+                lo, hi = bounds(1.0, y_lo, y)
+                assert lo <= wide_ig(g, 1.0, y) <= hi <= y + ARG_SLACK, (y_lo, y)
+
     def test_every_ig_gets_bounds(self):
         for g in INCREASING_GENERATORS:
             assert ig_candidate(g).bounds is not None, g.label

@@ -5,13 +5,19 @@ at CHAIN_DPS only when the float discrepancy comes near the tolerance.
 The reference below evaluates every triple at CHAIN_DPS, the way the
 checks did before.  On the default plan both must give the same verdict
 and witness for every implication and connective kind the spec parser
-accepts.
+accepts.  A second reference runs the float-first loop with all four
+evaluations on every triple, as the checks did before the grid triples
+read their inner values from a table: its reports must be the checks'
+own, byte for byte.
 """
+
+import functools
 
 import mpmath
 import pytest
 
 from genimpl.connectives import (
+    BinaryConnective,
     generated_tconorm_connective,
     yager_connective,
     yager_negation,
@@ -20,11 +26,13 @@ from genimpl.generators import power_gp, pseudo_inverse
 from genimpl.implications import (
     CHAIN_DPS,
     ImplicationCandidate,
+    chain_eval,
     ig_candidate,
     ign_candidate,
     residual_numeric,
 )
 from genimpl.properties import (
+    ESCALATE_SHARE,
     SPECIAL_TRIPLES,
     check_property,
     check_tnorm_axioms,
@@ -166,9 +174,9 @@ def test_ep_of_a_bisected_residual_matches_all_wide(of, holds):
     ({"kind": "neg_log"}, 0),
     # p = 2 escalates 6 triples, each through a point where g(1 - x) + g(y)
     # is exactly g(1), as (0.6, 0.2) inside (0.6, 0.8, 0); p = 7 escalates
-    # 17, most where the enclosure's upper end is loose next to g(1)
+    # 10, and 17 without the enclosure's cap at x = 1, where I^g(1, y) = y
     (POWER_GP2, 12),
-    ({"kind": "power_gp", "p": 7}, 24),
+    ({"kind": "power_gp", "p": 7}, 12),
 ], ids=_id)
 def test_ep_on_ig_is_screened_by_its_enclosure(g, most_escalations):
     # the 40-digit chain runs four times per escalated triple and nowhere
@@ -199,6 +207,134 @@ def test_t2_matches_all_wide():
     wide = all_wide("T2", t2_sides, t.fn, DEFAULT.triples(), DEFAULT, holds_as="T1-T4")
     assert_same(fast, wide, DEFAULT)
     assert "escalations" in fast.details
+
+
+# --------------------------------------------------------------------------
+# Against the float-first loop with four evaluations per triple
+# --------------------------------------------------------------------------
+
+
+def four_evaluations(prop, sides, fn, triples, s, keys=("x", "y", "z"), holds_as=None,
+                     bounds=None):
+    """The float-first loop with every side evaluated in full on every
+    triple, the enclosure's too; an escalated triple at CHAIN_DPS."""
+    worst = 0.0
+    escalations = 0
+    enclose = lambda u, v: bounds(u, *v)  # noqa: E731
+    for a, b, c in triples:
+        if bounds is None:
+            left, right = sides(fn, a, b, c)
+            d = abs(left - right)
+        else:
+            (l_lo, l_hi), (r_lo, r_hi) = sides(enclose, a, b, (c, c))
+            d = max(l_hi - r_lo, r_hi - l_lo)
+        if not d <= ESCALATE_SHARE * s.tolerance:
+            escalations += 1
+            left, right = map(float, chain_eval(functools.partial(sides, fn), a, b, c))
+            d = abs(left - right)
+            if d > s.tolerance:
+                report = failing(prop, s, dict(zip(keys, (a, b, c)), left=left, right=right), d)
+                break
+        worst = max(worst, d)
+    else:
+        report = passing(holds_as or prop, s, worst)
+    report.details = {"escalations": escalations}
+    return report
+
+
+def off_grid_max(grid):
+    """max(x, y) where x and y are grid points or coordinates of the special
+    triple, half of it elsewhere: the grid and special triples are
+    associative, the random ones are not."""
+    on_grid = {*grid, *SPECIAL_TRIPLES[0]}
+    return lambda x, y: max(x, y) if x in on_grid and y in on_grid else 0.5 * max(x, y)
+
+
+def first_raising_at_one_one(x, y):
+    """The first projection, which breaks EP at (0, 0.1, 0), an early grid
+    triple; it raises at (1, 1), which only later triples reach."""
+    if x == y == 1.0:
+        raise ArithmeticError("(1, 1) evaluated")
+    return x
+
+
+def mean_of_min_and_product(x, y):
+    """Commutative, monotone, with neutral element 1, and not associative."""
+    return 0.5 * (min(x, y) + x * y)
+
+
+NESTED_PLAN = SampleSpec(triple_grid_n=11, triple_random_count=500)
+TABLE_CASES = [
+    ("EP", {"kind": "yager_residual", "p": 2}),
+    ("EP", {"kind": "ig", "g": POWER_GP2}),
+    ("EP", {"kind": "ig", "g": {"kind": "power_gp", "p": 7}}),
+    ("EP", {"kind": "piecewise_f"}),  # fails at a grid triple
+    ("EP", first_raising_at_one_one),
+    ("T2", {"kind": "yager_tnorm", "p": 2}),
+    ("T2", mean_of_min_and_product),  # fails at a grid triple
+    ("associativity", {"kind": "generated_tconorm", "g": {"kind": "neg_log"}}),
+    ("associativity", {"kind": "mean"}),  # fails at the special triple
+    ("associativity", off_grid_max),  # fails at the first random triple
+]
+
+
+def _case_id(law, op):
+    return f"{law}-{getattr(op, '__name__', None) or _id(op)}"
+
+
+def table_case(law, op, s):
+    """(the check's report, the four-evaluation loop's) for law on op."""
+    if callable(op):
+        fn = off_grid_max(SampleSpec(grid_n=s.triple_grid_n).grid()) if op is off_grid_max else op
+        op = BinaryConnective(fn, op.__name__)
+    elif law == "EP":
+        op = parse_implication(op)
+    else:
+        op = parse_connective(op)
+    if law == "EP":
+        return (check_property(op, "EP", s),
+                four_evaluations("EP", ep_sides, op.fn, s.triples(), s, bounds=op.bounds))
+    if law == "T2":
+        return (check_tnorm_axioms(op, s),
+                four_evaluations("T2", t2_sides, op.fn, s.triples(), s, holds_as="T1-T4"))
+    return (find_associativity_counterexample(op, s),
+            four_evaluations("associativity", assoc_sides, op.fn, SPECIAL_TRIPLES + s.triples(),
+                             s, keys=("a", "b", "c")))
+
+
+@pytest.mark.parametrize("seed", [1, 5, 42])
+@pytest.mark.parametrize("law, op", TABLE_CASES,
+                         ids=[_case_id(*case) for case in TABLE_CASES])
+def test_grid_table_matches_four_evaluations(law, op, seed):
+    s = SampleSpec(**{**NESTED_PLAN.as_dict(), "seed": seed})
+    fast, reference = table_case(law, op, s)
+    assert fast.to_json() == reference.to_json()
+
+
+FAILING_CASES = [
+    ("associativity", {"kind": "mean"}, SPECIAL_TRIPLES[0]),
+    ("EP", {"kind": "piecewise_f"}, (0.5, 0.6, 0.1)),
+    ("EP", first_raising_at_one_one, (0.0, 0.1, 0.0)),
+    ("T2", mean_of_min_and_product, None),
+    ("associativity", off_grid_max, None),
+]
+
+
+@pytest.mark.parametrize("law, op, triple", FAILING_CASES,
+                         ids=[_case_id(law, op) for law, op, _ in FAILING_CASES])
+def test_table_cases_fail_where_they_should(law, op, triple):
+    # the failing cases above fail at a special, a grid and a random triple
+    report, _ = table_case(law, op, NESTED_PLAN)
+    assert report.property == law and not report.holds
+    grid = SampleSpec(grid_n=NESTED_PLAN.triple_grid_n).grid()
+    witness = tuple(report.witness[k] for k in ("x", "y", "z", "a", "b", "c")
+                    if k in report.witness)
+    if triple is not None:
+        assert witness == triple
+    elif op is off_grid_max:
+        assert witness == NESTED_PLAN.triples()[len(grid) ** 3]
+    else:
+        assert set(witness) <= set(grid)
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,9 @@ verdict and witness as they were.  The digest holds, at seeds 1, 5 and
 42 on the nested-laws triple plan: T1-T4 on the nested-laws connectives,
 on the Yager t-norm at p = 1000 (both powers underflow), on a table
 generator's t-norm and on a table that fails T1; EP on five generated
-implications; I1-I3 on three phi-conjugates of the Lukasiewicz
+implications and on the Yager residual at p = 0.5, 2 and 3.7;
+associativity of two generated t-conorms, of the quadratic mean and of
+its dual (the last three fail); I1-I3 on three phi-conjugates of the Lukasiewicz
 implication, on the Yager residual at p = 2 and at p = 1000 (its scaled
 branch) and on an I^g_N whose negation rises, so I1 fails; and OP on
 the residual of the Yager t-norm at p = 2.  ``max_discrepancy`` is
@@ -23,7 +25,12 @@ import pathlib
 
 import pytest
 
-from genimpl.properties import check_implication_axioms, check_property, check_tnorm_axioms
+from genimpl.properties import (
+    check_implication_axioms,
+    check_property,
+    check_tnorm_axioms,
+    find_associativity_counterexample,
+)
 from genimpl.reports import SampleSpec
 from genimpl.specs import parse_connective, parse_implication
 
@@ -61,6 +68,13 @@ IMPLICATIONS = {
         "kind": "ign", "g": {"kind": "neg_log"},
         "N": {"kind": "table", "points": [[0, 1], [0.4, 0.2], [0.6, 0.6], [1, 0]]}},
 }
+EP_OF = {f"yager_residual {p}": {"kind": "yager_residual", "p": p} for p in (0.5, 2, 3.7)}
+ASSOCIATIVITY_OF = {
+    **{f"generated_tconorm({name})": {"kind": "generated_tconorm", "g": {"kind": name}}
+       for name in ("neg_log", "piecewise_f")},
+    "mean": {"kind": "mean"},
+    "dual(mean)": {"kind": "dual", "of": {"kind": "mean"}},
+}
 OP_OF = {"residual(yager_tnorm 2)": {"kind": "residual", "of": {"kind": "yager_tnorm", "p": 2}}}
 
 
@@ -75,6 +89,13 @@ def cases():
             yield (f"EP ig({name}) seed={seed}",
                    lambda g=g, s=s: check_property(parse_implication({"kind": "ig", "g": g}),
                                                    "EP", s))
+        for name, spec in EP_OF.items():
+            yield (f"EP {name} seed={seed}",
+                   lambda spec=spec, s=s: check_property(parse_implication(spec), "EP", s))
+        for name, spec in ASSOCIATIVITY_OF.items():
+            yield (f"associativity {name} seed={seed}",
+                   lambda spec=spec, s=s: find_associativity_counterexample(
+                       parse_connective(spec), s))
         for name, spec in IMPLICATIONS.items():
             yield (f"I1-I3 {name} seed={seed}",
                    lambda spec=spec, s=s: check_implication_axioms(parse_implication(spec), s))

@@ -5,6 +5,7 @@ wrappers gave."""
 
 import math
 import sys
+from itertools import product
 
 import mpmath
 import pytest
@@ -16,6 +17,7 @@ from genimpl.connectives import (
     Negation,
     basic,
     dual_of,
+    lukasiewicz_implication,
     generated_tconorm_connective,
     generated_tnorm_connective,
     standard_negation,
@@ -28,6 +30,8 @@ from genimpl.connectives import (
 from genimpl.generators import (
     DECREASING,
     INCREASING,
+    DomainError,
+    Generator,
     clamp01,
     neg_log,
     piecewise_f,
@@ -42,6 +46,7 @@ from genimpl.implications import (
     build_intersection_member,
     ig_candidate,
     ign_candidate,
+    mean_residual,
     phi_conjugate_candidate,
     residual_candidate,
     sn_candidate,
@@ -174,11 +179,51 @@ CASES = [
 def test_fn_equals_its_formula_bit_for_bit(name, op, formula):
     assert len(PAIRS) > 10_000
     for x, y in PAIRS:
-        assert op.fn(x, y) == formula(x, y), (x, y)
+        v, want = op.fn(x, y), formula(x, y)
+        assert v == want and type(v) is type(want), (x, y)
     with mpmath.workdps(CHAIN_DPS):
         for x, y in MPF_PAIRS:
             v, want = op.fn(mpmath.mpf(x), mpmath.mpf(y)), formula(mpmath.mpf(x), mpmath.mpf(y))
             assert v == want and type(v) is type(want), (x, y)
+
+
+# The generated connectives write pseudo_inverse out on a double sum; it
+# must still reject a negative or NaN sum, with pseudo_inverse's message.
+# f(x) = 0.5 - x is decreasing with f(1) < 0, and g(x) = 2x increasing,
+# negative below 0.
+BELOW_ZERO = (Generator(DECREASING, lambda x: 0.5 - x, lambda y: 0.5 - y, "f(1)<0"),
+              Generator(INCREASING, lambda x: 2.0 * x, lambda y: 0.5 * y, "2x"))
+
+
+@pytest.mark.parametrize("build, g, x, y, s", [
+    (generated_tnorm_connective, BELOW_ZERO[0], 0.9, 0.8, (0.5 - 0.9) + (0.5 - 0.8)),
+    (generated_tnorm_connective, BELOW_ZERO[0], math.nan, 0.5, math.nan),
+    (lambda f: residual_candidate(generated_tnorm_connective(f)), yager_f(2.0),
+     0.7, math.nan, math.nan),
+    (generated_tconorm_connective, BELOW_ZERO[1], -0.5, 0.2, -0.6),
+    (generated_tconorm_connective, power_gp(2.0), 0.5, math.nan, math.nan),
+], ids=["tnorm negative", "tnorm nan", "residual nan", "tconorm negative", "tconorm nan"])
+def test_generated_cells_reject_a_sum_outside_the_domain(build, g, x, y, s):
+    with pytest.raises(DomainError) as want:
+        pseudo_inverse(g, s)
+    with pytest.raises(DomainError) as got:
+        build(g).fn(x, y)
+    assert str(got.value) == str(want.value)
+
+
+# lukasiewicz_implication and mean_residual write min and max out; each
+# must give what the builtins gave, bit for bit, -0.0 and NaN included
+EDGES = (math.nan, 0.0, -0.0, -1e-300, -0.5, 0.5, 1.0, 1.5, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("fn, builtin", [
+    (lukasiewicz_implication, lambda x, y: min(1.0 - x + y, 1.0)),
+    (mean_residual, lambda x, y: math.sqrt(min(max(2.0 * y * y - x * x, 0.0), 1.0))),
+], ids=["lukasiewicz_implication", "mean_residual"])
+def test_written_out_min_and_max_match_the_builtins(fn, builtin):
+    for x, y in [*PAIRS, *product(EDGES, repeat=2)]:
+        v, want = fn(x, y), builtin(x, y)
+        assert repr(v) == repr(want) and type(v) is type(want), (x, y)
 
 
 # I^g is I^g_N at the standard negation: the same chain, part for part,
@@ -310,6 +355,14 @@ class Counting:
         return self.fn(*args)
 
 
+def nested_evaluations(s):
+    """fn evaluations of a nested law that passes with no escalation: each
+    grid pair once for the inner table, two outer evaluations per grid
+    triple and four per random triple."""
+    n = s.triple_grid_n
+    return n * n + 2 * n**3 + 4 * s.triple_random_count
+
+
 def test_evaluations_per_check(small_spec):
     s = small_spec
     n1, g = len(s.points_1d()), len(s.grid())
@@ -322,9 +375,9 @@ def test_evaluations_per_check(small_spec):
     report = check_tnorm_axioms(BinaryConnective(product, "product"), s)
     assert report.holds and report.details["escalations"] == 0
     # T4, T1 on each grid cell (the table, its diagonal too) and both ways
-    # on each random pair, the T3 scan, then four float evaluations per triple
+    # on each random pair, the T3 scan, then T2's float evaluations
     t1_calls = g * g + 2 * s.random_count
-    assert product.calls == n1 + t1_calls + g * n1 + 4 * len(s.triples())
+    assert product.calls == n1 + t1_calls + g * n1 + nested_evaluations(s)
 
     standard = Counting(lambda x: 1 - x)
     assert check_negation_axioms(Negation(standard, "standard"), s).holds
@@ -474,13 +527,14 @@ def test_evaluations_per_check_with_parts(small_spec):
     report = check_tnorm_axioms(yager, s)
     assert report.holds
     u, v, cell = yager.parts
-    # fn: T4, T1 both ways on each random pair, then four float
-    # evaluations per triple and four wide ones per escalated triple.
+    # fn: T4, T1 both ways on each random pair, then T2's float
+    # evaluations and four wide ones per escalated triple.
     # T1's grid table runs on the parts: u and v once per grid point and
     # cell per grid cell; the T3 scan takes v per sorted point, u per grid
     # line and cell per cell
     escalations = report.details["escalations"]
-    assert yager.fn.calls == n1 + 2 * s.random_count + 4 * (len(s.triples()) + escalations)
+    assert yager.fn.calls == (n1 + 2 * s.random_count + nested_evaluations(s)
+                              + 4 * escalations)
     assert (u.calls, v.calls) == (g + g, g + n1)
     assert cell.calls == g * g + g * n1
 
