@@ -77,7 +77,9 @@ class BinaryConnective(Record):
         With ``parts`` the term of every point is evaluated once, the term
         of c once per line, and only ``cell`` per cell; otherwise fn per
         cell.  The values of a line are lazy, so a scan that stops at a
-        breaking pair evaluates no cell past it.
+        breaking pair evaluates no cell past it.  The points' terms are
+        listed only when several lines share them: a single line streams
+        them too, in the order fn would evaluate them.
         """
         if self.parts is None:
             fn = self.fn
@@ -85,14 +87,15 @@ class BinaryConnective(Record):
                 yield c, map(fn, points, repeat(c)) if first else map(fn, repeat(c), points)
             return
         u, v, cell = self.parts
+        terms = map(u if first else v, points)
+        if len(grid) > 1:
+            terms = list(terms)
         if first:
-            us = list(map(u, points))
             for c in grid:
-                yield c, map(cell, us, repeat(v(c)), points, repeat(c))
+                yield c, map(cell, terms, repeat(v(c)), points, repeat(c))
         else:
-            vs = list(map(v, points))
             for c in grid:
-                yield c, map(cell, repeat(u(c)), vs, repeat(c), points)
+                yield c, map(cell, repeat(u(c)), terms, repeat(c), points)
 
     def table(self, g) -> list[list[float]]:
         """rows[a][b] = self(g[a], g[b]), clamped as ``__call__`` clamps,

@@ -9,7 +9,7 @@ points, so re-evaluating them standalone reproduces the discrepancy.
 from __future__ import annotations
 
 import functools
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Callable
 
 from .bijections import Bijection
@@ -36,14 +36,40 @@ def _pointwise_law(prop, s, points, gap, witness):
     """The failing report at the first point whose ``gap(*point)`` exceeds
     tol, else a passing report with the largest gap.  ``witness(*point)``
     evaluates again; the operators are deterministic, so it sees the same
-    values as the gap did."""
+    values as the gap did.  A gap is never negative, and the running worst
+    never exceeds tol, so one comparison settles a gap that is not above
+    it; a NaN gap neither fails nor counts."""
+    tol = s.tolerance
     worst = 0.0
     for point in points:
         d = gap(*point)
-        if d > s.tolerance:
-            return failing(prop, s, witness(*point), d)
-        worst = max(worst, d)
+        if d > worst:
+            if d > tol:
+                return failing(prop, s, witness(*point), d)
+            worst = d
     return passing(prop, s, worst)
+
+
+def _pair_values(op, s):
+    """(x, y, op(x, y)) for each pair of ``s.iter_pairs()``, in its order.
+    The grid rows are read through ``op.lines`` and clamped inline as
+    ``__call__`` clamps (a NaN stays NaN); a row is lazy, so a check that
+    stops at a pair evaluates no cell past it.  The random pairs call op."""
+    g = s.grid()
+    for x, values in op.lines(g, g):
+        for y, v in zip(g, values):
+            yield x, y, 0.0 if v < 0.0 else 1.0 if v > 1.0 else v  # clamp01, inline
+    for x, y in s.random_pairs():
+        yield x, y, op(x, y)
+
+
+def _line_values(op, s, c, first=False):
+    """(t, op(c, t)) for each t of ``s.points_1d()`` in its order, or with
+    ``first`` (t, op(t, c)): one line through ``op.lines``, clamped inline
+    as ``__call__`` clamps."""
+    points = s.points_1d()
+    (_, values), = op.lines(points, (c,), first)
+    return zip(points, (0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in values))
 
 
 def _scan_monotone(prop, s, values, xs, increasing, coords):
@@ -124,10 +150,11 @@ def validate_law(prop: str, negation: Negation | None) -> None:
 
 
 def _check_np(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
+    """NP, I(1, y) = y, along the line x = 1."""
     return _pointwise_law(
-        "NP", s, zip(s.points_1d()),
-        lambda y: abs(i(1.0, y) - y),
-        lambda y: {"y": y, "value": i(1.0, y)},
+        "NP", s, _line_values(i, s, 1.0),
+        lambda y, v: abs(v - y),
+        lambda y, v: {"y": y, "value": i(1.0, y)},
     )
 
 
@@ -146,7 +173,7 @@ def _assoc_sides(outer, inner, a, b, c):
 def _nested_law(prop, sides, fn, s, keys=("x", "y", "z"), holds_as=None,
                 bounds=None, special=()):
     """Check that the two sides of a nested law agree within tol on the
-    ``special`` triples, then on ``s.triples()``.
+    ``special`` triples, then on ``s.iter_triples()``.
 
     ``sides(outer, inner, a, b, c)`` composes the raw fn, so an inner value
     is never clamped or rounded by the operator wrapper.  Each triple is
@@ -157,7 +184,7 @@ def _nested_law(prop, sides, fn, s, keys=("x", "y", "z"), holds_as=None,
     The report's ``details.escalations`` counts the re-evaluated triples.
 
     Both inner values of a grid triple sit at two grid points, so the n^3
-    grid triples (the head of ``s.triples()``) read them from one table
+    grid triples (the head of ``s.iter_triples()``) read them from one table
     over the n x n grid pairs, filled at a pair's first use: a grid triple
     costs two outer evaluations, and no evaluation runs that a triple did
     not ask for.  The special and random triples evaluate all four.
@@ -176,11 +203,10 @@ def _nested_law(prop, sides, fn, s, keys=("x", "y", "z"), holds_as=None,
     else:
         outer = lambda u, v: bounds(u, *v)  # noqa: E731
         inner = lambda p, q: bounds(p, q, q)  # noqa: E731
-    triples = s.triples()
-    n3 = s.triple_grid_n ** 3
+    triples = s.iter_triples()  # the grid head, then the random tail
     plan = chain(zip(repeat(inner), special),
-                 zip(repeat(functools.cache(inner)), triples[:n3]),
-                 zip(repeat(inner), triples[n3:]))
+                 zip(repeat(functools.cache(inner)), islice(triples, s.triple_grid_n ** 3)),
+                 zip(repeat(inner), triples))
     for read, (a, b, c) in plan:
         left, right = sides(outer, read, a, b, c)
         if bounds is None:
@@ -218,8 +244,7 @@ def _check_ip(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport
 def _check_op(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
     tol = s.tolerance
 
-    def gap(x, y):
-        v = i(x, y)
+    def gap(x, y, v):  # v = I(x, y)
         if x <= y:
             return abs(v - 1.0)
         if not (v >= 1.0 - tol and x > y + OP_SLACK * tol):
@@ -229,19 +254,20 @@ def _check_op(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport
         # is 1; x - y then exceeds 10*tol > tol
         return x - y if chain_eval(i, x, y) >= 1 else 0.0
 
-    def witness(x, y):
+    def witness(x, y, v):
         direction = "x<=y but I(x,y)<1" if x <= y else "I(x,y)=1 but x>y"
         return {"x": x, "y": y, "value": i(x, y), "direction": direction}
 
-    return _pointwise_law("OP", s, s.iter_pairs(), gap, witness)
+    return _pointwise_law("OP", s, _pair_values(i, s), gap, witness)
 
 
 def _check_cp(i: ImplicationCandidate, s: SampleSpec, n: Negation) -> PropertyReport:
+    """CP, its left side I(x, y) read with the pairs, its right side pointwise."""
     return _pointwise_law(
-        "CP", s, s.iter_pairs(),
-        lambda x, y: abs(i(x, y) - i(n(y), n(x))),
-        lambda x, y: {"x": x, "y": y, "left": i(x, y), "right": i(n(y), n(x)),
-                      "negation": n.label},
+        "CP", s, _pair_values(i, s),
+        lambda x, y, v: abs(v - i(n(y), n(x))),
+        lambda x, y, v: {"x": x, "y": y, "left": i(x, y), "right": i(n(y), n(x)),
+                         "negation": n.label},
     )
 
 
@@ -264,14 +290,19 @@ def check_tnorm_axioms(
 
 def _tnorm_pair_laws(t: BinaryConnective, s: SampleSpec) -> PropertyReport | None:
     """The first failing report of T4, T1 and T3, or None."""
-    report = _pointwise_law(
-        "T4", s, zip(s.points_1d()),
-        lambda x: abs(t(x, 1.0) - x),
-        lambda x: {"x": x, "y": 1.0, "value": t(x, 1.0)},
-    )
+    report = _check_t4(t, s)
     if report.holds:
         report = _check_t1(t, s)
     return _scan("T3", t, s) if report.holds else report
+
+
+def _check_t4(t: BinaryConnective, s: SampleSpec) -> PropertyReport:
+    """T4, T(x, 1) = x, along the line y = 1."""
+    return _pointwise_law(
+        "T4", s, _line_values(t, s, 1.0, first=True),
+        lambda x, v: abs(v - x),
+        lambda x, v: {"x": x, "y": 1.0, "value": t(x, 1.0)},
+    )
 
 
 def _check_t1(t: BinaryConnective, s: SampleSpec) -> PropertyReport:
@@ -314,11 +345,11 @@ def compare_surfaces(
     g: BinaryConnective,
     s: SampleSpec = SampleSpec(),
 ) -> PropertyReport:
-    """Max |F - G| over the sample pairs, with the argmax point."""
+    """Max |F - G| over the sample pairs, with the argmax point; both
+    surfaces are read with the pairs."""
     worst = -1.0
     arg = None
-    for x, y in s.iter_pairs():
-        vf, vg = f(x, y), g(x, y)
+    for (x, y, vf), (_, _, vg) in zip(_pair_values(f, s), _pair_values(g, s)):
         d = abs(vf - vg)
         if d > worst:
             worst = d

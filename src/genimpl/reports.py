@@ -73,12 +73,16 @@ class SampleSpec:
         rng = random.Random(self.seed)
         return [(rng.random(), rng.random()) for _ in range(self.random_count)]
 
-    def triples(self) -> list[tuple[float, float, float]]:
-        """The triple_grid_n^3 grid triples x-major, then the seeded random ones."""
-        g = SampleSpec(grid_n=self.triple_grid_n).grid()
+    def iter_triples(self) -> Iterator[tuple[float, float, float]]:
+        """The sample triples, streamed: the triple_grid_n^3 grid triples
+        x-major, then the seeded random ones.  A check builds no list."""
         rng = random.Random(self.seed)
-        return list(product(g, repeat=3)) + [
-            (rng.random(), rng.random(), rng.random()) for _ in range(self.triple_random_count)]
+        return chain(product(SampleSpec(grid_n=self.triple_grid_n).grid(), repeat=3),
+                     ((rng.random(), rng.random(), rng.random())
+                      for _ in range(self.triple_random_count)))
+
+    def triples(self) -> list[tuple[float, float, float]]:
+        return list(self.iter_triples())
 
     def as_dict(self) -> dict:
         """Every field, so ``SampleSpec(**spec.as_dict())`` replays the plan."""

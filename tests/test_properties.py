@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -9,17 +11,21 @@ from genimpl.connectives import (
     Negation,
     basic,
     dual_of,
+    generated_tnorm_connective,
     mean_connective,
+    phi_negation,
     quasi_arithmetic_mean,
     standard_negation,
     yager_connective,
     yager_negation,
     yager_residual_candidate,
 )
-from genimpl.generators import neg_log
+from genimpl.generators import neg_log, yager_f
 from genimpl.implications import (
     CHAIN_DPS,
     ImplicationCandidate,
+    build_intersection_member,
+    chain_eval,
     ig_candidate,
     mean_residual,
     mean_residual_candidate,
@@ -29,7 +35,11 @@ from genimpl.implications import (
     residual_numeric,
 )
 from genimpl.properties import (
+    OP_SLACK,
     _check_t1,
+    _check_t4,
+    _line_values,
+    _pair_values,
     check_implication_axioms,
     check_negation_axioms,
     check_property,
@@ -221,48 +231,155 @@ def test_t1_once_per_unordered_grid_pair(seed, make, fails_on):
     assert (axioms.property, axioms.witness) == ("T1", w)
 
 
-# OP, CP and compare_surfaces stream ``s.iter_pairs()`` instead of building
-# the ``s.pairs()`` list: each report must be the one a loop over the list
-# gives.
+# NP, T4, OP, CP and compare_surfaces read the operator's values through
+# its grid lines.  Each report must be, byte for byte, the one a loop over
+# ``s.pairs()`` (or ``s.points_1d()``) through ``__call__`` gives: the
+# reference loops below, written out.
 
-STREAMED = {
-    "OP lukasiewicz": lambda s: check_property(LUKASIEWICZ, "OP", s),
-    "OP piecewise_f": lambda s: check_property(piecewise_f_candidate(), "OP", s),
-    "CP lukasiewicz": lambda s: check_property(LUKASIEWICZ, "CP", s,
-                                               standard_negation()),
-    "CP goedel": lambda s: check_property(residual_candidate(basic("min")), "CP", s,
-                                          standard_negation()),
-    "compare yager 1 lukasiewicz": lambda s: compare_surfaces(
-        yager_connective(1.0), basic("lukasiewicz"), s),
-    "compare product min": lambda s: compare_surfaces(basic("product"), basic("min"), s),
+
+def reference_law(prop, s, points, gap, witness):
+    worst = 0.0
+    for point in points:
+        d = gap(*point)
+        if d > s.tolerance:
+            return failing(prop, s, witness(*point), d)
+        worst = max(worst, d)
+    return passing(prop, s, worst)
+
+
+def reference_np(i, s):
+    return reference_law("NP", s, zip(s.points_1d()), lambda y: abs(i(1.0, y) - y),
+                         lambda y: {"y": y, "value": i(1.0, y)})
+
+
+def reference_t4(t, s):
+    return reference_law("T4", s, zip(s.points_1d()), lambda x: abs(t(x, 1.0) - x),
+                         lambda x: {"x": x, "y": 1.0, "value": t(x, 1.0)})
+
+
+def reference_op(i, s):
+    tol = s.tolerance
+
+    def gap(x, y):
+        v = i(x, y)
+        if x <= y:
+            return abs(v - 1.0)
+        if not (v >= 1.0 - tol and x > y + OP_SLACK * tol):
+            return 0.0
+        return x - y if chain_eval(i, x, y) >= 1 else 0.0
+
+    def witness(x, y):
+        direction = "x<=y but I(x,y)<1" if x <= y else "I(x,y)=1 but x>y"
+        return {"x": x, "y": y, "value": i(x, y), "direction": direction}
+
+    return reference_law("OP", s, s.pairs(), gap, witness)
+
+
+def reference_cp(i, s, n):
+    return reference_law(
+        "CP", s, s.pairs(), lambda x, y: abs(i(x, y) - i(n(y), n(x))),
+        lambda x, y: {"x": x, "y": y, "left": i(x, y), "right": i(n(y), n(x)),
+                      "negation": n.label})
+
+
+def reference_compare(f, g, s):
+    worst, arg = -1.0, None
+    for x, y in s.pairs():
+        vf, vg = f(x, y), g(x, y)
+        d = abs(vf - vg)
+        if d > worst:
+            worst, arg = d, {"x": x, "y": y, "left": vf, "right": vg}
+    report = (passing("surface-compare", s, worst) if worst <= s.tolerance
+              else failing("surface-compare", s, arg, worst))
+    report.details = {"argmax": arg}
+    return report
+
+
+YAGER_RESIDUAL = yager_residual_candidate(2.0)
+CONJUGATE = build_intersection_member(power_bijection(2.0))
+IG = ig_candidate(neg_log())
+GENERATED = generated_tnorm_connective(yager_f(2.0))
+GOEDEL = residual_candidate(basic("min"))
+# raw values outside [0, 1], which the operator clamps: 1.5 at y = 1, -1 at x = 0
+OVERSHOOT = BinaryConnective(lambda x, y: 1.5 if y == 1.0 else min(1.0, 1.0 - x + y), "over")
+UNDERSHOOT = BinaryConnective(lambda x, y: -1.0 if x == 0.0 else x * y, "under")
+
+
+def small(seed):
+    return SampleSpec(grid_n=21, random_count=50, seed=seed)
+
+
+def law_case(law, op, negation=None, plan=SampleSpec):
+    """(check, reference, plan) of NP, OP or CP on op."""
+    if law == "CP":
+        return (lambda s: check_property(op, law, s, negation),
+                lambda s: reference_cp(op, s, negation), plan)
+    reference = {"NP": reference_np, "OP": reference_op}[law]
+    return lambda s: check_property(op, law, s), lambda s: reference(op, s), plan
+
+
+def compare_case(f, g, plan=SampleSpec):
+    return (lambda s: compare_surfaces(f, g, s), lambda s: reference_compare(f, g, s), plan)
+
+
+# name: ((check, reference, plan), holds); the parted operators first, then plain ones
+PAIR_LAWS = {
+    **{f"{law} {op.label}": (law_case(law, op), True)
+       for op in (YAGER_RESIDUAL, GENERATED.residual, CONJUGATE) for law in ("NP", "OP")},
+    "CP yager_residual N_p": (law_case("CP", YAGER_RESIDUAL, yager_negation(2.0)), True),
+    "CP yager_residual standard": (law_case("CP", YAGER_RESIDUAL, standard_negation()), False),
+    "CP conjugate N_phi": (law_case("CP", CONJUGATE, phi_negation(power_bijection(2.0))), True),
+    **{f"T4 {t.label}": ((lambda s, t=t: _check_t4(t, s), lambda s, t=t: reference_t4(t, s),
+                          SampleSpec), holds)
+       for t, holds in ((yager_connective(2.0), True), (GENERATED, True),
+                        (mean_connective(), False))},
+    "compare generated yager 2": (compare_case(GENERATED, yager_connective(2.0)), True),
+    "compare generated yager 3.7": (compare_case(GENERATED, yager_connective(3.7)), False),
+    "compare yager 2 product": (compare_case(yager_connective(2.0), basic("product")), False),
+    "NP ig": (law_case("NP", IG, plan=small), True),
+    "OP ig": (law_case("OP", IG, plan=small), False),
+    "CP ig standard": (law_case("CP", IG, standard_negation(), small), True),
+    "compare ig lukasiewicz": (compare_case(IG, LUKASIEWICZ, small), False),
+    "OP piecewise_f": (law_case("OP", piecewise_f_candidate()), False),
+    "NP mean_residual": (law_case("NP", mean_residual_candidate()), False),
+    "OP lukasiewicz": (law_case("OP", LUKASIEWICZ), True),
+    "CP lukasiewicz": (law_case("CP", LUKASIEWICZ, standard_negation()), True),
+    "CP goedel": (law_case("CP", GOEDEL, standard_negation()), False),
+    "compare yager 1 lukasiewicz": (compare_case(yager_connective(1.0), basic("lukasiewicz")),
+                                    True),
+    "compare product min": (compare_case(basic("product"), basic("min")), False),
+    **{f"{law} over": (law_case(law, OVERSHOOT, negation), True)
+       for law, negation in (("NP", None), ("OP", None), ("CP", standard_negation()))},
+    "compare over lukasiewicz": (compare_case(OVERSHOOT, LUKASIEWICZ), True),
+    "T4 under": ((lambda s: _check_t4(UNDERSHOOT, s), lambda s: reference_t4(UNDERSHOOT, s),
+                  SampleSpec), True),
 }
 
 
 @pytest.mark.parametrize("seed", [1, 5, 42])
-@pytest.mark.parametrize("check", STREAMED.values(), ids=STREAMED)
-def test_streamed_pairs_give_the_listed_report(seed, check, monkeypatch):
-    s = SampleSpec(seed=seed)
-    pairs = s.pairs()
-    assert pairs == list(s.iter_pairs())
-    with monkeypatch.context() as m:
-        # the check reads its pairs from iter_pairs, here the built list
-        handed = []
-        m.setattr(SampleSpec, "iter_pairs", lambda self: handed.append(self) or iter(pairs))
-        listed = check(s)
-    assert handed == [s]
-    with monkeypatch.context() as m:
-        def no_list(self):
-            raise AssertionError("pairs() builds the whole list")
-
-        m.setattr(SampleSpec, "pairs", no_list)
-        streamed = check(s)
-    assert streamed.to_json() == listed.to_json()
+@pytest.mark.parametrize("case, holds", PAIR_LAWS.values(), ids=PAIR_LAWS)
+def test_pair_laws_match_the_pointwise_reference(seed, case, holds):
+    check, reference, plan = case
+    s = plan(seed=seed)
+    report = check(s)
+    assert report.to_json() == reference(s).to_json()
+    assert report.holds == holds
 
 
-def test_streamed_checks_pass_and_fail():
-    s = SampleSpec()
-    verdicts = {name: check(s).holds for name, check in STREAMED.items()}
-    assert verdicts == {name: "lukasiewicz" in name for name in STREAMED}
+def test_plain_failures_at_their_known_points():
+    (check, _, plan), _ = PAIR_LAWS["OP piecewise_f"]
+    w = check(plan()).witness
+    assert (w["x"], w["y"], w["direction"]) == (0.02, 0.01, "I(x,y)=1 but x>y")
+    (check, _, plan), _ = PAIR_LAWS["NP mean_residual"]
+    assert check(plan()).witness == {"y": 0.01, "value": 0.0}
+
+
+@pytest.mark.parametrize("op", [LUKASIEWICZ, YAGER_RESIDUAL, CONJUGATE])
+def test_pair_values_follow_iter_pairs(op):
+    s = SampleSpec(grid_n=11, random_count=20, seed=3)
+    assert [(x, y) for x, y, _ in _pair_values(op, s)] == list(s.iter_pairs())
+    assert [v for _, _, v in _pair_values(op, s)] == [op(x, y) for x, y in s.iter_pairs()]
+    assert [t for t, _ in _line_values(op, s, 1.0)] == s.points_1d()
 
 
 class TestAssociativityCounterexample:
@@ -279,6 +396,22 @@ class TestAssociativityCounterexample:
         assert (w["a"], w["b"], w["c"]) == (0.3, 0.35, 0.2)
         assert w["left"] == pytest.approx(0.6, abs=1e-12)
         assert w["right"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_streams_its_triples(self):
+        # the 21^3 + 2,000 triples of the default plan take about 0.9 MB as
+        # a list; streamed, the check holds the 21 x 21 grid table and little
+        # else.  mpmath is imported at the top of this module, and a check
+        # that does not escalate loads nothing more
+        s = SampleSpec()
+        find_associativity_counterexample(basic("product"), s)
+        tracemalloc.start()
+        try:
+            report = find_associativity_counterexample(basic("product"), s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.holds and report.details == {"escalations": 0}
+        assert peak < 200_000
 
 
 class TestCompareSurfaces:
@@ -436,6 +569,17 @@ class TestSampleSpec:
         g = small_spec.grid_n
         assert small_spec.pairs()[g * g:] == small_spec.random_pairs()
         assert len(small_spec.random_pairs()) == small_spec.random_count
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_iter_triples_streams_the_grid_then_the_random_triples(self, seed):
+        s = SampleSpec(triple_grid_n=3, triple_random_count=4, seed=seed)
+        streamed = s.iter_triples()
+        assert not isinstance(streamed, list)
+        g = [0.0, 0.5, 1.0]
+        rng = random.Random(seed)
+        assert list(streamed) == s.triples() == [
+            (a, b, c) for a in g for b in g for c in g] + [
+            (rng.random(), rng.random(), rng.random()) for _ in range(4)]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
     def test_tolerance_must_be_positive_and_finite(self, tol):

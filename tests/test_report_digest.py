@@ -9,8 +9,14 @@ implications and on the Yager residual at p = 0.5, 2 and 3.7;
 associativity of two generated t-conorms, of the quadratic mean and of
 its dual (the last three fail); I1-I3 on three phi-conjugates of the Lukasiewicz
 implication, on the Yager residual at p = 2 and at p = 1000 (its scaled
-branch) and on an I^g_N whose negation rises, so I1 fails; and OP on
-the residual of the Yager t-norm at p = 2.  ``max_discrepancy`` is
+branch) and on an I^g_N whose negation rises, so I1 fails; OP on
+the residual of the Yager t-norm at p = 2; NP, OP and CP (against N_p,
+where it holds, and the standard negation, where it fails) on the Yager
+residual at p = 0.5, 2 and 3.7, and CP of a phi-conjugate against N_phi;
+T4 on two parted t-norms and T1-T4 on the quadratic mean (T4 fails);
+and the comparison of the generated Yager t-norm with the closed form
+at p = 0.5, 2 and 3.7 and at two different p, and of the Yager t-norm
+with the product, its argmax too.  ``max_discrepancy`` is
 pinned too, so a value that moves by an ulp shows in a passing report;
 not for EP on ``ig``, where a passing report bounds it from a float
 enclosure, and a tighter enclosure moves it.
@@ -26,13 +32,15 @@ import pathlib
 import pytest
 
 from genimpl.properties import (
+    _check_t4,
     check_implication_axioms,
     check_property,
     check_tnorm_axioms,
+    compare_surfaces,
     find_associativity_counterexample,
 )
 from genimpl.reports import SampleSpec
-from genimpl.specs import parse_connective, parse_implication
+from genimpl.specs import parse_connective, parse_implication, parse_negation
 
 DIGEST = pathlib.Path(__file__).with_name("report_digest.json")
 SEEDS = (1, 5, 42)
@@ -76,6 +84,27 @@ ASSOCIATIVITY_OF = {
     "dual(mean)": {"kind": "dual", "of": {"kind": "mean"}},
 }
 OP_OF = {"residual(yager_tnorm 2)": {"kind": "residual", "of": {"kind": "yager_tnorm", "p": 2}}}
+# the pair and point laws on operators with parts, each with the negations
+# CP is checked against: the natural one (CP holds) and the standard one
+PAIR_LAWS_OF = {
+    **{f"yager_residual {p}": ({"kind": "yager_residual", "p": p},
+                               {f"N_p {p}": {"kind": "yager_np", "p": p},
+                                "standard": {"kind": "standard"}})
+       for p in (0.5, 2, 3.7)},
+    "phi_conjugate(power 2)": ({"kind": "phi_conjugate", "phi": {"kind": "power", "a": 2}},
+                               {"N_phi": {"kind": "phi", "phi": {"kind": "power", "a": 2}}}),
+}
+T4_OF = {name: TNORMS[name] for name in ("generated_tnorm(yager_f 2)", "yager_tnorm 2")}
+# the quadratic mean fails T4 first
+TNORM_AXIOMS_OF = {"mean": {"kind": "mean"}}
+COMPARED = {f"generated_tnorm(yager_f {p}) yager_tnorm {p}": (
+    {"kind": "generated_tnorm", "f": {"kind": "yager_f", "p": p}}, {"kind": "yager_tnorm", "p": p})
+    for p in (0.5, 2, 3.7)}
+# two that differ: one fails, at its argmax
+COMPARED["generated_tnorm(yager_f 2) yager_tnorm 3.7"] = (
+    COMPARED["generated_tnorm(yager_f 2) yager_tnorm 2"][0], {"kind": "yager_tnorm", "p": 3.7})
+COMPARED["yager_tnorm 2 basic product"] = (
+    {"kind": "yager_tnorm", "p": 2}, {"kind": "basic", "name": "product"})
 
 
 def cases():
@@ -102,6 +131,26 @@ def cases():
         for name, spec in OP_OF.items():
             yield (f"OP {name} seed={seed}",
                    lambda spec=spec, s=s: check_property(parse_implication(spec), "OP", s))
+        for name, (spec, negations) in PAIR_LAWS_OF.items():
+            if not name.startswith("phi_conjugate"):
+                for law in ("NP", "OP"):
+                    yield (f"{law} {name} seed={seed}",
+                           lambda spec=spec, s=s, law=law: check_property(
+                               parse_implication(spec), law, s))
+            for n_name, n in negations.items():
+                yield (f"CP {name} wrt {n_name} seed={seed}",
+                       lambda spec=spec, n=n, s=s: check_property(
+                           parse_implication(spec), "CP", s, parse_negation(n)))
+        for name, spec in T4_OF.items():
+            yield (f"T4 {name} seed={seed}",
+                   lambda spec=spec, s=s: _check_t4(parse_connective(spec), s))
+        for name, spec in TNORM_AXIOMS_OF.items():
+            yield (f"T1-T4 {name} seed={seed}",
+                   lambda spec=spec, s=s: check_tnorm_axioms(parse_connective(spec), s))
+        for name, (f, g) in COMPARED.items():
+            yield (f"compare {name} seed={seed}",
+                   lambda f=f, g=g, s=s: compare_surfaces(
+                       parse_connective(f), parse_connective(g), s))
 
 
 def digest(key, report) -> dict:
@@ -109,6 +158,8 @@ def digest(key, report) -> dict:
          "witness": report.witness}
     if not key.startswith("EP ig("):
         d["max_discrepancy"] = report.max_discrepancy
+    if key.startswith("compare "):
+        d["argmax"] = report.details["argmax"]
     return d
 
 

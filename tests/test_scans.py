@@ -55,7 +55,9 @@ from genimpl.properties import (
     _check_t1,
     check_implication_axioms,
     check_negation_axioms,
+    check_property,
     check_tnorm_axioms,
+    compare_surfaces,
 )
 from genimpl.reports import SampleSpec
 
@@ -527,16 +529,72 @@ def test_evaluations_per_check_with_parts(small_spec):
     report = check_tnorm_axioms(yager, s)
     assert report.holds
     u, v, cell = yager.parts
-    # fn: T4, T1 both ways on each random pair, then T2's float
-    # evaluations and four wide ones per escalated triple.
-    # T1's grid table runs on the parts: u and v once per grid point and
-    # cell per grid cell; the T3 scan takes v per sorted point, u per grid
-    # line and cell per cell
+    # fn: T1 both ways on each random pair, then T2's float evaluations
+    # and four wide ones per escalated triple.
+    # T4 reads the column y = 1: u once per point, v once and cell per
+    # point.  T1's grid table runs on the parts: u and v once per grid
+    # point and cell per grid cell; the T3 scan takes v per sorted point,
+    # u per grid line and cell per cell
     escalations = report.details["escalations"]
-    assert yager.fn.calls == (n1 + 2 * s.random_count + nested_evaluations(s)
+    assert yager.fn.calls == (2 * s.random_count + nested_evaluations(s)
                               + 4 * escalations)
-    assert (u.calls, v.calls) == (g + g, g + n1)
-    assert cell.calls == g * g + g * n1
+    assert (u.calls, v.calls) == (n1 + g + g, 1 + g + n1)
+    assert cell.calls == n1 + g * g + g * n1
+
+
+def calls(op):
+    """(fn, u, v, cell) calls of a ``counted`` operator."""
+    return (op.fn.calls, *(part.calls for part in op.parts))
+
+
+def test_pair_and_point_laws_read_the_lines(small_spec):
+    # the grid pairs are read row by row: u once per row, v once per grid
+    # point and cell once per grid pair; the random pairs call fn.  NP
+    # reads the one line x = 1 over the points
+    s = small_spec
+    n1, g, r = len(s.points_1d()), len(s.grid()), s.random_count
+    op = counted(yager_residual_candidate(2.0))
+    assert check_property(op, "OP", s).holds
+    assert calls(op) == (r, g, g, g * g)
+    op = counted(yager_residual_candidate(2.0))
+    assert check_property(op, "NP", s).holds
+    assert calls(op) == (0, 1, n1, n1)
+    # CP's left side is read with the pairs, its right side I(N(y), N(x)) calls fn
+    op = counted(yager_residual_candidate(2.0))
+    assert check_property(op, "CP", s, yager_negation(2.0)).holds
+    assert calls(op) == (r + g * g + r, g, g, g * g)
+    # compare reads both surfaces with the pairs
+    f, h = counted(yager_connective(2.0)), counted(generated_tnorm_connective(yager_f(2.0)))
+    assert compare_surfaces(f, h, s).holds
+    assert calls(f) == calls(h) == (r, g, g, g * g)
+
+
+def test_failing_point_law_evaluates_no_term_past_its_witness(small_spec):
+    # NP reads one line, so the points' terms are streamed with the cells:
+    # here it fails at y = 0.5, the eleventh point
+    op = counted(BinaryConnective(lambda x, y: y if y < 0.5 else 0.0, "low",
+                                  parts=(lambda x: x, lambda y: y,
+                                         lambda a, b, x, y: b if b < 0.5 else 0.0)))
+    report = check_property(op, "NP", small_spec)
+    assert report.witness == {"y": 0.5, "value": 0.0}
+    assert calls(op) == (1, 1, 11, 11)
+
+
+@pytest.mark.parametrize("op, s, law, negation", [
+    (ig_candidate(neg_log()), SMALL, "OP", None),
+    (yager_residual_candidate(2.0), SampleSpec(grid_n=21, random_count=50), "CP",
+     standard_negation()),
+], ids=["OP ig", "CP yager_residual"])
+def test_failing_pair_law_evaluates_no_cell_past_its_witness(op, s, law, negation):
+    counting = counted(op)
+    report = check_property(counting, law, s, negation)
+    assert report.to_json() == check_property(op, law, s, negation).to_json()
+    assert not report.holds
+    g = len(s.grid())
+    k = s.pairs().index((report.witness["x"], report.witness["y"]))
+    assert k < g * g  # a grid pair
+    u, v, cell = counting.parts
+    assert (u.calls, v.calls, cell.calls) == (k // g + 1, g, k + 1)
 
 
 def test_generated_residual_evaluates_f_per_point_and_line(small_spec):
