@@ -50,8 +50,8 @@ class BinaryConnective(Record):
     ``parts = (u, v, cell)`` is set on an operator built from one-argument
     terms, such as f^(-1)(f(x) + f(y)): fn(x, y) == cell(u(x), v(y), x, y),
     bit for bit and type for type, so the grid sweeps ``lines`` and
-    ``table`` evaluate each term once per sample point and only ``cell``
-    per cell.
+    ``table``, and the nested laws on the triple grid, evaluate each term
+    once per sample point and only ``cell`` per cell.
     """
 
     __slots__ = ("fn", "label", "residual", "bounds", "parts")
@@ -235,13 +235,13 @@ def generated_tnorm_connective(f: Generator) -> BinaryConnective:
 
 
 def generated_tconorm_connective(g: Generator) -> BinaryConnective:
-    """g^(-1)(g(x) + g(y)) for an increasing generator g: the direction is
-    checked once, here."""
+    """g^(-1)(g(x) + g(y)) for an increasing generator g, with parts u = v = g:
+    the direction is checked once, here."""
     require_direction(g, INCREASING, "t-conorm")
     g_fn, g_inv = g.fn, g.inverse
 
-    def fn(x: float, y: float) -> float:
-        s = g_fn(x) + g_fn(y)
+    def cell(a: float, b: float, x: float, y: float) -> float:
+        s = a + b
         if not isinstance(s, float):
             return pseudo_inverse(g, s)
         if not s >= 0.0:  # pseudo_inverse(g, s), written out
@@ -249,7 +249,10 @@ def generated_tconorm_connective(g: Generator) -> BinaryConnective:
         v = float(g_inv(s))
         return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
-    return BinaryConnective(fn, f"S[{g.label}]")
+    def fn(x: float, y: float) -> float:
+        return cell(g_fn(x), g_fn(y), x, y)
+
+    return BinaryConnective(fn, f"S[{g.label}]", parts=(g_fn, g_fn, cell))
 
 
 def dual_of(c: BinaryConnective) -> BinaryConnective:

@@ -9,7 +9,8 @@ points, so re-evaluating them standalone reproduces the discrepancy.
 from __future__ import annotations
 
 import functools
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
+from operator import sub
 from typing import Callable
 
 from .bijections import Bijection
@@ -158,36 +159,116 @@ def _check_np(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport
     )
 
 
+# Each side of a nested law is one of two nestings of one operator,
+# op(x, op(y, z)) or op(op(x, y), z).  ``sides`` evaluates both at a point
+# through outer and inner; ``lines`` gives them on the triple grid g
+# through first(i, j) and second(i, j), the lines of the two nestings over
+# z at x = g[i] and y = g[j] (``_grid_blocks``).
+
+
 def _ep_sides(outer, inner, x, y, z):
     return outer(x, inner(y, z)), outer(y, inner(x, z))
+
+
+def _ep_lines(first, second, i, j):
+    return first(i, j), first(j, i)
 
 
 def _t2_sides(outer, inner, x, y, z):
     return outer(inner(x, y), z), outer(x, inner(y, z))
 
 
+def _t2_lines(first, second, i, j):
+    return second(i, j), first(i, j)
+
+
 def _assoc_sides(outer, inner, a, b, c):
     return outer(a, inner(b, c)), outer(inner(a, b), c)
 
 
-def _nested_law(prop, sides, fn, s, keys=("x", "y", "z"), holds_as=None,
-                bounds=None, special=()):
+def _assoc_lines(first, second, i, j):
+    return first(i, j), second(i, j)
+
+
+def _gap(left, right):
+    return abs(left - right)
+
+
+def _gaps(left, right):
+    return map(abs, map(sub, left, right))  # _gap along two lines
+
+
+def _enclosure_gap(left, right):
+    """The bound max(L_hi - R_lo, R_hi - L_lo) on the gap of two enclosures."""
+    return max(left[1] - right[0], right[1] - left[0])
+
+
+def _grid_blocks(lines, op, bounds, g, gaps):
+    """For each grid pair (x, y) = (g[i], g[j]), x-major, the lazy (x, y, z,
+    gap) of the triples over z in g.  The inner values op(g[j], z) are held
+    in rows, row j filled at (0, j), its first use; then a grid triple
+    evaluates two outer cells.  With parts (u, v, cell), u and v are taken
+    once per grid point, a row keeps v of each inner value for first, and
+    second takes u of its one inner value.  With bounds, a row holds the
+    inner (lo, hi) and EP reads first only."""
+    rows = []
+    if bounds is not None:
+        def fill(j):
+            return tuple(zip(*map(bounds, repeat(g[j]), g, g)))
+
+        def first(i, j):
+            return map(bounds, repeat(g[i]), *rows[j])
+        second = None
+    elif op.parts is None:
+        fn = op.fn
+
+        def fill(j):
+            return list(map(fn, repeat(g[j]), g))
+
+        def first(i, j):
+            return map(fn, repeat(g[i]), rows[j])
+
+        def second(i, j):
+            return map(fn, repeat(rows[i][j]), g)
+    else:
+        u, v, cell = op.parts
+        us, vs = list(map(u, g)), list(map(v, g))
+
+        def fill(j):
+            w = list(map(cell, repeat(us[j]), vs, repeat(g[j]), g))
+            return w, list(map(v, w))
+
+        def first(i, j):
+            w, vw = rows[j]
+            return map(cell, repeat(us[i]), vw, repeat(g[i]), w)
+
+        def second(i, j):
+            w = rows[i][0][j]
+            return map(cell, repeat(u(w)), vs, repeat(w), g)
+    for i, x in enumerate(g):
+        for j, y in enumerate(g):
+            if i == 0:
+                rows.append(fill(j))
+            yield zip(repeat(x), repeat(y), g, gaps(*lines(first, second, i, j)))
+
+
+def _nested_law(prop, sides, lines, op, s, keys=("x", "y", "z"), holds_as=None,
+                 bounds=None, special=()):
     """Check that the two sides of a nested law agree within tol on the
     ``special`` triples, then on ``s.iter_triples()``.
 
-    ``sides(outer, inner, a, b, c)`` composes the raw fn, so an inner value
-    is never clamped or rounded by the operator wrapper.  Each triple is
-    evaluated in float; when the float discrepancy exceeds ESCALATE_SHARE *
-    tol, the triple is re-evaluated at CHAIN_DPS (rounding a p-th root next
-    to a saturation point amplifies the last ulp of a double to ~1e-5) and
-    that wide evaluation alone gives the verdict, left/right and witness.
-    The report's ``details.escalations`` counts the re-evaluated triples.
+    The sides compose the raw fn, so an inner value is never clamped or
+    rounded by the operator wrapper.  Each triple is evaluated in float;
+    when the float discrepancy exceeds ESCALATE_SHARE * tol, the triple is
+    re-evaluated at CHAIN_DPS (rounding a p-th root next to a saturation
+    point amplifies the last ulp of a double to ~1e-5) and that wide
+    evaluation alone gives the verdict, left/right and witness.  The
+    report's ``details.escalations`` counts the re-evaluated triples.
 
-    Both inner values of a grid triple sit at two grid points, so the n^3
-    grid triples (the head of ``s.iter_triples()``) read them from one table
-    over the n x n grid pairs, filled at a pair's first use: a grid triple
-    costs two outer evaluations, and no evaluation runs that a triple did
-    not ask for.  The special and random triples evaluate all four.
+    The n^3 grid triples (the head of ``s.iter_triples()``) are walked by
+    index through ``_grid_blocks``: each inner value is evaluated once and
+    a grid triple costs two outer evaluations.  The special and random
+    triples evaluate all four.
 
     With ``bounds`` (an operator's enclosure, see BinaryConnective) the
     float pass encloses both sides instead, nesting only in the second
@@ -195,34 +276,35 @@ def _nested_law(prop, sides, fn, s, keys=("x", "y", "z"), holds_as=None,
     of an inner (lo, hi), and the discrepancy is the bound
     U = max(L_hi - R_lo, R_hi - L_lo) on the true one.
     """
-    escalate_above = ESCALATE_SHARE * s.tolerance
-    worst = 0.0
-    escalations = 0
+    tol = s.tolerance
+    escalate_above = ESCALATE_SHARE * tol
     if bounds is None:
-        outer = inner = fn
+        outer = inner = op.fn
+        gap, gaps = _gap, _gaps
     else:
         outer = lambda u, v: bounds(u, *v)  # noqa: E731
         inner = lambda p, q: bounds(p, q, q)  # noqa: E731
-    triples = s.iter_triples()  # the grid head, then the random tail
-    plan = chain(zip(repeat(inner), special),
-                 zip(repeat(functools.cache(inner)), islice(triples, s.triple_grid_n ** 3)),
-                 zip(repeat(inner), triples))
-    for read, (a, b, c) in plan:
-        left, right = sides(outer, read, a, b, c)
-        if bounds is None:
-            d = abs(left - right)
-        else:
-            (l_lo, l_hi), (r_lo, r_hi) = left, right
-            d = max(l_hi - r_lo, r_hi - l_lo)
+        gap, gaps = _enclosure_gap, functools.partial(map, _enclosure_gap)
+
+    def points(triples):
+        return ((a, b, c, gap(*sides(outer, inner, a, b, c))) for a, b, c in triples)
+
+    worst = 0.0
+    escalations = 0
+    for a, b, c, d in chain(
+            points(special),
+            chain.from_iterable(_grid_blocks(lines, op, bounds, s.triple_grid(), gaps)),
+            points(s.random_triples())):
         if not d <= escalate_above:  # a NaN escalates too
             escalations += 1
-            left, right = map(float, chain_eval(functools.partial(sides, fn, fn), a, b, c))
+            left, right = map(float, chain_eval(functools.partial(sides, op.fn, op.fn), a, b, c))
             d = abs(left - right)
-            if d > s.tolerance:
+            if d > tol:
                 witness = dict(zip(keys, (a, b, c)), left=left, right=right)
                 report = failing(prop, s, witness, d)
                 break
-        worst = max(worst, d)
+        if d > worst:
+            worst = d
     else:
         report = passing(holds_as or prop, s, worst)
     report.details = {"escalations": escalations}
@@ -230,7 +312,7 @@ def _nested_law(prop, sides, fn, s, keys=("x", "y", "z"), holds_as=None,
 
 
 def _check_ep(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
-    return _nested_law("EP", _ep_sides, i.fn, s, bounds=i.bounds)
+    return _nested_law("EP", _ep_sides, _ep_lines, i, s, bounds=i.bounds)
 
 
 def _check_ip(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
@@ -283,7 +365,7 @@ def check_tnorm_axioms(
     """T1 commutativity, T2 associativity, T3 monotonicity, T4 boundary."""
     report = _tnorm_pair_laws(t, s)
     if report is None:
-        return _nested_law("T2", _t2_sides, t.fn, s, holds_as="T1-T4")
+        return _nested_law("T2", _t2_sides, _t2_lines, t, s, holds_as="T1-T4")
     report.details = {"escalations": 0}  # failed before any triple ran
     return report
 
@@ -335,7 +417,7 @@ def find_associativity_counterexample(
 ) -> PropertyReport:
     """First sampled triple with C(a, C(b,c)) != C(C(a,b), c)."""
     return _nested_law(
-        "associativity", _assoc_sides, c.fn, s, keys=("a", "b", "c"),
+        "associativity", _assoc_sides, _assoc_lines, c, s, keys=("a", "b", "c"),
         special=SPECIAL_TRIPLES,
     )
 

@@ -75,11 +75,19 @@ class SampleSpec:
 
     def iter_triples(self) -> Iterator[tuple[float, float, float]]:
         """The sample triples, streamed: the triple_grid_n^3 grid triples
-        x-major, then the seeded random ones.  A check builds no list."""
+        x-major over ``triple_grid()``, then ``random_triples()``.  A check
+        builds no list."""
+        return chain(product(self.triple_grid(), repeat=3), self.random_triples())
+
+    def triple_grid(self) -> list[float]:
+        """The coordinates of the grid triples: the grid at triple_grid_n."""
+        return SampleSpec(grid_n=self.triple_grid_n).grid()
+
+    def random_triples(self) -> Iterator[tuple[float, float, float]]:
+        """The seeded tail of ``iter_triples()``, streamed."""
         rng = random.Random(self.seed)
-        return chain(product(SampleSpec(grid_n=self.triple_grid_n).grid(), repeat=3),
-                     ((rng.random(), rng.random(), rng.random())
-                      for _ in range(self.triple_random_count)))
+        return ((rng.random(), rng.random(), rng.random())
+                for _ in range(self.triple_random_count))
 
     def triples(self) -> list[tuple[float, float, float]]:
         return list(self.iter_triples())

@@ -258,39 +258,57 @@ def first_raising_at_one_one(x, y):
     return x
 
 
+def _identity(t):
+    return t
+
+
+# first_raising_at_one_one with parts u = v = identity: its cell raises at
+# the inner pair (1, 1)
+PARTED_FIRST = BinaryConnective(first_raising_at_one_one, "parted_first_raising_at_one_one",
+                                parts=(_identity, _identity,
+                                       lambda a, b, x, y: first_raising_at_one_one(x, y)))
+
+
 def mean_of_min_and_product(x, y):
     """Commutative, monotone, with neutral element 1, and not associative."""
     return 0.5 * (min(x, y) + x * y)
 
 
 NESTED_PLAN = SampleSpec(triple_grid_n=11, triple_random_count=500)
+# ign evaluates every value at CHAIN_DPS: a 5^3 + 40 triple plan
+IGN_PLAN = {"triple_grid_n": 5, "triple_random_count": 40}
 TABLE_CASES = [
     ("EP", {"kind": "yager_residual", "p": 2}),
+    ("EP", {"kind": "yager_residual", "p": 0.5}),
+    ("EP", {"kind": "phi_conjugate", "phi": {"kind": "power", "a": 2}}),
     ("EP", {"kind": "ig", "g": POWER_GP2}),
     ("EP", {"kind": "ig", "g": {"kind": "power_gp", "p": 7}}),
+    ("EP", {"kind": "ign", "g": POWER_GP2, "N": {"kind": "yager_np", "p": 2}}, IGN_PLAN),
     ("EP", {"kind": "piecewise_f"}),  # fails at a grid triple
     ("EP", first_raising_at_one_one),
+    ("EP", PARTED_FIRST),
     ("T2", {"kind": "yager_tnorm", "p": 2}),
+    ("T2", {"kind": "generated_tnorm", "f": YAGER_F2}),
     ("T2", mean_of_min_and_product),  # fails at a grid triple
-    ("associativity", {"kind": "generated_tconorm", "g": {"kind": "neg_log"}}),
+    *(("associativity", {"kind": "generated_tconorm", "g": g})
+      for g in ({"kind": "neg_log"}, POWER_GP2, TABLE_G)),
     ("associativity", {"kind": "mean"}),  # fails at the special triple
     ("associativity", off_grid_max),  # fails at the first random triple
 ]
 
 
-def _case_id(law, op):
-    return f"{law}-{getattr(op, '__name__', None) or _id(op)}"
+def _case_id(law, op, plan=None):
+    name = getattr(op, "label", None) or getattr(op, "__name__", None)
+    return f"{law}-{name or _id(op)}"
 
 
 def table_case(law, op, s):
     """(the check's report, the four-evaluation loop's) for law on op."""
-    if callable(op):
+    if isinstance(op, dict):
+        op = parse_implication(op) if law == "EP" else parse_connective(op)
+    elif not isinstance(op, BinaryConnective):
         fn = off_grid_max(SampleSpec(grid_n=s.triple_grid_n).grid()) if op is off_grid_max else op
         op = BinaryConnective(fn, op.__name__)
-    elif law == "EP":
-        op = parse_implication(op)
-    else:
-        op = parse_connective(op)
     if law == "EP":
         return (check_property(op, "EP", s),
                 four_evaluations("EP", ep_sides, op.fn, s.triples(), s, bounds=op.bounds))
@@ -303,10 +321,10 @@ def table_case(law, op, s):
 
 
 @pytest.mark.parametrize("seed", [1, 5, 42])
-@pytest.mark.parametrize("law, op", TABLE_CASES,
-                         ids=[_case_id(*case) for case in TABLE_CASES])
-def test_grid_table_matches_four_evaluations(law, op, seed):
-    s = SampleSpec(**{**NESTED_PLAN.as_dict(), "seed": seed})
+@pytest.mark.parametrize("case", TABLE_CASES, ids=[_case_id(*case) for case in TABLE_CASES])
+def test_grid_table_matches_four_evaluations(case, seed):
+    law, op, *plan = case
+    s = SampleSpec(**{**NESTED_PLAN.as_dict(), **dict(*plan), "seed": seed})
     fast, reference = table_case(law, op, s)
     assert fast.to_json() == reference.to_json()
 
@@ -315,6 +333,7 @@ FAILING_CASES = [
     ("associativity", {"kind": "mean"}, SPECIAL_TRIPLES[0]),
     ("EP", {"kind": "piecewise_f"}, (0.5, 0.6, 0.1)),
     ("EP", first_raising_at_one_one, (0.0, 0.1, 0.0)),
+    ("EP", PARTED_FIRST, (0.0, 0.1, 0.0)),
     ("T2", mean_of_min_and_product, None),
     ("associativity", off_grid_max, None),
 ]

@@ -4,10 +4,11 @@ A change that makes a check cheaper must leave each report's property,
 verdict and witness as they were.  The digest holds, at seeds 1, 5 and
 42 on the nested-laws triple plan: T1-T4 on the nested-laws connectives,
 on the Yager t-norm at p = 1000 (both powers underflow), on a table
-generator's t-norm and on a table that fails T1; EP on five generated
-implications and on the Yager residual at p = 0.5, 2 and 3.7;
-associativity of two generated t-conorms, of the quadratic mean and of
-its dual (the last three fail); I1-I3 on three phi-conjugates of the Lukasiewicz
+generator's t-norm, on the t-norm of yager_f at p = 0.5 and on a table
+that fails T1; EP on five generated implications, on the Yager residual
+at p = 0.5, 2 and 3.7 and on a phi-conjugate; associativity of four
+generated t-conorms, of the quadratic mean and of its dual (the
+piecewise t-conorm and the last two fail); I1-I3 on three phi-conjugates of the Lukasiewicz
 implication, on the Yager residual at p = 2 and at p = 1000 (its scaled
 branch) and on an I^g_N whose negation rises, so I1 fails; OP on
 the residual of the Yager t-norm at p = 2; NP, OP and CP (against N_p,
@@ -15,8 +16,9 @@ where it holds, and the standard negation, where it fails) on the Yager
 residual at p = 0.5, 2 and 3.7, and CP of a phi-conjugate against N_phi;
 T4 on two parted t-norms and T1-T4 on the quadratic mean (T4 fails);
 and the comparison of the generated Yager t-norm with the closed form
-at p = 0.5, 2 and 3.7 and at two different p, and of the Yager t-norm
-with the product, its argmax too.  ``max_discrepancy`` is
+at p = 0.5, 2 and 3.7 and at two different p, of the Yager t-norm
+with the product, and of the dual of the product with the t-conorm of
+neg_log, its argmax too.  ``max_discrepancy`` is
 pinned too, so a value that moves by an ulp shows in a passing report;
 not for EP on ``ig``, where a passing report bounds it from a float
 enclosure, and a tighter enclosure moves it.
@@ -56,6 +58,8 @@ TNORMS = {
     "generated_tnorm(table)": {"kind": "generated_tnorm",
                                "f": {"kind": "table", "direction": "decreasing",
                                      "points": [[0, 1], [0.5, 0.3], [1, 0]]}},
+    "generated_tnorm(yager_f 0.5)": {"kind": "generated_tnorm",
+                                     "f": {"kind": "yager_f", "p": 0.5}},
 }
 IG_GENERATORS = {
     "power_gp 2": {"kind": "power_gp", "p": 2},
@@ -76,10 +80,16 @@ IMPLICATIONS = {
         "kind": "ign", "g": {"kind": "neg_log"},
         "N": {"kind": "table", "points": [[0, 1], [0.4, 0.2], [0.6, 0.6], [1, 0]]}},
 }
-EP_OF = {f"yager_residual {p}": {"kind": "yager_residual", "p": p} for p in (0.5, 2, 3.7)}
+EP_OF = {
+    **{f"yager_residual {p}": {"kind": "yager_residual", "p": p} for p in (0.5, 2, 3.7)},
+    "phi_conjugate(power 2)": {"kind": "phi_conjugate", "phi": {"kind": "power", "a": 2}},
+}
 ASSOCIATIVITY_OF = {
     **{f"generated_tconorm({name})": {"kind": "generated_tconorm", "g": {"kind": name}}
        for name in ("neg_log", "piecewise_f")},
+    "generated_tconorm(power_gp 2)": {"kind": "generated_tconorm",
+                                      "g": {"kind": "power_gp", "p": 2}},
+    "generated_tconorm(table)": {"kind": "generated_tconorm", "g": IG_GENERATORS["table"]},
     "mean": {"kind": "mean"},
     "dual(mean)": {"kind": "dual", "of": {"kind": "mean"}},
 }
@@ -105,6 +115,10 @@ COMPARED["generated_tnorm(yager_f 2) yager_tnorm 3.7"] = (
     COMPARED["generated_tnorm(yager_f 2) yager_tnorm 2"][0], {"kind": "yager_tnorm", "p": 3.7})
 COMPARED["yager_tnorm 2 basic product"] = (
     {"kind": "yager_tnorm", "p": 2}, {"kind": "basic", "name": "product"})
+# the dual of the product is the t-conorm generated by -log(1 - x)
+COMPARED["dual(basic product) generated_tconorm(neg_log)"] = (
+    {"kind": "dual", "of": {"kind": "basic", "name": "product"}},
+    {"kind": "generated_tconorm", "g": {"kind": "neg_log"}})
 
 
 def cases():

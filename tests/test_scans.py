@@ -52,12 +52,14 @@ from genimpl.implications import (
     sn_candidate,
 )
 from genimpl.properties import (
+    SPECIAL_TRIPLES,
     _check_t1,
     check_implication_axioms,
     check_negation_axioms,
     check_property,
     check_tnorm_axioms,
     compare_surfaces,
+    find_associativity_counterexample,
 )
 from genimpl.reports import SampleSpec
 
@@ -358,11 +360,24 @@ class Counting:
 
 
 def nested_evaluations(s):
-    """fn evaluations of a nested law that passes with no escalation: each
-    grid pair once for the inner table, two outer evaluations per grid
-    triple and four per random triple."""
+    """fn evaluations of a nested law that passes with no escalation, on an
+    operator without parts: the grid triples are walked by index, so each
+    inner value on the n x n grid pairs is evaluated once, and each grid
+    triple takes two outer evaluations; a random triple takes four.  On an
+    operator with parts, see ``nested_part_calls``."""
     n = s.triple_grid_n
     return n * n + 2 * n**3 + 4 * s.triple_random_count
+
+
+def nested_part_calls(s, second=True):
+    """(fn, u, v, cell) calls of a nested law that passes with no
+    escalation, on an operator with parts: u and v once per grid point and
+    once per inner value that a side reads (v of each, for the nesting
+    op(x, op(y, z)), and u of each for op(op(x, y), z), which EP does not
+    read); cell once per inner value and twice per grid triple; fn four
+    times per random triple."""
+    n = s.triple_grid_n
+    return (4 * s.triple_random_count, n + second * n * n, n + n * n, n * n + 2 * n**3)
 
 
 def test_evaluations_per_check(small_spec):
@@ -422,6 +437,8 @@ PARTED = [
       for f in (yager_f(0.5), yager_f(2.0), TABLE_F)),
     *((residual_candidate(yager_connective(p)), SampleSpec()) for p in YAGER_P),
     *((build_intersection_member(phi), SampleSpec()) for phi in PHIS),
+    *((generated_tconorm_connective(g), SampleSpec())
+      for g in (neg_log(), power_gp(2.0), piecewise_f(), TABLE_G)),
     *((ig_candidate(g), SMALL) for g in (neg_log(), power_gp(2.0), TABLE_G)),
     (ign_candidate(power_gp(2.0), yager_negation(2.0)), SMALL),
     (ILL_NEGATED, SMALL),
@@ -486,6 +503,12 @@ def test_reports_equal_without_parts(op, s):
     plain = op.replace(parts=None)
     for check in (check_implication_axioms, check_tnorm_axioms):
         assert check(op, s).to_json() == check(plain, s).to_json(), check.__name__
+    # EP and associativity read the parts on the triple grid; a 7^3 + 50
+    # triple plan keeps the 40-digit ones short
+    nested = SampleSpec(**{**s.as_dict(), "triple_grid_n": 7, "triple_random_count": 50})
+    for law in (lambda c: check_property(c, "EP", nested),
+                lambda c: find_associativity_counterexample(c, nested)):
+        assert law(op).to_json() == law(plain).to_json()
 
 
 def test_failing_scans_with_parts():
@@ -527,19 +550,77 @@ def test_evaluations_per_check_with_parts(small_spec):
 
     yager = counted(yager_connective(2.0))
     report = check_tnorm_axioms(yager, s)
-    assert report.holds
+    assert report.holds and report.details["escalations"] == 0
     u, v, cell = yager.parts
-    # fn: T1 both ways on each random pair, then T2's float evaluations
-    # and four wide ones per escalated triple.
+    # fn: T1 both ways on each random pair, then T2 on the random triples.
     # T4 reads the column y = 1: u once per point, v once and cell per
     # point.  T1's grid table runs on the parts: u and v once per grid
     # point and cell per grid cell; the T3 scan takes v per sorted point,
-    # u per grid line and cell per cell
-    escalations = report.details["escalations"]
-    assert yager.fn.calls == (2 * s.random_count + nested_evaluations(s)
-                              + 4 * escalations)
-    assert (u.calls, v.calls) == (n1 + g + g, 1 + g + n1)
-    assert cell.calls == n1 + g * g + g * n1
+    # u per grid line and cell per cell; then T2's grid triples
+    fn, u_t2, v_t2, cell_t2 = nested_part_calls(s)
+    assert yager.fn.calls == 2 * s.random_count + fn
+    assert (u.calls, v.calls) == (n1 + g + g + u_t2, 1 + g + n1 + v_t2)
+    assert cell.calls == n1 + g * g + g * n1 + cell_t2
+
+
+NESTED_11 = SampleSpec(triple_grid_n=11, triple_random_count=500)
+
+
+@pytest.mark.parametrize("check, op, s, escalations", [
+    (lambda op, s: check_property(op, "EP", s), yager_residual_candidate(2.0), None, 0),
+    # the 40-digit chain escalates two triples on this plan
+    (lambda op, s: check_property(op, "EP", s),
+     ign_candidate(power_gp(2.0), yager_negation(2.0)), NESTED_11, 2),
+    (find_associativity_counterexample, generated_tconorm_connective(neg_log()), None, 0),
+], ids=["EP yager_residual", "EP ign", "associativity generated_tconorm"])
+def test_nested_law_evaluations_with_parts(check, op, s, escalations, small_spec):
+    # EP reads only op(x, op(y, z)); associativity reads both nestings and
+    # evaluates its special triple in full, as a random one.  An escalated
+    # triple evaluates fn four more times, at CHAIN_DPS
+    s = s or small_spec
+    op = counted(op)
+    report = check(op, s)
+    assert report.holds and report.details["escalations"] == escalations
+    is_ep = report.property == "EP"
+    fn, u, v, cell = nested_part_calls(s, second=not is_ep)
+    special = 0 if is_ep else len(SPECIAL_TRIPLES)
+    assert calls(op) == (fn + 4 * special + 4 * escalations, u, v, cell)
+
+
+def banded(a, b, x, y):
+    """The cell of I(x, y) = y / 2 for 1/4 <= x < 1/2, y^2 for x >= 1/2, and
+    y below: maps of y that commute within a band, not across two."""
+    return 0.5 * y if 0.25 <= x < 0.5 else y * y if x >= 0.5 else y
+
+
+def _parted(name, cell):
+    def ident(t):
+        return t
+
+    return BinaryConnective(lambda x, y: cell(x, y, x, y), name, parts=(ident, ident, cell))
+
+
+@pytest.mark.parametrize("op, witness", [
+    # the first projection: EP fails at the first x != y, in row 1 of x = 0
+    (_parted("first", lambda a, b, x, y: x), (0.0, 1 / 6, 0.0)),
+    # fails at the first bands that do not commute, past x = 0
+    (_parted("banded", banded), (1 / 3, 0.5, 1 / 6)),
+], ids=["first", "banded"])
+def test_failing_nested_law_evaluates_no_cell_past_its_witness(op, witness, small_spec):
+    # the rows of the inner values are filled at x = 0; a check that fails
+    # at the grid triple (i, j, k) fills no row past j while i = 0, and
+    # evaluates two outer cells per grid triple up to the witness
+    s = small_spec
+    op = counted(op)
+    report = check_property(op, "EP", s)
+    assert not report.holds and report.details["escalations"] == 1
+    g = s.triple_grid()
+    n = len(g)
+    i, j, k = (g.index(report.witness[key]) for key in ("x", "y", "z"))
+    assert (g[i], g[j], g[k]) == witness
+    rows = j + 1 if i == 0 else n
+    # fn: the witness at CHAIN_DPS; v: per grid point and per inner value
+    assert calls(op) == (4, n, n + n * rows, n * rows + 2 * (i * n * n + j * n + k + 1))
 
 
 def calls(op):
