@@ -186,6 +186,34 @@ def basic(kind: str) -> BinaryConnective:
 # --------------------------------------------------------------------------
 
 
+def _sum_generated(h: Generator, neutral: float, label: str,
+                   residual: BinaryConnective | None = None) -> BinaryConnective:
+    """h^(-1)(h(x) + h(y)) with parts u = v = h: the t-norm of a decreasing
+    generator (neutral element 1) or the t-conorm of an increasing one
+    (neutral element 0).  The neutral element is returned exactly: the
+    round trip h^(-1)(h(x)) is off by an ulp, and loses x entirely wherever
+    h saturates."""
+    h_fn, h_inv = h.fn, h.inverse
+
+    def cell(a: float, b: float, x: float, y: float) -> float:
+        s = a + b
+        if isinstance(s, float):  # pseudo_inverse(h, s), written out
+            if not s >= 0.0:
+                raise DomainError(f"y={s!r} outside [0,+inf]")
+            v = float(h_inv(s))
+            v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+        else:
+            v = pseudo_inverse(h, s)
+        # v is computed even at the neutral element, so a generator whose
+        # sum goes negative is rejected there too
+        return x if y == neutral else y if x == neutral else v
+
+    def fn(x: float, y: float) -> float:
+        return cell(h_fn(x), h_fn(y), x, y)
+
+    return BinaryConnective(fn, label, residual, parts=(h_fn, h_fn, cell))
+
+
 def generated_tnorm_connective(f: Generator) -> BinaryConnective:
     """f^(-1)(f(x) + f(y)) for a decreasing generator f, with parts u = v = f:
     the direction is checked once, here.  Its residual f^(-1)(max(f(y) - f(x), 0))
@@ -194,23 +222,6 @@ def generated_tnorm_connective(f: Generator) -> BinaryConnective:
     """
     require_direction(f, DECREASING, "t-norm")
     f_fn, f_inv = f.fn, f.inverse
-
-    def cell(a: float, b: float, x: float, y: float) -> float:
-        s = a + b
-        if isinstance(s, float):  # pseudo_inverse(f, s), written out
-            if not s >= 0.0:
-                raise DomainError(f"y={s!r} outside [0,+inf]")
-            v = float(f_inv(s))
-            v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-        else:
-            v = pseudo_inverse(f, s)
-        # neutral element handled exactly, as in yager_connective: the round trip
-        # f^(-1)(f(x)) is off by an ulp.  v is computed even then, so a
-        # generator with f(1) < 0 is rejected wherever its sum goes negative
-        return x if y == 1.0 else y if x == 1.0 else v
-
-    def fn(x: float, y: float) -> float:
-        return cell(f_fn(x), f_fn(y), x, y)
 
     def residual_cell(a: float, b: float, x: float, y: float) -> float:  # a = f(x), b = f(y)
         if x <= y:
@@ -231,28 +242,14 @@ def generated_tnorm_connective(f: Generator) -> BinaryConnective:
     # every decreasing generator, yager_f or a table, is continuous
     label = f"T[{f.label}]"
     r = BinaryConnective(residual, f"R[{label}]", parts=(f_fn, f_fn, residual_cell))
-    return BinaryConnective(fn, label, r, parts=(f_fn, f_fn, cell))
+    return _sum_generated(f, 1.0, label, r)
 
 
 def generated_tconorm_connective(g: Generator) -> BinaryConnective:
     """g^(-1)(g(x) + g(y)) for an increasing generator g, with parts u = v = g:
     the direction is checked once, here."""
     require_direction(g, INCREASING, "t-conorm")
-    g_fn, g_inv = g.fn, g.inverse
-
-    def cell(a: float, b: float, x: float, y: float) -> float:
-        s = a + b
-        if not isinstance(s, float):
-            return pseudo_inverse(g, s)
-        if not s >= 0.0:  # pseudo_inverse(g, s), written out
-            raise DomainError(f"y={s!r} outside [0,+inf]")
-        v = float(g_inv(s))
-        return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-
-    def fn(x: float, y: float) -> float:
-        return cell(g_fn(x), g_fn(y), x, y)
-
-    return BinaryConnective(fn, f"S[{g.label}]", parts=(g_fn, g_fn, cell))
+    return _sum_generated(g, 0.0, f"S[{g.label}]")
 
 
 def dual_of(c: BinaryConnective) -> BinaryConnective:

@@ -86,6 +86,17 @@ def _phi_conjugate(d: dict) -> BinaryConnective:
     return implications.build_intersection_member(parse_bijection(d["phi"]))
 
 
+def _dual(d: dict) -> BinaryConnective:
+    """dual is an involution: the dual of a dual spec is its inner operator,
+    relabelled, so 1 - x is not rounded twice and its residual, parts and
+    bounds carry through; an odd nesting keeps one dual_of."""
+    of = d["of"]
+    if isinstance(of, dict) and of.get("kind") == "dual":
+        inner = parse_binary(of["of"])
+        return inner.replace(label=f"dual[dual[{inner.label}]]")
+    return connectives.dual_of(parse_binary(of))
+
+
 def _table_connective(d: dict) -> BinaryConnective:
     if "path" in d:
         return surface_table_connective(d["path"])
@@ -121,7 +132,7 @@ OPERATORS = {
     "basic": lambda d: connectives.basic(d["name"]),
     "yager_tnorm": lambda d: connectives.yager_connective(float(d["p"])),
     "mean": lambda d: connectives.mean_connective(),
-    "dual": lambda d: connectives.dual_of(parse_binary(d["of"])),
+    "dual": _dual,
     "generated_tnorm": lambda d: connectives.generated_tnorm_connective(
         parse_generator(d["f"])),
     "generated_tconorm": lambda d: connectives.generated_tconorm_connective(

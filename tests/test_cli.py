@@ -135,11 +135,12 @@ class TestEval:
     @pytest.mark.parametrize("depth", [450, 900])
     def test_deeply_nested_dual_exits_2_with_one_line(self, capsys, tmp_path, depth):
         # valid JSON: 450 deep parses and recurses once per level when
-        # evaluated, 900 deep recurses in the spec parser itself
+        # evaluated, 900 deep recurses in the spec parser itself.  (S,N)
+        # nesting, not dual: a pair of duals collapses to its inner operator
         spec = {"kind": "lukasiewicz"}
         for _ in range(depth):
-            spec = {"kind": "dual", "of": spec}
-        path = tmp_path / "dual.json"
+            spec = {"kind": "sn", "S": spec, "N": {"kind": "standard"}}
+        path = tmp_path / "sn.json"
         path.write_text(json.dumps(spec))
         code, out, err = run(capsys, "eval", str(path), "0.5", "0.5")
         assert (code, out) == (2, "")
@@ -307,9 +308,10 @@ class TestVerify:
         assert [r["verdict"] for r in json.loads(out)] == ["holds-on-samples"] * 2
 
     def test_op_of_a_flat_bisected_residual_holds(self, capsys):
-        # the bisection gives 0.9999999994425041 at (0.49353989595376424,
-        # 0.4935062888839352), at either precision: within tol of 1 but
-        # below it, so that OP hit does not stand
+        # a double dual is its inner operator, so this is the Yager
+        # residual's closed form: 0.9999999994425042 at (0.49353989595376424,
+        # 0.4935062888839352), within tol of 1 but below it, so that OP hit
+        # does not stand.  The bisection's case is in test_properties.py
         spec = ('{"kind": "residual", "of": {"kind": "dual", "of": {"kind": "dual",'
                 ' "of": {"kind": "yager_tnorm", "p": 0.5}}}}')
         code, out, _ = run(capsys, "verify", spec, "OP", "--seed", "5")
@@ -318,8 +320,7 @@ class TestVerify:
 
     def test_op_of_a_residual_within_a_double_of_one_holds(self, capsys):
         # at p = 0.3 the residual at that same point lies within one double
-        # of 1: a bisection of doubles reaches the last double below 1 and
-        # answers 1, one of mpf midpoints stays below 1
+        # of 1 (the closed form, as above, reads 0.9999999999999999)
         spec = ('{"kind": "residual", "of": {"kind": "dual", "of": {"kind": "dual",'
                 ' "of": {"kind": "yager_tnorm", "p": 0.3}}}}')
         code, out, _ = run(capsys, "verify", spec, "OP", "--seed", "5")
@@ -750,13 +751,13 @@ class TestCheckModuleLoading:
 def test_reader_closing_stdout_early_exits_2_quietly(argv):
     # as `genimpl classify ... | head -c 20`, with the reader gone before
     # the first write, so the write fails whatever the output's size
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "genimpl.cli", *argv], env=_env(),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 2
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
     assert "Traceback" not in err and "Exception ignored" not in err
 
 

@@ -10,6 +10,7 @@ from genimpl.connectives import (
     archimedean_witness,
     basic,
     dual_of,
+    generated_tconorm_connective,
     generated_tnorm_connective,
     mean_connective,
     n_ary_power,
@@ -24,9 +25,17 @@ from genimpl.connectives import (
     yager_negation,
 )
 from genimpl import specs
-from genimpl.generators import yager_f
-from genimpl.implications import residual_numeric
-from genimpl.properties import check_negation_axioms, check_tnorm_axioms
+from genimpl.generators import (
+    DECREASING,
+    INCREASING,
+    neg_log,
+    piecewise_f,
+    power_gp,
+    table_generator,
+    yager_f,
+)
+from genimpl.implications import CHAIN_DPS, residual_numeric
+from genimpl.properties import check_negation_axioms, check_property, check_tnorm_axioms
 from genimpl.reports import SampleSpec
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -113,6 +122,56 @@ class TestGeneratedTnorm:
         assert residual_numeric(t, x, x) == 1.0
 
 
+# One sum construction h^(-1)(h(x) + h(y)) gives both generated connectives;
+# each returns its neutral element's other argument exactly, where the round
+# trip h^(-1)(h(x)) loses x wherever h saturates (power_gp at a large p).
+SUM_GENERATED = [
+    *((generated_tnorm_connective(f), 1.0)
+      for f in (*map(yager_f, (0.5, 2.0, 20.0, 1000.0)),
+                table_generator(DECREASING, [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0)]))),
+    *((generated_tconorm_connective(g), 0.0)
+      for g in (*map(power_gp, (2.0, 20.0, 1000.0)), neg_log(), piecewise_f(),
+                table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)]))),
+]
+
+
+@pytest.mark.parametrize("op, e", SUM_GENERATED, ids=[op.label for op, _ in SUM_GENERATED])
+def test_neutral_element_exact_across_the_catalog(op, e):
+    points = SampleSpec().points_1d()
+    for x in points:
+        assert op.fn(x, e) == x and op.fn(e, x) == x, x
+    with mpmath.workdps(CHAIN_DPS):
+        e = mpmath.mpf(e)
+        for x in map(mpmath.mpf, points[::10]):
+            for v in (op.fn(x, e), op.fn(e, x)):
+                assert v == x and type(v) is type(x), x
+
+
+def test_generated_tconorm_at_a_saturated_point():
+    assert generated_tconorm_connective(power_gp(20.0))(0.85, 0.0) == 0.85
+
+
+# Verdicts that read S(x, 0) = x: T4 of the dual t-norm at T(x, 1), NP of an
+# (S,N)-implication at S(N(1), y) = S(0, y), and NP of the dual's residual
+GTC = {p: {"kind": "generated_tconorm", "g": {"kind": "power_gp", "p": p}}
+       for p in (2, 20, 1000)}
+NEUTRAL_VERDICTS = [
+    *(({"kind": "dual", "of": GTC[p]}, "tnorm") for p in (20, 1000)),
+    *(({"kind": "sn", "S": GTC[20], "N": n}, "NP")
+      for n in ({"kind": "standard"}, {"kind": "yager_np", "p": 2})),
+    ({"kind": "sn", "S": GTC[1000], "N": {"kind": "standard"}}, "NP"),
+    ({"kind": "residual", "of": {"kind": "dual", "of": GTC[2]}}, "NP"),
+]
+
+
+@pytest.mark.parametrize("spec, law", NEUTRAL_VERDICTS,
+                         ids=[f"{law} {json.dumps(d)}" for d, law in NEUTRAL_VERDICTS])
+def test_verdicts_decided_at_the_neutral_element_hold(spec, law):
+    op = specs.parse_binary(spec)
+    report = check_tnorm_axioms(op) if law == "tnorm" else check_property(op, law)
+    assert report.holds, report.witness
+
+
 class TestDual:
     @given(unit, unit)
     def test_involution(self, x, y):
@@ -124,6 +183,36 @@ class TestDual:
         s = dual_of(basic("product"))
         assert s(0.5, 0.5) == pytest.approx(0.75)
         assert s(0.0, 0.3) == pytest.approx(0.3)
+
+    def test_dual_of_a_dual_spec_is_the_inner_operator(self):
+        # dual_of rounds 1 - x twice: dual_of(dual_of(min))(0.05, 1) is
+        # 0.050000000000000044, above min, and its residual bisects to about
+        # x where it is 1.  The spec returns the inner operator, relabelled
+        t = basic("min")
+        dd = specs.parse_binary(nest_dual({"kind": "basic", "name": "min"}, 2))
+        assert dd.label == "dual[dual[T_min]]" and dd(0.05, 1.0) == 0.05
+        assert (dd.fn, dd.residual.fn) == (t.fn, t.residual.fn)
+        yager = specs.parse_binary(nest_dual({"kind": "yager_tnorm", "p": 2}, 4))
+        assert yager.label == "dual[dual[dual[dual[T_Y(p=2)]]]]"
+        assert yager.parts is not None and yager.residual is not None
+        # an odd nesting keeps one dual_of
+        ddd = specs.parse_binary(nest_dual({"kind": "basic", "name": "min"}, 3))
+        d = dual_of(t)
+        assert ddd.label == "dual[dual[dual[T_min]]]" and ddd.residual is None
+        assert all(ddd.fn(x, y) == d.fn(x, y) for x, y in PLAN.iter_pairs())
+
+    @pytest.mark.parametrize("t", [{"kind": "basic", "name": "min"},
+                                   {"kind": "yager_tnorm", "p": 2}], ids=json.dumps)
+    def test_residual_of_a_double_dual_is_an_implication(self, t):
+        r = specs.parse_binary({"kind": "residual", "of": nest_dual(t, 2)})
+        for law in ("IP", "OP"):
+            assert check_property(r, law).holds, law
+
+
+def nest_dual(spec: dict, depth: int) -> dict:
+    for _ in range(depth):
+        spec = {"kind": "dual", "of": spec}
+    return spec
 
 
 class TestMean:

@@ -3,9 +3,8 @@ operator, their surfaces must agree within 1e-9 on the default plan.
 
 Each row names the theorem that makes it an identity, so a failing row
 is a defect of the engine, not of a reference implementation.  The rows
-that fail today (large p, the (S,N) route through a power generator,
-the residual of a double dual) are open items of ROADMAP.md, item 2;
-they enter here with their fix.
+that fail today (large p, the (S,N) route through a power generator)
+are open items of ROADMAP.md, item 2; they enter here with their fix.
 """
 
 import pytest
@@ -47,6 +46,12 @@ ROWS = [
     ("I^g is the (S,N)-implication of S_g, g=neg_log", {"kind": "ig", "g": {"kind": "neg_log"}},
      {"kind": "sn", "S": {"kind": "generated_tconorm", "g": {"kind": "neg_log"}},
       "N": {"kind": "standard"}}),
+    # dual is an involution: 1 - (1 - T(1 - (1 - x), 1 - (1 - y))) = T(x, y)
+    *((f"the residual of a double dual is the residual, T={name}",
+       {"kind": "residual", "of": {"kind": "dual", "of": {"kind": "dual", "of": t}}},
+       {"kind": "residual", "of": t})
+      for name, t in (("min", {"kind": "basic", "name": "min"}),
+                      ("yager_tnorm 2", {"kind": "yager_tnorm", "p": 2}))),
 ]
 
 

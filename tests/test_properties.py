@@ -127,6 +127,17 @@ class TestNamedProperties:
         report = check_property(yager_residual_candidate(0.5), "OP", SampleSpec(seed=5))
         assert report.holds, report.witness
 
+    @pytest.mark.parametrize("p, value", [(0.5, 0.9999999994425041), (0.3, 1.0)])
+    def test_op_of_a_bisected_residual_next_to_the_diagonal_holds(self, p, value):
+        # at the same point the bisection reads within tol of 1 at p = 0.5,
+        # and at p = 0.3, a double below 1, answers 1 where one of mpf
+        # midpoints stays below 1: neither OP hit stands
+        i = residual_candidate(yager_connective(p).replace(residual=None))
+        assert i.fn.func is residual_numeric
+        assert i(0.49353989595376424, 0.4935062888839352) == value
+        report = check_property(i, "OP", SampleSpec(seed=5))
+        assert report.holds, report.witness
+
     def test_op_fails_where_the_closed_form_saturates(self, small_spec):
         report = check_property(piecewise_f_candidate(), "OP", small_spec)
         assert not report.holds
