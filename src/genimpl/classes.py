@@ -100,20 +100,19 @@ def conjugate_lk_probe(
 def _right_continuity(i: ImplicationCandidate, s: SampleSpec) -> PropertyReport:
     """Forward differences with shrinking offsets; a difference that stays
     above RC_JUMP without shrinking marks a jump from the right.  Each grid
-    line i(x, .) is one sweep over y, y + 1e-3 and y + 1e-7: the decision
-    reads the widest and the narrowest difference.  A failing witness lists
-    all three, each evaluated on its own."""
+    line i(x, .) is one sweep of ``i.lines`` over y, y + 1e-3 and y + 1e-7,
+    whose values are the operator's: the decision reads the widest and the
+    narrowest difference.  A failing witness lists all three, each
+    evaluated on its own."""
     g = s.grid()
     ys = [y for y in g if y + RC_OFFSETS[0] <= 1.0]
     points = [t for y in ys for t in (y, y + RC_OFFSETS[0], y + RC_OFFSETS[-1])]
     for x, values in i.lines(points, g):
         # one lazy iterator zipped with itself: the values at y, y + 1e-3
-        # and y + 1e-7; each clamped as clamp01 would
+        # and y + 1e-7
         for y, base, wide, narrow in zip(ys, values, values, values):
-            base = 0.0 if base < 0.0 else 1.0 if base > 1.0 else base
-            d = abs((0.0 if narrow < 0.0 else 1.0 if narrow > 1.0 else narrow) - base)
-            if d > RC_JUMP and d > 0.5 * abs(
-                    (0.0 if wide < 0.0 else 1.0 if wide > 1.0 else wide) - base):
+            d = abs(narrow - base)
+            if d > RC_JUMP and d > 0.5 * abs(wide - base):
                 diffs = [abs(i(x, y + h) - base) for h in RC_OFFSETS]
                 return failing(
                     "right-continuity", s,

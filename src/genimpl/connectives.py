@@ -49,9 +49,10 @@ class BinaryConnective(Record):
     which lets EP decide a triple without mpmath.
     ``parts = (u, v, cell)`` is set on an operator built from one-argument
     terms, such as f^(-1)(f(x) + f(y)): fn(x, y) == cell(u(x), v(y), x, y),
-    bit for bit and type for type, so the grid sweeps ``lines`` and
-    ``table``, and the nested laws on the triple grid, evaluate each term
-    once per sample point and only ``cell`` per cell.
+    bit for bit and type for type, and that value lies in [0,1] or is NaN,
+    so it is the operator's value as it stands.  The grid sweeps ``lines``
+    and ``table``, and the nested laws on the triple grid, evaluate each
+    term once per sample point and only ``cell`` per cell.
     """
 
     __slots__ = ("fn", "label", "residual", "bounds", "parts")
@@ -71,20 +72,23 @@ class BinaryConnective(Record):
         return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v  # clamp01, inline
 
     def lines(self, points, grid, first=False):
-        """(c, values) for each c of ``grid``: the raw fn along ``points`` in
-        the second argument, fn(c, y), or with ``first`` in the first, fn(x, c).
+        """(c, values) for each c of ``grid``: the operator's values, as
+        ``__call__`` returns them, along ``points`` in the second argument,
+        self(c, y), or with ``first`` in the first, self(x, c).
 
         With ``parts`` the term of every point is evaluated once, the term
-        of c once per line, and only ``cell`` per cell; otherwise fn per
-        cell.  The values of a line are lazy, so a scan that stops at a
-        breaking pair evaluates no cell past it.  The points' terms are
-        listed only when several lines share them: a single line streams
-        them too, in the order fn would evaluate them.
+        of c once per line, and only ``cell`` per cell, whose value needs
+        no clamp; otherwise fn per cell, clamped inline (a NaN stays NaN).
+        The values of a line are lazy, so a scan that stops at a breaking
+        pair evaluates no cell past it.  The points' terms are listed only
+        when several lines share them: a single line streams them too, in
+        the order fn would evaluate them.
         """
         if self.parts is None:
             fn = self.fn
             for c in grid:
-                yield c, map(fn, points, repeat(c)) if first else map(fn, repeat(c), points)
+                values = map(fn, points, repeat(c)) if first else map(fn, repeat(c), points)
+                yield c, (0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in values)  # clamp01, inline
             return
         u, v, cell = self.parts
         terms = map(u if first else v, points)
@@ -98,10 +102,8 @@ class BinaryConnective(Record):
                 yield c, map(cell, repeat(u(c)), terms, repeat(c), points)
 
     def table(self, g) -> list[list[float]]:
-        """rows[a][b] = self(g[a], g[b]), clamped as ``__call__`` clamps,
-        through ``lines``."""
-        return [[0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in values]  # clamp01, inline
-                for _, values in self.lines(g, g)]
+        """rows[a][b] = self(g[a], g[b]), through ``lines``."""
+        return [list(values) for _, values in self.lines(g, g)]
 
 
 class Negation(Record):
@@ -306,7 +308,10 @@ def yager_connective(p: float) -> BinaryConnective:
             v = 1.0 - m * s ** inv_p
         else:
             v = 1.0 - s ** inv_p
-        return v if v > 0.0 else 0.0  # max(0.0, v), inline: a NaN gives 0.0 too
+        # T <= min(x, y), which the rounded root can pass by an ulp (p >= 20);
+        # max(0.0, min(v, lo)), inline: a NaN gives 0.0 too
+        lo = x if x < y else y
+        return 0.0 if not v > 0.0 else v if v <= lo else lo
 
     return _power_operator(p, cell, label, yager_residual_candidate(p))
 

@@ -15,7 +15,6 @@ from typing import Callable
 
 from .bijections import Bijection
 from .connectives import BinaryConnective, Negation
-from .generators import clamp01
 from .implications import ImplicationCandidate, chain_eval
 from .reports import PropertyReport, SampleSpec, failing, passing
 
@@ -52,38 +51,32 @@ def _pointwise_law(prop, s, points, gap, witness):
 
 
 def _pair_values(op, s):
-    """(x, y, op(x, y)) for each pair of ``s.iter_pairs()``, in its order.
-    The grid rows are read through ``op.lines`` and clamped inline as
-    ``__call__`` clamps (a NaN stays NaN); a row is lazy, so a check that
+    """(x, y, op(x, y)) for each pair of ``s.pairs()``, in its order.  The
+    grid rows are read through ``op.lines``; a row is lazy, so a check that
     stops at a pair evaluates no cell past it.  The random pairs call op."""
     g = s.grid()
-    for x, values in op.lines(g, g):
-        for y, v in zip(g, values):
-            yield x, y, 0.0 if v < 0.0 else 1.0 if v > 1.0 else v  # clamp01, inline
-    for x, y in s.random_pairs():
-        yield x, y, op(x, y)
+    return chain(
+        chain.from_iterable(zip(repeat(x), g, values) for x, values in op.lines(g, g)),
+        ((x, y, op(x, y)) for x, y in s.random_pairs()))
 
 
 def _line_values(op, s, c, first=False):
     """(t, op(c, t)) for each t of ``s.points_1d()`` in its order, or with
-    ``first`` (t, op(t, c)): one line through ``op.lines``, clamped inline
-    as ``__call__`` clamps."""
+    ``first`` (t, op(t, c)): one line through ``op.lines``."""
     points = s.points_1d()
     (_, values), = op.lines(points, (c,), first)
-    return zip(points, (0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in values))
+    return zip(points, values)
 
 
 def _scan_monotone(prop, s, values, xs, increasing, coords):
     """The failing report of the first adjacent pair of ``values`` that
     breaks monotonicity by more than tol, or None.  ``values`` are an
-    operator's raw ``fn`` evaluated along the sorted points ``xs``; each is
-    clamped here as the operator's ``__call__`` would (a NaN stays NaN),
-    which spares every cell two calls.  ``coords(x1, x2)`` gives the
-    witness coordinates of a breaking pair."""
+    operator's values, as its ``__call__`` returns them, along the sorted
+    points ``xs``.  ``coords(x1, x2)`` gives the witness coordinates of a
+    breaking pair."""
     tol = s.tolerance
-    prev = clamp01(next(values))
-    for k, v in enumerate(values, 1):
-        cur = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v  # clamp01, inline
+    prev = next(values)
+    for k, cur in enumerate(values, 1):
         if (cur < prev - tol) if increasing else (cur > prev + tol):
             witness = {**coords(xs[k - 1], xs[k]), "value1": prev, "value2": cur}
             return failing(prop, s, witness, abs(cur - prev))
@@ -255,7 +248,7 @@ def _grid_blocks(lines, op, bounds, g, gaps):
 def _nested_law(prop, sides, lines, op, s, keys=("x", "y", "z"), holds_as=None,
                  bounds=None, special=()):
     """Check that the two sides of a nested law agree within tol on the
-    ``special`` triples, then on ``s.iter_triples()``.
+    ``special`` triples, then on ``s.triples()``.
 
     The sides compose the raw fn, so an inner value is never clamped or
     rounded by the operator wrapper.  Each triple is evaluated in float;
@@ -265,7 +258,7 @@ def _nested_law(prop, sides, lines, op, s, keys=("x", "y", "z"), holds_as=None,
     evaluation alone gives the verdict, left/right and witness.  The
     report's ``details.escalations`` counts the re-evaluated triples.
 
-    The n^3 grid triples (the head of ``s.iter_triples()``) are walked by
+    The n^3 grid triples (the head of ``s.triples()``) are walked by
     index through ``_grid_blocks``: each inner value is evaluated once and
     a grid triple costs two outer evaluations.  The special and random
     triples evaluate all four.
@@ -523,7 +516,7 @@ def check_negation_axioms(
         return report
     xs = sorted(s.points_1d())
     report = _scan_monotone(
-        "negation-monotonicity", s, map(n.fn, xs), xs, False,
+        "negation-monotonicity", s, map(n, xs), xs, False,
         lambda x1, x2: {"x1": x1, "x2": x2},
     )
     return report or passing("negation-definition", s)

@@ -13,7 +13,7 @@ import math
 import random
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
-from itertools import chain, product
+from itertools import product
 
 
 HOLDS = "holds-on-samples"
@@ -60,37 +60,29 @@ class SampleSpec:
         rng = random.Random(self.seed)
         return self.grid() + [rng.random() for _ in range(self.random_count)]
 
-    def iter_pairs(self) -> Iterator[tuple[float, float]]:
-        """The sample pairs, streamed: the grid pairs x-major, then
-        ``random_pairs()``.  A check that stops early builds no list."""
-        return chain(product(self.grid(), repeat=2), self.random_pairs())
-
     def pairs(self) -> list[tuple[float, float]]:
-        return list(self.iter_pairs())
+        """The sample pairs: the grid pairs x-major, then ``random_pairs()``."""
+        return [*product(self.grid(), repeat=2), *self.random_pairs()]
 
     def random_pairs(self) -> list[tuple[float, float]]:
-        """The seeded tail of ``iter_pairs()``."""
+        """The seeded tail of ``pairs()``."""
         rng = random.Random(self.seed)
         return [(rng.random(), rng.random()) for _ in range(self.random_count)]
-
-    def iter_triples(self) -> Iterator[tuple[float, float, float]]:
-        """The sample triples, streamed: the triple_grid_n^3 grid triples
-        x-major over ``triple_grid()``, then ``random_triples()``.  A check
-        builds no list."""
-        return chain(product(self.triple_grid(), repeat=3), self.random_triples())
 
     def triple_grid(self) -> list[float]:
         """The coordinates of the grid triples: the grid at triple_grid_n."""
         return SampleSpec(grid_n=self.triple_grid_n).grid()
 
     def random_triples(self) -> Iterator[tuple[float, float, float]]:
-        """The seeded tail of ``iter_triples()``, streamed."""
+        """The seeded tail of ``triples()``, streamed."""
         rng = random.Random(self.seed)
         return ((rng.random(), rng.random(), rng.random())
                 for _ in range(self.triple_random_count))
 
     def triples(self) -> list[tuple[float, float, float]]:
-        return list(self.iter_triples())
+        """The sample triples: the triple_grid_n^3 grid triples x-major over
+        ``triple_grid()``, then ``random_triples()``."""
+        return [*product(self.triple_grid(), repeat=3), *self.random_triples()]
 
     def as_dict(self) -> dict:
         """Every field, so ``SampleSpec(**spec.as_dict())`` replays the plan."""

@@ -452,7 +452,7 @@ class TestSurfaceAndCompare:
         tables = [genimpl.specs.surface_table_connective(str(p))
                   for p in (out_csv, shuffled)]
         s = genimpl.SampleSpec(grid_n=21, random_count=200)
-        assert all(tables[0](x, y) == tables[1](x, y) for x, y in s.iter_pairs())
+        assert all(tables[0](x, y) == tables[1](x, y) for x, y in s.pairs())
 
     @pytest.mark.parametrize("text, message", [
         ("", "expected the header x,y,value"),

@@ -103,9 +103,20 @@ class TestYagerFamily:
                 with mpmath.workdps(50):
                     a, b = 1 - mpmath.mpf(x), 1 - mpmath.mpf(y)
                     exact = max(0, 1 - (a ** p + b ** p) ** (1 / mpmath.mpf(p)))
-                assert abs(v - exact) < 1e-12, (x, y)
-                if min(x, y) >= 0.5:  # below, 1 - (1-x) itself rounds up by an ulp
-                    assert v <= min(x, y), (x, y)
+                assert abs(v - exact) < 1e-12 and v <= min(x, y), (x, y)
+
+    # the rounded root passed min(x, y) by an ulp at these points; the
+    # sweep reads every default-plan pair, both ways round
+    @pytest.mark.parametrize("p, x, y", [
+        (1000.0, 0.3, 0.5), (1e9, 0.3, 0.7), (1e300, 0.3, 0.7), (20.0, 0.01, 0.83)])
+    def test_never_above_the_minimum_at_known_points(self, p, x, y):
+        t = yager_connective(p)
+        assert t.fn(x, y) <= min(x, y) and t.fn(y, x) <= min(x, y)
+
+    @pytest.mark.parametrize("p", [0.5, 2.0, 3.7, 20.0, 1000.0, 1e9, 1e300])
+    def test_never_above_the_minimum_on_the_plan(self, p):
+        fn = yager_connective(p).fn
+        assert all(fn(x, y) <= min(x, y) for x, y in SampleSpec().pairs())
 
 
 class TestGeneratedTnorm:
@@ -199,7 +210,7 @@ class TestDual:
         ddd = specs.parse_binary(nest_dual({"kind": "basic", "name": "min"}, 3))
         d = dual_of(t)
         assert ddd.label == "dual[dual[dual[T_min]]]" and ddd.residual is None
-        assert all(ddd.fn(x, y) == d.fn(x, y) for x, y in PLAN.iter_pairs())
+        assert all(ddd.fn(x, y) == d.fn(x, y) for x, y in PLAN.pairs())
 
     @pytest.mark.parametrize("t", [{"kind": "basic", "name": "min"},
                                    {"kind": "yager_tnorm", "p": 2}], ids=json.dumps)
@@ -350,5 +361,5 @@ def test_negation_fn_stays_in_the_unit_interval(spec):
 @pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=json.dumps)
 def test_operator_fn_stays_in_the_unit_interval(spec):
     fn = specs.parse_binary(spec).fn
-    for x, y in [*PLAN.iter_pairs(), *itertools.product(EDGES, repeat=2)]:
+    for x, y in [*PLAN.pairs(), *itertools.product(EDGES, repeat=2)]:
         assert in_unit_or_nan(fn(x, y)), (x, y)

@@ -98,8 +98,8 @@ def old_yager_cell(p, a, b, x, y):
     if s < sys.float_info.min:
         m = max(1.0 - x, 1.0 - y)
         s = ((1.0 - x) / m) ** p + ((1.0 - y) / m) ** p
-        return max(0.0, 1.0 - m * s ** (1.0 / p))
-    return max(0.0, 1.0 - s ** (1.0 / p))
+        return min(max(0.0, 1.0 - m * s ** (1.0 / p)), x, y)
+    return min(max(0.0, 1.0 - s ** (1.0 / p)), x, y)
 
 
 def old_yager_residual_cell(p, b, a, x, y):

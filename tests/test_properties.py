@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 
@@ -386,11 +387,39 @@ def test_plain_failures_at_their_known_points():
 
 
 @pytest.mark.parametrize("op", [LUKASIEWICZ, YAGER_RESIDUAL, CONJUGATE])
-def test_pair_values_follow_iter_pairs(op):
+def test_pair_values_follow_pairs(op):
     s = SampleSpec(grid_n=11, random_count=20, seed=3)
-    assert [(x, y) for x, y, _ in _pair_values(op, s)] == list(s.iter_pairs())
-    assert [v for _, _, v in _pair_values(op, s)] == [op(x, y) for x, y in s.iter_pairs()]
+    assert [(x, y) for x, y, _ in _pair_values(op, s)] == s.pairs()
+    assert [v for _, _, v in _pair_values(op, s)] == [op(x, y) for x, y in s.pairs()]
     assert [t for t, _ in _line_values(op, s, 1.0)] == s.points_1d()
+
+
+NAN_ABOVE = BinaryConnective(lambda x, y: math.nan if x + y > 1.0 else x * y, "nan above")
+
+
+def same(got, want) -> bool:
+    """Same type and value: a double bit for bit, the sign of a zero
+    included, any NaN equal to any NaN."""
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+# Every sweep reads the value __call__ returns: fn clamped into [0, 1], a
+# NaN kept, and a cell of parts as it is.
+@pytest.mark.parametrize("op", [OVERSHOOT, UNDERSHOOT, NAN_ABOVE, YAGER_RESIDUAL, CONJUGATE,
+                                yager_connective(1000.0)], ids=lambda op: op.label)
+def test_sweeps_read_what_call_returns(op):
+    s = SampleSpec(grid_n=11, random_count=20, seed=3)
+    xs, g = s.points_1d(), s.grid()
+    for c, values in op.lines(xs, g):
+        assert all(same(v, op(c, t)) for t, v in zip(xs, values, strict=True)), c
+    for c, values in op.lines(xs, g, first=True):
+        assert all(same(v, op(t, c)) for t, v in zip(xs, values, strict=True)), c
+    rows = op.table(g)
+    assert all(same(rows[a][b], op(x, y)) for a, x in enumerate(g) for b, y in enumerate(g))
+    assert all(same(v, op(x, y)) for x, y, v in _pair_values(op, s))
+    for c in (0.0, 0.5, 1.0):
+        assert all(same(v, op(c, t)) for t, v in _line_values(op, s, c))
+        assert all(same(v, op(t, c)) for t, v in _line_values(op, s, c, first=True))
 
 
 class TestAssociativityCounterexample:
@@ -582,13 +611,11 @@ class TestSampleSpec:
         assert len(small_spec.random_pairs()) == small_spec.random_count
 
     @pytest.mark.parametrize("seed", [1, 42])
-    def test_iter_triples_streams_the_grid_then_the_random_triples(self, seed):
+    def test_triples_are_the_grid_then_the_random_triples(self, seed):
         s = SampleSpec(triple_grid_n=3, triple_random_count=4, seed=seed)
-        streamed = s.iter_triples()
-        assert not isinstance(streamed, list)
         g = [0.0, 0.5, 1.0]
         rng = random.Random(seed)
-        assert list(streamed) == s.triples() == [
+        assert s.triples() == [
             (a, b, c) for a in g for b in g for c in g] + [
             (rng.random(), rng.random(), rng.random()) for _ in range(4)]
 

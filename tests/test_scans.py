@@ -1,7 +1,7 @@
-"""The monotone scans evaluate an operator's raw ``fn``, or its ``parts``,
-and clamp inline, and the constructors resolve family, direction and
-constants once: every value and report must stay what the per-call
-wrappers gave."""
+"""The monotone scans read an operator's values through ``lines``, which
+clamps ``fn`` inline and takes a cell of ``parts`` as it is, and the
+constructors resolve family, direction and constants once: every value
+and report must stay what the per-call wrappers gave."""
 
 import math
 import sys
@@ -482,11 +482,11 @@ def bumped_product():
 
 
 def stepped_product():
-    """An implication-like operator with parts and a step in y: a product
-    raised by 0.5 for y > 0.5, so I(x, .) jumps just right of y = 0.5 and
-    fails right-continuity."""
+    """An implication-like operator with parts and a step in y: half the
+    product, raised by 0.5 for y > 0.5, so I(x, .) jumps just right of
+    y = 0.5 and fails right-continuity."""
     def cell(a, b, x, y):
-        return a * b + (0.5 if y > 0.5 else 0.0)
+        return 0.5 * (a * b) + (0.5 if y > 0.5 else 0.0)
 
     def ident(t):
         return t
@@ -497,6 +497,22 @@ def stepped_product():
 BUMPED = bumped_product()
 STEPPED = stepped_product()
 PHI_CONJUGATES = [op for op, _ in PARTED if op.label.startswith("I_phi")]
+
+
+@pytest.mark.parametrize("op, s", [*PARTED, (BUMPED, SMALL), (STEPPED, SMALL)],
+                         ids=[*PARTED_IDS, "bumped", "stepped"])
+def test_cells_lie_in_the_unit_interval(op, s):
+    # the parts contract: the sweeps read a cell as the operator's value,
+    # with no clamp
+    u, v, cell = op.parts
+    for x, y in s.pairs():
+        w = cell(u(x), v(y), x, y)
+        assert 0.0 <= w <= 1.0 or math.isnan(w), (x, y)
+    with mpmath.workdps(CHAIN_DPS):
+        for x, y in MPF_PAIRS:
+            x, y = mpmath.mpf(x), mpmath.mpf(y)
+            w = cell(u(x), v(y), x, y)
+            assert 0 <= w <= 1 or mpmath.isnan(w), (x, y)
 
 
 @pytest.mark.parametrize("op, s", [*PARTED, (BUMPED, SMALL)], ids=[*PARTED_IDS, "bumped"])
