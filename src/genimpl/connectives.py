@@ -48,11 +48,11 @@ class BinaryConnective(Record):
     a double (lo, hi) enclosing fn(x, y) for every y in [y_lo, y_hi],
     which lets EP decide a triple without mpmath.
     ``parts = (u, v, cell)`` is set on an operator built from one-argument
-    terms, such as f^(-1)(f(x) + f(y)): fn(x, y) == cell(u(x), v(y), x, y),
-    bit for bit and type for type, and that value lies in [0,1] or is NaN,
-    so it is the operator's value as it stands.  The grid sweeps ``lines``
-    and ``table``, and the nested laws on the triple grid, evaluate each
-    term once per sample point and only ``cell`` per cell.
+    terms of any value, such as f(x) or I^g_N's pairs (N(x), g(N(x))):
+    fn(x, y) == cell(u(x), v(y), x, y), bit for bit and type for type, in
+    [0,1] or NaN, so it is the operator's value as it stands.  The grid
+    sweeps ``lines`` and ``table``, and the nested laws on the triple grid,
+    evaluate each term once per sample point and only ``cell`` per cell.
     """
 
     __slots__ = ("fn", "label", "residual", "bounds", "parts")

@@ -19,6 +19,7 @@ from .bijections import Bijection
 from .connectives import (
     BinaryConnective,
     Negation,
+    generated_tconorm_connective,
     standard_negation,
 )
 from .generators import (
@@ -26,7 +27,6 @@ from .generators import (
     Generator,
     clamp01,
     is_mpf,
-    pseudo_inverse,
     require_direction,
     wide,
 )
@@ -162,22 +162,24 @@ def mean_residual_candidate() -> ImplicationCandidate:
 
 
 def ign_candidate(g: Generator, n: Negation) -> ImplicationCandidate:
-    """I^g_N = S_g(N(x), y) for strictly increasing g with g(0)=0, with its
-    parts, all at CHAIN_DPS: u(x) = g(N(X)), v(y) = g(Y) with X, Y the
-    arguments as mpf, and cell = g^(-1)(u + v), rounded once to a double
-    unless the caller passed an mpf.  A point enters the working precision
-    once."""
+    """I^g_N = S_g(N(x), y) for strictly increasing g with g(0)=0: the cell of
+    ``generated_tconorm_connective(g)`` on the parts u(x) = (N(X), g(N(X)))
+    and v(y) = (Y, g(Y)), X and Y the arguments as mpf at CHAIN_DPS, rounded
+    once to a double unless the caller passed an mpf.  S_g's neutral element
+    0 makes I(1, y) = y and I(x, 0) = N(x) exact."""
     require_direction(g, INCREASING, "implication")
-    g_fn = g.fn
+    g_fn, s_cell = g.fn, generated_tconorm_connective(g).parts[2]
 
     def u(x):
-        return g_fn(n(wide().mpf(x)))
+        a = wide().mpf(n(wide().mpf(x)))  # a table negation answers a float at a node
+        return a, g_fn(a)
 
     def v(y):
-        return g_fn(wide().mpf(y))
+        y = wide().mpf(y)
+        return y, g_fn(y)
 
     def cell(a, b, x: float, y: float) -> float:
-        w = pseudo_inverse(g, a + b)
+        w = s_cell(a[1], b[1], a[0], b[0])
         return w if is_mpf(x) or is_mpf(y) else float(w)
 
     return ImplicationCandidate(_at_chain_dps(lambda x, y: cell(u(x), v(y), x, y)),

@@ -163,15 +163,19 @@ def test_generated_tconorm_at_a_saturated_point():
 
 
 # Verdicts that read S(x, 0) = x: T4 of the dual t-norm at T(x, 1), NP of an
-# (S,N)-implication at S(N(1), y) = S(0, y), and NP of the dual's residual
-GTC = {p: {"kind": "generated_tconorm", "g": {"kind": "power_gp", "p": p}}
-       for p in (2, 20, 1000)}
+# (S,N)-implication at S(N(1), y) = S(0, y), I^g_N = S_g(N(x), y) among them,
+# and NP of the dual's residual
+GP = {p: {"kind": "power_gp", "p": p} for p in (2, 20, 50, 1000)}
+GTC = {p: {"kind": "generated_tconorm", "g": GP[p]} for p in (2, 20, 1000)}
 NEUTRAL_VERDICTS = [
     *(({"kind": "dual", "of": GTC[p]}, "tnorm") for p in (20, 1000)),
     *(({"kind": "sn", "S": GTC[20], "N": n}, "NP")
       for n in ({"kind": "standard"}, {"kind": "yager_np", "p": 2})),
     ({"kind": "sn", "S": GTC[1000], "N": {"kind": "standard"}}, "NP"),
     ({"kind": "residual", "of": {"kind": "dual", "of": GTC[2]}}, "NP"),
+    *(({"kind": "ig", "g": GP[p]}, "NP") for p in (20, 50, 1000)),
+    *(({"kind": "ign", "g": GP[p], "N": {"kind": "yager_np", "p": q}}, "NP")
+      for p, q in ((20, 20), (1000, 2))),
 ]
 
 

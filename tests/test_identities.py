@@ -28,7 +28,7 @@ ROWS = [
     *((f"residual of the Yager t-norm is I^g_N, p={p}",
        {"kind": "yager_residual", "p": p},
        {"kind": "ign", "g": power_gp(p), "N": {"kind": "yager_np", "p": p}})
-      for p in (0.5, 2)),
+      for p in (0.5, 2, 3.7)),
     # f(t) = (1 - t)^p is an additive generator of the Yager t-norm
     *((f"the Yager t-norm is generated by yager_f, p={p}",
        {"kind": "yager_tnorm", "p": p},
@@ -43,9 +43,9 @@ ROWS = [
      {"kind": "residual", "of": {"kind": "yager_tnorm", "p": 1}}, LUKASIEWICZ),
     # I^g(x, y) = S_g(1 - x, y) by definition: the (S,N)-implication of the
     # t-conorm generated by g at the standard negation
-    ("I^g is the (S,N)-implication of S_g, g=neg_log", {"kind": "ig", "g": {"kind": "neg_log"}},
-     {"kind": "sn", "S": {"kind": "generated_tconorm", "g": {"kind": "neg_log"}},
-      "N": {"kind": "standard"}}),
+    *((f"I^g is the (S,N)-implication of S_g, g={name}", {"kind": "ig", "g": g},
+       {"kind": "sn", "S": {"kind": "generated_tconorm", "g": g}, "N": {"kind": "standard"}})
+      for name, g in (("neg_log", {"kind": "neg_log"}), ("power_gp 20", power_gp(20)))),
     # dual is an involution: 1 - (1 - T(1 - (1 - x), 1 - (1 - y))) = T(x, y)
     *((f"the residual of a double dual is the residual, T={name}",
        {"kind": "residual", "of": {"kind": "dual", "of": {"kind": "dual", "of": t}}},

@@ -15,6 +15,7 @@ from genimpl.connectives import (
     mean_connective,
     standard_negation,
     table_connective,
+    table_negation,
     yager_connective,
     yager_negation,
     yager_residual_candidate,
@@ -316,7 +317,8 @@ class TestGeneratedImplications:
 
     def test_standard_negation_recovers_plain_form(self):
         # against g^(-1)(g(1-x) + g(y)) written out here, at the chain's
-        # precision and rounded once
+        # precision and rounded once, with S_g's neutral element 0 exact:
+        # 1 - x at y = 0 and y at x = 1
         n = standard_negation()
         table_g = table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
         for g in (power_gp(0.5), power_gp(2.0), power_gp(3.7), neg_log(),
@@ -324,8 +326,9 @@ class TestGeneratedImplications:
             ig, ign = ig_candidate(g), ign_candidate(g, n)
             for x, y in SampleSpec(grid_n=11).pairs():
                 with mpmath.workdps(CHAIN_DPS):
-                    s = g.fn(1 - mpmath.mpf(x)) + g.fn(mpmath.mpf(y))
-                    plain = float(pseudo_inverse(g, s))
+                    a, b = 1 - mpmath.mpf(x), mpmath.mpf(y)
+                    s = g.fn(a) + g.fn(b)
+                    plain = float(a if b == 0 else b if a == 0 else pseudo_inverse(g, s))
                 assert ig.fn(x, y) == plain, (g.label, x, y)
                 assert ign.fn(x, y) == plain, (g.label, x, y)
 
@@ -357,6 +360,48 @@ class TestGeneratedImplications:
         v = ig_candidate(g).fn(mpmath.mpf("0.9"), mpmath.mpf("0.1"))
         assert isinstance(v, mpmath.mpf)
         assert float(v) == pytest.approx(ig_candidate(g).fn(0.9, 0.1), abs=1e-15)
+
+
+# I^g_N(x, y) = S_g(N(x), y) and 0 is S_g's neutral element, so I(1, y) = y
+# and I(x, 0) = N(x), with N at CHAIN_DPS rounded once; an mpf point yields
+# an mpf, a table negation's float node value included
+TABLE_N = table_negation([(0, 1), (0.4, 0.2), (0.6, 0.6), (1, 0)])
+NEUTRAL_CASES = [
+    *((ig_candidate(g), standard_negation())
+      for g in (power_gp(2.0), power_gp(20.0), power_gp(1000.0), neg_log(), piecewise_f(),
+                table_generator(INCREASING, [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)]))),
+    (ign_candidate(power_gp(1000.0), yager_negation(2.0)), yager_negation(2.0)),
+    (ign_candidate(neg_log(), TABLE_N), TABLE_N),
+]
+
+
+@pytest.mark.parametrize("i, n", NEUTRAL_CASES, ids=[i.label for i, _ in NEUTRAL_CASES])
+def test_exact_at_the_neutral_element(i, n):
+    points = SampleSpec().points_1d()
+    with mpmath.workdps(CHAIN_DPS):
+        wide_n = [n(mpmath.mpf(t)) for t in points]
+    for t, n_t in zip(points, wide_n):
+        assert i.fn(1.0, t) == t and i.fn(t, 0.0) == float(n_t), t
+    with mpmath.workdps(CHAIN_DPS):
+        for t, n_t in zip(points[::10], wide_n[::10]):
+            t = mpmath.mpf(t)
+            for got, want in ((i.fn(1, t), t), (i.fn(t, 0), n_t)):
+                assert got == want and isinstance(got, mpmath.mpf), t
+
+
+def test_exact_at_the_neutral_element_at_known_points():
+    # each read 1.0, 1.0 and 0.9882807668026686 when the sum was taken
+    # without S_g's neutral element
+    assert ig_candidate(power_gp(1000.0)).fn(1.0, 0.5) == 0.5
+    assert ig_candidate(power_gp(1000.0)).fn(0.5, 0.0) == 0.5
+    assert ig_candidate(power_gp(20.0)).fn(0.01171875, 0.0) == 0.98828125
+
+
+def test_table_negation_node_enters_the_chain_once():
+    # N(0.4) = 0.2 is a table node, where N answers a float; g still takes it
+    # at CHAIN_DPS: 1 - sqrt(1 - g(0.2) - g(0.1)) rounds to ...314, while g in
+    # double read 0.329179606750063
+    assert ign_candidate(power_gp(2.0), TABLE_N).fn(0.4, 0.1) == 0.32917960675006314
 
 
 POWER_P = (0.1, 0.5, 1.0, 2.0, 3.7, 20.0, 1000.0)
