@@ -194,7 +194,8 @@ def _sum_generated(h: Generator, neutral: float, label: str,
     generator (neutral element 1) or the t-conorm of an increasing one
     (neutral element 0).  The neutral element is returned exactly: the
     round trip h^(-1)(h(x)) is off by an ulp, and loses x entirely wherever
-    h saturates."""
+    h saturates.  The t-norm's value is at most min(x, y), which the rounded
+    inverse passes by an ulp at a large p, and by far where h underflows."""
     h_fn, h_inv = h.fn, h.inverse
 
     def cell(a: float, b: float, x: float, y: float) -> float:
@@ -208,7 +209,13 @@ def _sum_generated(h: Generator, neutral: float, label: str,
             v = pseudo_inverse(h, s)
         # v is computed even at the neutral element, so a generator whose
         # sum goes negative is rejected there too
-        return x if y == neutral else y if x == neutral else v
+        if y == neutral:
+            return x
+        if x == neutral:
+            return y
+        if neutral and (v > x or v > y):  # a t-norm's bound; the t-conorm's 0 is falsy
+            return x if x < y else y
+        return v
 
     def fn(x: float, y: float) -> float:
         return cell(h_fn(x), h_fn(y), x, y)

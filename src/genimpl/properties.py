@@ -9,7 +9,7 @@ points, so re-evaluating them standalone reproduces the discrepancy.
 from __future__ import annotations
 
 import functools
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import sub
 from typing import Callable
 
@@ -26,6 +26,10 @@ OP_SLACK = 10.0
 # this share of the tolerance is re-evaluated at CHAIN_DPS, and only that
 # wide evaluation can fail it.
 ESCALATE_SHARE = 1 / 16
+
+# Nested laws read their special and random triples as columns of this
+# many: few enough to stream a plan, enough to pay a block's set-up rarely.
+_TRIPLE_BLOCK = 128
 
 # refine_jump subdivides an interval into REFINE_POINTS cells, REFINE_ROUNDS times
 REFINE_ROUNDS = 3
@@ -152,43 +156,21 @@ def _check_np(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport
     )
 
 
-# Each side of a nested law is one of two nestings of one operator,
-# op(x, op(y, z)) or op(op(x, y), z).  ``sides`` evaluates both at a point
-# through outer and inner; ``lines`` gives them on the triple grid g
-# through first(i, j) and second(i, j), the lines of the two nestings over
-# z at x = g[i] and y = g[j] (``_grid_blocks``).
+# A nested law is a pair of nestings of one operator op, its left side
+# first.  A nesting is RIGHT, op(x, op(y, z)), LEFT, op(op(x, y), z), or
+# SWAP, RIGHT with x and y exchanged; each walker gives the three on its
+# own lines, in this order.
+_RIGHT, _LEFT, _SWAP = range(3)
+_NESTED_LAWS = {"EP": (_RIGHT, _SWAP), "T2": (_LEFT, _RIGHT), "associativity": (_RIGHT, _LEFT)}
 
 
-def _ep_sides(outer, inner, x, y, z):
-    return outer(x, inner(y, z)), outer(y, inner(x, z))
-
-
-def _ep_lines(first, second, i, j):
-    return first(i, j), first(j, i)
-
-
-def _t2_sides(outer, inner, x, y, z):
-    return outer(inner(x, y), z), outer(x, inner(y, z))
-
-
-def _t2_lines(first, second, i, j):
-    return second(i, j), first(i, j)
-
-
-def _assoc_sides(outer, inner, a, b, c):
-    return outer(a, inner(b, c)), outer(inner(a, b), c)
-
-
-def _assoc_lines(first, second, i, j):
-    return first(i, j), second(i, j)
-
-
-def _gap(left, right):
-    return abs(left - right)
+def _sides(law, nestings):
+    """The two sides of ``law``, from a walker's (RIGHT, LEFT, SWAP)."""
+    return [nestings[k] for k in law]
 
 
 def _gaps(left, right):
-    return map(abs, map(sub, left, right))  # _gap along two lines
+    return map(abs, map(sub, left, right))
 
 
 def _enclosure_gap(left, right):
@@ -196,59 +178,53 @@ def _enclosure_gap(left, right):
     return max(left[1] - right[0], right[1] - left[0])
 
 
-def _grid_blocks(lines, op, bounds, g, gaps):
+def _grid_blocks(law, parts, lines, g, gaps):
     """For each grid pair (x, y) = (g[i], g[j]), x-major, the lazy (x, y, z,
-    gap) of the triples over z in g.  The inner values op(g[j], z) are held
-    in rows, row j filled at (0, j), its first use; then a grid triple
-    evaluates two outer cells.  With parts (u, v, cell), u and v are taken
-    once per grid point, a row keeps v of each inner value for first, and
-    second takes u of its one inner value.  With bounds, a row holds the
-    inner (lo, hi) and EP reads first only."""
+    gap) of the triples over z in g, each side a line of its nesting at (i, j).
+    The inner values op(g[j], z) are held in rows, row j filled at (0, j),
+    its first use; a grid triple then evaluates two outer cells.  Without
+    parts a row is an inner line of ``lines`` = (outer, inner), the lines
+    the pointwise triples are read through.  With parts (u, v, cell), u and
+    v are taken once per grid point, a row keeps v of each inner value for
+    RIGHT, and LEFT takes u of its one inner value."""
     rows = []
-    if bounds is not None:
-        def fill(j):
-            return tuple(zip(*map(bounds, repeat(g[j]), g, g)))
-
-        def first(i, j):
-            return map(bounds, repeat(g[i]), *rows[j])
-        second = None
-    elif op.parts is None:
-        fn = op.fn
+    if parts is None:
+        outer, inner = lines
 
         def fill(j):
-            return list(map(fn, repeat(g[j]), g))
+            return list(inner(repeat(g[j]), g))
 
-        def first(i, j):
-            return map(fn, repeat(g[i]), rows[j])
+        def right(i, j):
+            return outer(repeat(g[i]), rows[j])
 
-        def second(i, j):
-            return map(fn, repeat(rows[i][j]), g)
+        def left(i, j):
+            return outer(repeat(rows[i][j]), g)
     else:
-        u, v, cell = op.parts
+        u, v, cell = parts
         us, vs = list(map(u, g)), list(map(v, g))
 
         def fill(j):
             w = list(map(cell, repeat(us[j]), vs, repeat(g[j]), g))
             return w, list(map(v, w))
 
-        def first(i, j):
+        def right(i, j):
             w, vw = rows[j]
             return map(cell, repeat(us[i]), vw, repeat(g[i]), w)
 
-        def second(i, j):
+        def left(i, j):
             w = rows[i][0][j]
             return map(cell, repeat(u(w)), vs, repeat(w), g)
+    lhs, rhs = _sides(law, (right, left, lambda i, j: right(j, i)))
     for i, x in enumerate(g):
         for j, y in enumerate(g):
             if i == 0:
                 rows.append(fill(j))
-            yield zip(repeat(x), repeat(y), g, gaps(*lines(first, second, i, j)))
+            yield zip(repeat(x), repeat(y), g, gaps(lhs(i, j), rhs(i, j)))
 
 
-def _nested_law(prop, sides, lines, op, s, keys=("x", "y", "z"), holds_as=None,
-                 bounds=None, special=()):
-    """Check that the two sides of a nested law agree within tol on the
-    ``special`` triples, then on ``s.triples()``.
+def _nested_law(prop, op, s, keys=("x", "y", "z"), holds_as=None, special=()):
+    """Check that the two sides of the nested law ``prop`` agree within tol
+    on the ``special`` triples, then on ``s.triples()``.
 
     The sides compose the raw fn, so an inner value is never clamped or
     rounded by the operator wrapper.  Each triple is evaluated in float;
@@ -258,39 +234,52 @@ def _nested_law(prop, sides, lines, op, s, keys=("x", "y", "z"), holds_as=None,
     evaluation alone gives the verdict, left/right and witness.  The
     report's ``details.escalations`` counts the re-evaluated triples.
 
-    The n^3 grid triples (the head of ``s.triples()``) are walked by
-    index through ``_grid_blocks``: each inner value is evaluated once and
-    a grid triple costs two outer evaluations.  The special and random
-    triples evaluate all four.
+    Both sides are lines: along columns of the special and random triples,
+    and over z on the n^3 grid triples (the head of ``s.triples()``)
+    through ``_grid_blocks``, which evaluates each inner value once: a grid
+    triple costs two outer evaluations, the others all four.
 
-    With ``bounds`` (an operator's enclosure, see BinaryConnective) the
-    float pass encloses both sides instead, nesting only in the second
-    argument as EP does: inner is bounds(p, q, q), outer bounds(u, lo, hi)
+    A law without a LEFT nesting nests only in the second argument, so
+    there the float pass reads ``op.bounds`` where op has it (an enclosure,
+    see BinaryConnective): inner is bounds(p, q, q), outer bounds(u, lo, hi)
     of an inner (lo, hi), and the discrepancy is the bound
     U = max(L_hi - R_lo, R_hi - L_lo) on the true one.
     """
     tol = s.tolerance
     escalate_above = ESCALATE_SHARE * tol
+    law = _NESTED_LAWS[prop]
+    bounds = None if _LEFT in law else op.bounds
+    fn_lines = (functools.partial(map, op.fn),) * 2
     if bounds is None:
-        outer = inner = op.fn
-        gap, gaps = _gap, _gaps
-    else:
-        outer = lambda u, v: bounds(u, *v)  # noqa: E731
-        inner = lambda p, q: bounds(p, q, q)  # noqa: E731
-        gap, gaps = _enclosure_gap, functools.partial(map, _enclosure_gap)
+        lines, parts, gaps = fn_lines, op.parts, _gaps
+    else:  # the lines outer(xs, vs) and inner(ys, zs); vs are the columns (lo, hi)
+        lines = (lambda xs, vs: map(bounds, xs, *vs),
+                 lambda ys, zs: zip(*map(bounds, ys, zs, zs)))
+        parts, gaps = None, functools.partial(map, _enclosure_gap)
 
-    def points(triples):
-        return ((a, b, c, gap(*sides(outer, inner, a, b, c))) for a, b, c in triples)
+    def nestings(outer, inner):  # RIGHT, LEFT and SWAP along columns x, y, z
+        def right(x, y, z):
+            return outer(x, inner(y, z))
+        return right, lambda x, y, z: outer(inner(x, y), z), lambda x, y, z: right(y, x, z)
 
-    worst = 0.0
-    escalations = 0
-    for a, b, c, d in chain(
-            points(special),
-            chain.from_iterable(_grid_blocks(lines, op, bounds, s.triple_grid(), gaps)),
-            points(s.random_triples())):
+    lhs, rhs = _sides(law, nestings(*lines))
+
+    def blocks(triples):  # streamed, as columns of up to _TRIPLE_BLOCK triples
+        triples = iter(triples)
+        while block := list(islice(triples, _TRIPLE_BLOCK)):
+            x, y, z = zip(*block)
+            yield zip(x, y, z, gaps(lhs(x, y, z), rhs(x, y, z)))
+
+    def wide_sides(a, b, c):  # each side a line of one value
+        return [v for side in _sides(law, nestings(*fn_lines)) for v in side((a,), (b,), (c,))]
+
+    worst, escalations = 0.0, 0
+    for a, b, c, d in chain.from_iterable(chain(
+            blocks(special), _grid_blocks(law, parts, lines, s.triple_grid(), gaps),
+            blocks(s.random_triples()))):
         if not d <= escalate_above:  # a NaN escalates too
             escalations += 1
-            left, right = map(float, chain_eval(functools.partial(sides, op.fn, op.fn), a, b, c))
+            left, right = map(float, chain_eval(wide_sides, a, b, c))
             d = abs(left - right)
             if d > tol:
                 witness = dict(zip(keys, (a, b, c)), left=left, right=right)
@@ -305,7 +294,7 @@ def _nested_law(prop, sides, lines, op, s, keys=("x", "y", "z"), holds_as=None,
 
 
 def _check_ep(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
-    return _nested_law("EP", _ep_sides, _ep_lines, i, s, bounds=i.bounds)
+    return _nested_law("EP", i, s)
 
 
 def _check_ip(i: ImplicationCandidate, s: SampleSpec, _n=None) -> PropertyReport:
@@ -358,7 +347,7 @@ def check_tnorm_axioms(
     """T1 commutativity, T2 associativity, T3 monotonicity, T4 boundary."""
     report = _tnorm_pair_laws(t, s)
     if report is None:
-        return _nested_law("T2", _t2_sides, _t2_lines, t, s, holds_as="T1-T4")
+        return _nested_law("T2", t, s, holds_as="T1-T4")
     report.details = {"escalations": 0}  # failed before any triple ran
     return report
 
@@ -409,10 +398,7 @@ def find_associativity_counterexample(
     c: BinaryConnective, s: SampleSpec = SampleSpec()
 ) -> PropertyReport:
     """First sampled triple with C(a, C(b,c)) != C(C(a,b), c)."""
-    return _nested_law(
-        "associativity", _assoc_sides, _assoc_lines, c, s, keys=("a", "b", "c"),
-        special=SPECIAL_TRIPLES,
-    )
+    return _nested_law("associativity", c, s, keys=("a", "b", "c"), special=SPECIAL_TRIPLES)
 
 
 def compare_surfaces(

@@ -162,6 +162,27 @@ def test_generated_tconorm_at_a_saturated_point():
     assert generated_tconorm_connective(power_gp(20.0))(0.85, 0.0) == 0.85
 
 
+# T <= min(x, y).  Before the t-norm was bounded, the rounded inverse passed
+# it on 1,460 of the pairs below at p = 20 (by an ulp), and on 27,219 at
+# p = 1000, where f underflows and T(0.6, 0.6) read 1.0
+def test_generated_tnorm_at_a_rounded_point():
+    assert generated_tnorm_connective(yager_f(20.0)).fn(0.01, 0.83) == 0.01
+
+
+@pytest.mark.parametrize("p", [20.0, 1000.0])
+def test_generated_tnorm_stays_at_or_below_min(p):
+    fn = generated_tnorm_connective(yager_f(p)).fn
+    points = SampleSpec().points_1d()[:300]
+    assert sum(fn(x, y) > min(x, y) for x in points for y in points) == 0
+
+
+def test_tnorm_axioms_hold_where_the_generator_underflows():
+    # T3 false-failed at x = 0.53, where T(0.53, y) read 1.0 next to y = 1
+    t = specs.parse_binary({"kind": "generated_tnorm", "f": {"kind": "yager_f", "p": 1000}})
+    report = check_tnorm_axioms(t)
+    assert report.holds, report.witness
+
+
 # Verdicts that read S(x, 0) = x: T4 of the dual t-norm at T(x, 1), NP of an
 # (S,N)-implication at S(N(1), y) = S(0, y), I^g_N = S_g(N(x), y) among them,
 # and NP of the dual's residual

@@ -9,9 +9,10 @@ are open items of ROADMAP.md, item 2; they enter here with their fix.
 
 import pytest
 
+from genimpl.implications import natural_negation
 from genimpl.properties import compare_surfaces
 from genimpl.reports import SampleSpec
-from genimpl.specs import parse_binary
+from genimpl.specs import parse_binary, parse_negation
 
 PLAN = SampleSpec(tolerance=1e-9)
 LUKASIEWICZ = {"kind": "lukasiewicz"}
@@ -37,6 +38,9 @@ ROWS = [
     # g(t) = t: g^(-1)(g(1 - x) + g(y)) = min(1 - x + y, 1)
     ("I^g of the identity generator is Lukasiewicz", {"kind": "ig", "g": power_gp(1)},
      LUKASIEWICZ),
+    # phi(x) = x^1 is the identity map, which conjugates Lukasiewicz to itself
+    ("the phi-conjugate of Lukasiewicz by power 1 is Lukasiewicz",
+     {"kind": "phi_conjugate", "phi": {"kind": "power", "a": 1}}, LUKASIEWICZ),
     # the Yager t-norm at p = 1 is the Lukasiewicz t-norm, whose residual
     # is the Lukasiewicz implication
     ("the residual of the Yager t-norm at p=1 is Lukasiewicz",
@@ -59,3 +63,17 @@ ROWS = [
 def test_identity(left, right):
     report = compare_surfaces(parse_binary(left), parse_binary(right), PLAN)
     assert report.holds, report.details["argmax"]
+
+
+# I^g_N(x, 0) = S_g(N(x), 0) = N(x), as 0 is the neutral element of S_g: the
+# natural negation of I^g_N is N
+@pytest.mark.parametrize("g, n", [
+    (power_gp(2), {"kind": "yager_np", "p": 2}),
+    (power_gp(20), {"kind": "yager_np", "p": 20}),
+    ({"kind": "neg_log"}, {"kind": "standard"}),
+], ids=["power_gp 2, yager_np 2", "power_gp 20, yager_np 20", "neg_log, standard"])
+def test_natural_negation_of_ign_is_n(g, n):
+    natural = natural_negation(parse_binary({"kind": "ign", "g": g, "N": n}))
+    negation = parse_negation(n)
+    gap = max(abs(natural(x) - negation(x)) for x in PLAN.points_1d())
+    assert gap <= PLAN.tolerance

@@ -32,6 +32,7 @@ from genimpl.implications import (
     residual_numeric,
 )
 from genimpl.properties import (
+    _NESTED_LAWS,
     ESCALATE_SHARE,
     SPECIAL_TRIPLES,
     check_property,
@@ -274,6 +275,17 @@ def mean_of_min_and_product(x, y):
     return 0.5 * (min(x, y) + x * y)
 
 
+def raising_enclosure(x, y_lo, y_hi):
+    raise ArithmeticError("enclosure read")
+
+
+def with_raising_enclosure(spec):
+    """The connective of ``spec`` with an enclosure that raises when read: a
+    law with a LEFT nesting (T2, associativity) must read fn, not bounds."""
+    op = parse_connective(spec)
+    return op.replace(bounds=raising_enclosure, label=f"{op.label}+raising_enclosure")
+
+
 NESTED_PLAN = SampleSpec(triple_grid_n=11, triple_random_count=500)
 # ign evaluates every value at CHAIN_DPS: a 5^3 + 40 triple plan
 IGN_PLAN = {"triple_grid_n": 5, "triple_random_count": 40}
@@ -290,11 +302,18 @@ TABLE_CASES = [
     ("T2", {"kind": "yager_tnorm", "p": 2}),
     ("T2", {"kind": "generated_tnorm", "f": YAGER_F2}),
     ("T2", mean_of_min_and_product),  # fails at a grid triple
+    ("T2", with_raising_enclosure({"kind": "generated_tnorm", "f": YAGER_F2})),
     *(("associativity", {"kind": "generated_tconorm", "g": g})
       for g in ({"kind": "neg_log"}, POWER_GP2, TABLE_G)),
     ("associativity", {"kind": "mean"}),  # fails at the special triple
     ("associativity", off_grid_max),  # fails at the first random triple
+    ("associativity",
+     with_raising_enclosure({"kind": "generated_tconorm", "g": {"kind": "neg_log"}})),
 ]
+
+
+def test_table_cases_cover_every_nested_law():
+    assert set(_NESTED_LAWS) == {case[0] for case in TABLE_CASES}
 
 
 def _case_id(law, op, plan=None):
